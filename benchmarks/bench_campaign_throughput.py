@@ -32,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.obs import observe
-from repro.seu import CampaignConfig, default_jobs, run_campaign, run_campaign_parallel
+from repro.engine import default_jobs
+from repro.seu import CampaignConfig, run_campaign
 
 
 def _bench_rows(hw, results) -> list[dict]:
@@ -66,7 +67,7 @@ def test_campaign_throughput(bench_device, report, bench_record):
     cfg = CampaignConfig(detect_cycles=96, persist_cycles=64, stride=stride)
 
     serial = run_campaign(hw, cfg)
-    parallel = run_campaign_parallel(hw, cfg, jobs=jobs)
+    parallel = run_campaign(hw, cfg, jobs=jobs)
 
     # Traced serial reruns: pin the <=5% overhead promise of repro.obs
     # and leave a real trace behind (CI uploads it as an artifact).

@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine import ChaosPolicy, ExecutorPolicy, executor_policy
-from repro.seu import CampaignConfig, default_jobs, run_campaign_parallel
+from repro.engine import ChaosPolicy, ExecutorPolicy, default_jobs, executor_policy
+from repro.seu import CampaignConfig, run_campaign
 
 # Mild but complete schedule: at least one crash, hang and delay land
 # within the first few task keys of each phase, and every fault is
@@ -60,9 +60,9 @@ def test_chaos_recovery(bench_device, report, bench_record):
     hw = implement(get_design("MULT6"), bench_device)
     cfg = CampaignConfig(detect_cycles=96, persist_cycles=64, stride=stride)
 
-    clean = run_campaign_parallel(hw, cfg, jobs=jobs)
+    clean = run_campaign(hw, cfg, jobs=jobs)
     with executor_policy(POLICY):
-        disturbed = run_campaign_parallel(hw, cfg, jobs=jobs)
+        disturbed = run_campaign(hw, cfg, jobs=jobs)
 
     # The recovery contract: chaos decides whether workers answer,
     # never what they answer — and this schedule is fully survivable.

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.engine import ExecutorPolicy, executor_policy
-from repro.seu import CampaignConfig, run_campaign_parallel
+from repro.seu import CampaignConfig, run_campaign
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -71,7 +71,7 @@ def _run_tcp(hw, cfg, announce: str, n_workers: int, *, disturb=None):
     t0 = time.perf_counter()
     try:
         with executor_policy(policy):
-            result = run_campaign_parallel(hw, cfg, jobs=max(2, n_workers))
+            result = run_campaign(hw, cfg, jobs=max(2, n_workers))
     finally:
         if timer is not None:
             timer.cancel()
@@ -100,7 +100,7 @@ def test_dist_fanout(bench_device, report, tmp_path, bench_record):
     cfg = CampaignConfig(detect_cycles=96, persist_cycles=64, stride=stride)
 
     t0 = time.perf_counter()
-    serial = run_campaign_parallel(hw, cfg, jobs=1)
+    serial = run_campaign(hw, cfg, jobs=1)
     serial_wall = time.perf_counter() - t0
 
     dist, dist_wall = _run_tcp(hw, cfg, str(tmp_path / "addr1"), n_workers)

@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--checkpoint-every", type=int, default=50_000,
-        help="candidate bits between snapshots",
+        help="simulated survivors between snapshots (at least one per shard)",
     )
     add_batch_flag(p)
     add_shrinker_flags(p)
@@ -411,35 +411,19 @@ def _cmd_implement(args: argparse.Namespace) -> int:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro import CampaignConfig, get_design, get_device, implement, run_campaign
     from repro.errors import CampaignError
-    from repro.seu import (
-        SensitivityMap,
-        default_jobs,
-        format_table1,
-        resume_campaign,
-        resume_campaign_parallel,
-        run_campaign_parallel,
-        table1_row,
-    )
+    from repro.seu import SensitivityMap, format_table1, resume_campaign, table1_row
 
-    jobs = default_jobs() if args.jobs is None else args.jobs
-    collapse = not args.no_collapse
-    retire = not args.no_retire
+    run_opts = dict(
+        jobs=args.jobs,
+        checkpoint_every=args.checkpoint_every,
+        collapse=not args.no_collapse,
+        retire=not args.no_retire,
+    )
     hw = implement(get_design(args.design), get_device(args.device))
     if args.resume:
         if not args.checkpoint:
             raise CampaignError("--resume requires --checkpoint PATH")
-        if jobs == 1:
-            result = resume_campaign(
-                hw,
-                args.checkpoint,
-                checkpoint_every=args.checkpoint_every,
-                collapse=collapse,
-                retire=retire,
-            )
-        else:
-            result = resume_campaign_parallel(
-                hw, args.checkpoint, jobs=jobs, collapse=collapse, retire=retire
-            )
+        result = resume_campaign(hw, args.checkpoint, **run_opts)
     else:
         cfg_extra = {} if args.batch_size is None else {"batch_size": args.batch_size}
         config = CampaignConfig(
@@ -448,24 +432,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             stride=args.stride,
             **cfg_extra,
         )
-        if jobs == 1:
-            result = run_campaign(
-                hw,
-                config,
-                checkpoint_path=args.checkpoint,
-                checkpoint_every=args.checkpoint_every,
-                collapse=collapse,
-                retire=retire,
-            )
-        else:
-            result = run_campaign_parallel(
-                hw,
-                config,
-                jobs=jobs,
-                checkpoint_path=args.checkpoint,
-                collapse=collapse,
-                retire=retire,
-            )
+        result = run_campaign(hw, config, checkpoint_path=args.checkpoint, **run_opts)
     print(result.summary())
     if result.telemetry is not None:
         print(f"throughput: {result.telemetry.summary()}")

@@ -9,16 +9,17 @@ permanent defect hunted by BIST.  This package owns that loop once:
 * :class:`~repro.engine.model.FaultModel` is the protocol a fault class
   implements — candidate enumeration, structural pre-filter, patch
   derivation, batch observation, verdict classification;
-* :func:`~repro.engine.sweep.run_serial` and
-  :func:`~repro.engine.sweep.run_sharded` are the drivers — they own
-  batching, warm-state context, multi-process sharding with the
-  ``jobs=N`` byte-identity contract, batch-aligned checkpoint/resume,
-  partial-result merging and :class:`CampaignTelemetry`;
+* :func:`~repro.engine.sweep.run_sharded` is the one driver — a
+  two-phase pre-filter → observe sweep that owns batching, warm-state
+  context, fault collapsing, batch-aligned checkpoint/resume and
+  :class:`CampaignTelemetry`.  ``jobs=1`` runs its tasks in-process
+  (:func:`~repro.engine.sweep.run_serial` is that alias); ``jobs=N``
+  fans the same tasks out with verdicts byte-identical by construction;
 * :mod:`~repro.engine.detect` holds the vectorised detect-only kernel
   (bit-packed output comparison, early exit) shared by every
   detect-classify fault model;
 * :class:`~repro.engine.executor.ShardExecutor` owns the failure
-  surface of sharded runs — retry with backoff, pool rebuild on worker
+  surface of pooled runs — retry with backoff, pool rebuild on worker
   death, speculative re-execution of stragglers, poison-shard
   quarantine — governed by an ambient
   :class:`~repro.engine.executor.ExecutorPolicy`, with

@@ -271,7 +271,9 @@ class LocalPoolBackend:
         done, _ = wait(waitset, timeout=0.0 if events else timeout, return_when=FIRST_COMPLETED)
         broken: BaseException | None = None
         broken_sids: list[int] = []
-        for fut in done:
+        # Completions that arrive together are reported in submission
+        # order, so a synchronous executor replays one fixed schedule.
+        for fut in sorted(done, key=lambda f: self._futures.get(f, self._abandoned.get(f, -1))):
             abandoned = False
             sid = self._futures.pop(fut, None)
             if sid is None:

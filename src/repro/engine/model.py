@@ -139,9 +139,11 @@ class FaultModel(abc.ABC):
         Returns ``(skip_code, None)`` with ``skip_code`` in
         ``CODE_SKIP_*`` when the candidate provably cannot produce an
         observable error, or ``(CODE_NOT_TESTED, payload)`` when it
-        must be simulated.  A non-``None`` payload is reused as the
-        candidate's patch on the serial path (sharded workers re-derive
-        it with :meth:`patch_for` — payloads never cross processes).
+        must be simulated.  A non-``None`` payload is the candidate's
+        patch: when the observe phase runs in the same process
+        (``jobs=1``) the engine reuses it instead of calling
+        :meth:`patch_for`; pool and remote workers re-derive it with
+        :meth:`patch_for` — payloads never cross processes.
         """
         return CODE_NOT_TESTED, None
 

@@ -1,34 +1,37 @@
-"""The generic campaign drivers: serial and sharded, one contract.
+"""The generic campaign driver: one two-phase sweep for every ``jobs``.
 
-Lifted from the single-bit SEU engine (``repro.seu.campaign`` /
-``repro.seu.parallel``) and generalised over
-:class:`~repro.engine.model.FaultModel`, so every fault class gets the
-same machinery:
+Lifted from the single-bit SEU engine (``repro.seu.campaign``) and
+generalised over :class:`~repro.engine.model.FaultModel`, so every
+fault class gets the same machinery.  :func:`run_sharded` is the only
+driver; ``jobs=1`` runs the very same task list in-process, in order,
+with no executor, pickling or retry (a deterministic exception simply
+propagates), and :func:`run_serial` is a ``jobs=1`` alias.
 
 **Determinism contract.** ``jobs=N`` produces verdicts *byte-identical*
 to ``jobs=1``.  Batch composition may decide marginal observations (the
 active-node closure and settle-pass count are per-batch), so sharding
-must not change which candidates share a batch.  The sharded driver
-therefore runs in two phases:
+must not change which candidates share a batch.  The driver therefore
+runs in two phases:
 
 1. **Pre-filter** — candidates are split into contiguous chunks and
-   classified in parallel (:meth:`FaultModel.prefilter` is a pure
-   per-candidate function, so any split is safe).  Survivors are
-   collected in candidate order.
+   classified (in parallel under a pool; :meth:`FaultModel.prefilter`
+   is a pure per-candidate function, so any split is safe).  Survivors
+   are collected in candidate order.
 2. **Observe** — the survivor sequence is cut into contiguous shards
    whose sizes are multiples of ``batch_size`` (only the global tail
    shard may be ragged).  Grouping each shard into consecutive
-   ``batch_size`` blocks then reproduces exactly the serial loop's
-   batches, so every batch simulates with the same companions it would
-   have had under ``jobs=1``.
+   ``batch_size`` blocks reproduces exactly the same batches for any
+   shard count, so every batch simulates with the same companions
+   whatever ``jobs`` is.
 
-**Checkpoint/resume.** Checkpoints are cut only at whole-batch
-boundaries — the serial loop defers a due snapshot until its pending
-batch flushes, and the sharded parent folds each completed shard (a
-whole number of batches) into the checkpoint — so the un-swept
-remainder always re-groups into the *same* batches on resume, and a
-killed sweep resumes to the byte-identical result.  Serial and sharded
-runs resume each other's checkpoints.
+**Checkpoint/resume.** The driver snapshots after the pre-filter
+(under a pool) and then as observe shards complete;
+``checkpoint_every`` (survivors per snapshot) sets the shard count,
+raised to ``jobs * shards_per_job`` when a pool exists, and the
+complete result is written once at the end.  Snapshots hold whole batches only, so the
+un-swept remainder always re-groups into the *same* batches on resume
+and a killed sweep resumes to the byte-identical result under any
+worker count.
 
 **Fault collapsing.** Candidates whose patches configure identical
 hardware produce identical observations — *if* they simulate under the
@@ -37,21 +40,22 @@ passes auto-detect per batch, so a candidate's observation is a pure
 function of ``(patch, salt)`` where the *salt* is
 :meth:`FaultModel.collapse_salt` over its naive batch).  With
 ``collapse=True`` (the default, honoured only when the model is
-:attr:`~repro.engine.model.FaultModel.collapsible`) the drivers still
-walk survivors in naive ``batch_size`` groups to derive each
-candidate's salt, but only simulate one *representative* per
-``(salt, signature)`` class — grouped with same-salt representatives
-and simulated via :meth:`FaultModel.observe_collapsed` with the salt
-forced — and fan the observation out to the class.  Verdicts are
-byte-identical to ``collapse=False`` for any ``jobs``; checkpoints are
-still cut only at naive-batch boundaries (with every pending
-representative flushed first), so resume re-derives the same salts and
-a follower whose representative was checkpointed simply becomes the
-representative of its class in the remainder.
+:attr:`~repro.engine.model.FaultModel.collapsible`) the parent walks
+survivors in naive ``batch_size`` groups to derive each candidate's
+salt, dispatches only one *representative* per ``(salt, signature)``
+class — in shards of same-salt representatives simulated via
+:meth:`FaultModel.observe_collapsed` with the salt forced — and fans
+the observation out to the class.  Verdicts are byte-identical to
+``collapse=False`` for any ``jobs``; snapshots fold only the resolved
+survivor prefix cut at a naive-batch boundary, so resume re-derives
+the same salts.
 
-Workers re-derive the model context **once per process** and cache it;
-under a ``fork`` start method the parent pre-populates the cache so
-children inherit it copy-on-write and re-derive nothing.
+**Patch reuse.** At ``jobs=1`` the pre-filter parks survivor patches
+(its payloads) in the per-process model state and the observe phase
+pops them; pool and remote workers re-derive them with
+:meth:`FaultModel.patch_for`.  Workers derive the model context **once
+per process** and cache it; under ``fork`` the parent pre-populates the
+cache so children inherit it copy-on-write.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Hashable
 
 import numpy as np
 
@@ -172,7 +176,8 @@ def merge_sweeps(parts: list[SweepResult]) -> SweepResult:
     first = parts[0]
     verdicts = first.verdicts.copy()
     candidates = [first.candidate_ids]
-    seen = set(int(c) for c in first.candidate_ids)
+    seen = np.zeros(first.n_space, dtype=bool)
+    seen[first.candidate_ids] = True
     n_sim = first.n_simulated
     host = first.host_seconds
     payloads = dict(first.payloads)
@@ -182,12 +187,12 @@ def merge_sweeps(parts: list[SweepResult]) -> SweepResult:
                 f"cannot merge sweeps of different models "
                 f"({part.model_key!r} vs {first.model_key!r})"
             )
-        overlap = seen.intersection(int(c) for c in part.candidate_ids)
-        if overlap:
+        overlap = np.unique(part.candidate_ids[seen[part.candidate_ids]])
+        if overlap.size:
             raise CampaignError(
-                f"candidate sets overlap ({len(overlap)} ids, e.g. {min(overlap)})"
+                f"candidate sets overlap ({overlap.size} ids, e.g. {int(overlap[0])})"
             )
-        seen.update(int(c) for c in part.candidate_ids)
+        seen[part.candidate_ids] = True
         mask = part.verdicts != CODE_NOT_TESTED
         verdicts[mask] = part.verdicts[mask]
         candidates.append(part.candidate_ids)
@@ -263,11 +268,15 @@ def load_sweep(path: str) -> SweepResult:
     )
 
 
-# -- serial driver -------------------------------------------------------------
+# -- whole-sweep result cache --------------------------------------------------
 
 
 def _sweep_cache_key(
-    model: FaultModel, candidates: np.ndarray, batch_size: int, collapse: bool
+    model: FaultModel,
+    model_blob: bytes,
+    candidates: np.ndarray,
+    batch_size: int,
+    collapse: bool,
 ) -> str:
     """Content address of one whole sweep's verdicts.
 
@@ -281,7 +290,7 @@ def _sweep_cache_key(
     return content_key(
         "sweep-v1",
         model.key(),
-        pickle.dumps(model),
+        model_blob,
         candidates,
         batch_size,
         bool(collapse) and model.collapsible,
@@ -324,302 +333,6 @@ def _serve_cached_sweep(
     return cached
 
 
-def _count_skip(telem: CampaignTelemetry, code: int) -> None:
-    if code == CODE_SKIP_STRUCTURAL:
-        telem.skip_structural += 1
-    elif code == CODE_SKIP_CONE:
-        telem.skip_cone += 1
-    elif code == CODE_SKIP_UNADDRESSED:
-        telem.skip_unaddressed += 1
-    else:
-        raise CampaignError(f"prefilter returned non-skip code {code}")
-
-
-def run_serial(
-    model: FaultModel,
-    batch_size: int = 128,
-    candidates: np.ndarray | None = None,
-    checkpoint_save: Callable[[SweepResult], None] | None = None,
-    checkpoint_every: int = 50_000,
-    merge_with: SweepResult | None = None,
-    context: Any | None = None,
-    collapse: bool = True,
-) -> SweepResult:
-    """Exhaustive serial sweep of one fault model.
-
-    With ``checkpoint_save`` the driver periodically hands a merged
-    partial :class:`SweepResult` to the callback (every
-    ``checkpoint_every`` candidates, at natural batch boundaries only,
-    and once more at the end); ``merge_with`` folds an earlier partial
-    result into every snapshot (used by resume so re-interrupted runs
-    stay whole).
-
-    ``collapse=True`` (honoured only for collapsible models) turns on
-    fault collapsing: one representative per ``(salt, signature)``
-    equivalence class is simulated and the observation fanned out to the
-    class — verdicts, checkpoints and ``n_simulated`` are byte-identical
-    to ``collapse=False`` (see the module docstring for the contract).
-    """
-    if candidates is None:
-        candidates = model.enumerate_candidates()
-    candidates = np.asarray(candidates, dtype=np.int64)
-    do_collapse = bool(collapse) and model.collapsible
-
-    # Whole-sweep result cache: consulted *before* the context build so
-    # a warm repeat skips even the golden simulation.  Resume merges
-    # (``merge_with``) sweep a remainder range whose key differs, so
-    # only clean full runs are served or stored.
-    t0 = time.perf_counter()
-    kern0 = KERNEL_COUNTERS.snapshot()
-    cache0 = CACHE_STATS.snapshot()
-    store = result_cache()
-    sweep_key: str | None = None
-    if store is not None and merge_with is None:
-        sweep_key = _sweep_cache_key(model, candidates, batch_size, collapse)
-        cached = store.get(sweep_key)
-        if cached is not None:
-            return _serve_cached_sweep(cached, cache0, 1, checkpoint_save)
-
-    ctx = model.build_context() if context is None else context
-
-    verdicts = np.zeros(model.space_size(), dtype=np.uint8)
-    payloads: dict[int, np.ndarray] = {}
-    telem = CampaignTelemetry(
-        n_candidates=int(candidates.size), jobs=1, backend=resolve_backend()
-    )
-    n_simulated = 0
-
-    # Observability hooks.  Every emission below only *reads* campaign
-    # state — the verdict-invariance contract (see repro.obs) — and the
-    # untraced path pays one `observing` check per site.
-    observer = get_observer()
-    tracer, progress = observer.tracer, observer.progress
-    observing = observer.enabled
-    root_span = tracer.open_span(
-        "campaign",
-        model=model.name,
-        key=model.key(),
-        jobs=1,
-        candidates=int(candidates.size),
-        collapse=do_collapse,
-        backend=telem.backend,
-    )
-    progress.start(model.name, total=int(candidates.size))
-    batch_tick = 0
-
-    def after_batch(span: int, bits: int, seconds: float) -> None:
-        nonlocal batch_tick
-        telem.record_batch_seconds(seconds)
-        if not observing:
-            return
-        tracer.close_span(span, bits=bits, seconds=round(seconds, 6))
-        batch_tick += 1
-        if batch_tick % _COUNTER_SAMPLE_BATCHES == 0:
-            tracer.counters(KERNEL_COUNTERS.to_dict())
-
-    pending: list[tuple[int, Any]] = []
-
-    def flush() -> None:
-        nonlocal n_simulated
-        if not pending:
-            return
-        span = tracer.open_span("batch", bits=len(pending)) if observing else -1
-        t_sim = time.perf_counter()
-        observations = model.observe_batch(ctx, pending)
-        for (cand, _), obs in zip(pending, observations):
-            verdicts[cand] = model.classify(obs)
-            rich = model.payload(obs)
-            if rich is not None:
-                payloads[cand] = rich
-        n_simulated += len(pending)
-        telem.n_batches += 1
-        seconds = time.perf_counter() - t_sim
-        telem.simulate_seconds += seconds
-        after_batch(span, len(pending), seconds)
-        pending.clear()
-
-    # Collapse-path state.  ``naive_buf`` holds survivors of the naive
-    # batch currently forming; once full, its salt is derived and each
-    # member becomes a class representative, a follower of a pending
-    # representative, or an immediate fan-out of a resolved class.
-    naive_buf: list[tuple[int, Any, Any, Any]] = []  # (cand, patch, sig, datum)
-    rep_pending: dict[Any, list[tuple[int, Any, Any]]] = {}  # salt -> (cand, patch, key)
-    followers: dict[Any, list[int]] = {}  # key -> cands awaiting their rep
-    resolved: dict[Any, int] = {}  # key -> verdict code
-    resolved_payload: dict[Any, np.ndarray | None] = {}
-
-    def fan_out(cand: int, code: int, rich: np.ndarray | None) -> None:
-        nonlocal n_simulated
-        verdicts[cand] = code
-        if rich is not None:
-            payloads[cand] = rich.copy()
-        n_simulated += 1
-        telem.n_collapsed += 1
-
-    def flush_salt(salt: Any, limit: int) -> None:
-        nonlocal n_simulated
-        group = rep_pending.get(salt)
-        if not group:
-            return
-        reps = group[:limit]
-        del group[:limit]
-        if not group:
-            del rep_pending[salt]
-        span = (
-            tracer.open_span("batch.collapsed", bits=len(reps), salt=salt)
-            if observing
-            else -1
-        )
-        t_sim = time.perf_counter()
-        observations = model.observe_collapsed(ctx, [(c, p) for c, p, _ in reps], salt)
-        telem.n_batches += 1
-        for (cand, _, key), obs in zip(reps, observations):
-            code = model.classify(obs)
-            rich = model.payload(obs)
-            verdicts[cand] = code
-            if rich is not None:
-                payloads[cand] = rich
-            n_simulated += 1
-            if key is not None:
-                resolved[key] = code
-                resolved_payload[key] = rich
-                for f in followers.pop(key, ()):
-                    fan_out(f, code, rich)
-        seconds = time.perf_counter() - t_sim
-        telem.simulate_seconds += seconds
-        after_batch(span, len(reps), seconds)
-
-    def process_naive_batch() -> None:
-        if not naive_buf:
-            return
-        salt = model.collapse_salt(ctx, [d for _, _, _, d in naive_buf])
-        for cand, patch, sig, _ in naive_buf:
-            key = None if sig is None else (salt, sig)
-            if key is not None:
-                code = resolved.get(key)
-                if code is not None:
-                    fan_out(cand, code, resolved_payload[key])
-                    continue
-                flw = followers.get(key)
-                if flw is not None:  # representative already queued
-                    flw.append(cand)
-                    continue
-                followers[key] = []
-            rep_pending.setdefault(salt, []).append((cand, patch, key))
-        naive_buf.clear()
-        while len(rep_pending.get(salt, ())) >= batch_size:
-            flush_salt(salt, batch_size)
-
-    def flush_all() -> None:
-        for salt in list(rep_pending):
-            while salt in rep_pending:
-                flush_salt(salt, batch_size)
-
-    def make_result(n_done: int) -> SweepResult:
-        done = candidates[:n_done]
-        partial = n_done < candidates.size
-        return SweepResult(
-            model_name=model.name,
-            model_key=model.key(),
-            n_space=int(verdicts.size),
-            verdicts=verdicts.copy() if partial else verdicts,
-            candidate_ids=done,
-            n_simulated=n_simulated,
-            host_seconds=time.perf_counter() - t0,
-            payloads=dict(payloads) if partial else payloads,
-        )
-
-    def checkpoint(n_done: int) -> None:
-        t_ck = time.perf_counter()
-        part = make_result(n_done)
-        if merge_with is not None:
-            part = merge_sweeps([merge_with, part])
-        checkpoint_save(part)
-        seconds = time.perf_counter() - t_ck
-        telem.checkpoint_seconds += seconds
-        if observing:
-            tracer.point("checkpoint", n_done=n_done, seconds=round(seconds, 6))
-
-    since_checkpoint = 0
-    for i, cand in enumerate(candidates):
-        cand = int(cand)
-        since_checkpoint += 1
-        if observing:
-            progress.update(i + 1)
-        code, payload = model.prefilter(cand, ctx)
-        if code != CODE_NOT_TESTED:
-            verdicts[cand] = code
-            _count_skip(telem, code)
-        elif do_collapse:
-            patch = payload if payload is not None else model.patch_for(cand, ctx)
-            naive_buf.append(
-                (
-                    cand,
-                    patch,
-                    model.collapse_signature(cand, ctx, patch),
-                    model.collapse_salt_datum(cand, ctx, patch),
-                )
-            )
-            if len(naive_buf) >= batch_size:
-                process_naive_batch()
-        else:
-            pending.append(
-                (cand, payload if payload is not None else model.patch_for(cand, ctx))
-            )
-            if len(pending) >= batch_size:
-                flush()
-        # Checkpoint only at naive batch boundaries (buffer empty): a
-        # forced flush would change naive batch composition, and the
-        # per-batch active-node closure / settle salt can flip marginal
-        # observations — resume must reproduce the uninterrupted run bit
-        # for bit.  Under collapse every pending representative is
-        # simulated first so the snapshot covers the whole prefix
-        # (regrouping representatives is verdict-safe: their salts are
-        # already fixed).
-        if (
-            checkpoint_save is not None
-            and since_checkpoint >= checkpoint_every
-            and not (naive_buf if do_collapse else pending)
-        ):
-            if do_collapse:
-                flush_all()
-            checkpoint(i + 1)
-            since_checkpoint = 0
-    if do_collapse:
-        process_naive_batch()
-        flush_all()
-    else:
-        flush()
-
-    result = make_result(int(candidates.size))
-    if merge_with is not None:
-        result = merge_sweeps([merge_with, result])
-    telem.n_simulated = n_simulated
-    kd = KERNEL_COUNTERS.delta(kern0)
-    telem.machines_retired += kd[0]
-    telem.batch_compactions += kd[1]
-    telem.machine_cycles_saved += kd[2]
-    telem.ff_cycles_skipped += kd[3]
-    telem.cache_hits, telem.cache_misses, telem.cache_bytes = CACHE_STATS.delta(cache0)
-    telem.wall_seconds = time.perf_counter() - t0
-    telem.prefilter_seconds = max(
-        0.0, telem.wall_seconds - telem.simulate_seconds - telem.checkpoint_seconds
-    )
-    result.telemetry = telem
-    if store is not None and sweep_key is not None:
-        store.put(sweep_key, result)
-    if observing:
-        tracer.point("telemetry", **telem.to_dict())
-        tracer.counters(KERNEL_COUNTERS.to_dict())
-        tracer.close_span(
-            root_span, n_simulated=n_simulated, n_batches=telem.n_batches
-        )
-        progress.finish(telem.summary())
-    if checkpoint_save is not None:
-        checkpoint_save(result)
-    return result
-
-
 # -- worker-side state ---------------------------------------------------------
 #
 # Keyed by the model *ref* — the content address of the pickled model
@@ -627,20 +340,24 @@ def run_serial(
 # TCP one-time upload), or the raw pickled bytes for external pools
 # that ship the blob per task (which identifies design, device and
 # every knob either way).  Bounded so a long-lived pool sweeping many
-# models cannot hoard contexts.
+# models cannot hoard contexts.  Each entry is ``(model, context,
+# patches)``: ``patches`` is the survivor-patch parking dict of an
+# in-process sweep (pre-filter puts, observe pops) and ``None`` in any
+# other process.  An in-process sweep registers its own entry under a
+# private ref and removes it when it ends.
 
 _MAX_CACHED = 4
-_MODEL_STATE: dict[bytes | str, tuple[FaultModel, Any]] = {}
+_MODEL_STATE: dict[Hashable, tuple[FaultModel, Any, dict[int, Any] | None]] = {}
 
 
-def _model_state(model_ref: bytes | str) -> tuple[FaultModel, Any]:
+def _model_state(model_ref: Hashable) -> tuple[FaultModel, Any, dict[int, Any] | None]:
     """The worker-side cache: unpickle once, derive the context once."""
     state = _MODEL_STATE.get(model_ref)
     if state is None:
         if len(_MODEL_STATE) >= _MAX_CACHED:
             _MODEL_STATE.clear()
         model = pickle.loads(resolve_blob(model_ref))
-        state = (model, model.build_context())
+        state = (model, model.build_context(), None)
         _MODEL_STATE[model_ref] = state
     return state
 
@@ -658,13 +375,18 @@ def _shard_cache(cache_key: str | None):
 
 
 def _worker_prefilter(
-    model_ref, cands: np.ndarray, cache_key: str | None = None
-) -> tuple[np.ndarray, float]:
+    model_ref, cands: np.ndarray, collapse: bool, cache_key: str | None = None
+) -> tuple[np.ndarray, list[tuple[Any, Any]] | None, float]:
     """Classify one contiguous candidate chunk.
 
     Returns per-candidate verdict codes aligned with ``cands``
     (``CODE_NOT_TESTED`` marks a pre-filter survivor that must be
-    simulated) and the worker seconds spent.
+    simulated), the collapse inputs — with ``collapse``, one
+    ``(signature, salt_datum)`` pair per survivor in order, everything
+    the parent needs to group collapse classes without shipping
+    patches; otherwise ``None`` — and the worker seconds spent.
+    Survivor patches are parked for the observe phase when this process
+    keeps them.
     """
     store = _shard_cache(cache_key)
     if store is not None:
@@ -672,112 +394,49 @@ def _worker_prefilter(
         if hit is not None:
             return hit
     t0 = time.perf_counter()
-    model, ctx = _model_state(model_ref)
+    model, ctx, patches = _model_state(model_ref)
     codes = np.empty(cands.size, dtype=np.uint8)
-    for i, cand in enumerate(cands):
-        codes[i], _ = model.prefilter(int(cand), ctx)
-    result = codes, time.perf_counter() - t0
-    if store is not None:
-        store.put(cache_key, result)
-    return result
-
-
-def _worker_observe(
-    model_ref, batch_size: int, cands: np.ndarray, cache_key: str | None = None
-) -> tuple[
-    np.ndarray, dict[int, np.ndarray], list[float], float, tuple[int, int, int, int]
-]:
-    """Simulate one survivor shard in consecutive ``batch_size`` batches.
-
-    ``cands`` must be pre-filter survivors in candidate order; patches
-    are re-derived in process (:meth:`FaultModel.patch_for` is
-    deterministic).  Returns verdict codes aligned with ``cands``, the
-    retained payloads, the per-batch durations (their length is the
-    batch count), the worker seconds spent, and the kernel
-    fault-dropping counter delta.
-    """
-    store = _shard_cache(cache_key)
-    if store is not None:
-        hit = store.get(cache_key)
-        if hit is not None:
-            return hit
-    t0 = time.perf_counter()
-    kern0 = KERNEL_COUNTERS.snapshot()
-    model, ctx = _model_state(model_ref)
-    codes = np.empty(cands.size, dtype=np.uint8)
-    payloads: dict[int, np.ndarray] = {}
-    batch_seconds: list[float] = []
-    for start in range(0, int(cands.size), batch_size):
-        t_batch = time.perf_counter()
-        chunk = cands[start : start + batch_size]
-        pending = [(int(c), model.patch_for(int(c), ctx)) for c in chunk]
-        observations = model.observe_batch(ctx, pending)
-        for j, ((cand, _), obs) in enumerate(zip(pending, observations)):
-            codes[start + j] = model.classify(obs)
-            rich = model.payload(obs)
-            if rich is not None:
-                payloads[cand] = rich
-        batch_seconds.append(time.perf_counter() - t_batch)
-    result = (
-        codes, payloads, batch_seconds, time.perf_counter() - t0,
-        KERNEL_COUNTERS.delta(kern0),
-    )
-    if store is not None:
-        store.put(cache_key, result)
-    return result
-
-
-def _worker_prefilter_collapse(
-    model_ref, cands: np.ndarray, cache_key: str | None = None
-) -> tuple[np.ndarray, list[tuple[Any, Any] | None], float]:
-    """Pre-filter one chunk, also deriving collapse inputs for survivors.
-
-    Like :func:`_worker_prefilter`, plus a per-candidate entry that is
-    ``None`` for skips and ``(signature, salt_datum)`` for survivors —
-    everything the parent needs to group collapse classes without ever
-    shipping patches across processes.
-    """
-    store = _shard_cache(cache_key)
-    if store is not None:
-        hit = store.get(cache_key)
-        if hit is not None:
-            return hit
-    t0 = time.perf_counter()
-    model, ctx = _model_state(model_ref)
-    codes = np.empty(cands.size, dtype=np.uint8)
-    info: list[tuple[Any, Any] | None] = []
+    info: list[tuple[Any, Any]] | None = [] if collapse else None
     for i, cand in enumerate(cands):
         cand = int(cand)
-        code, payload = model.prefilter(cand, ctx)
+        code, patch = model.prefilter(cand, ctx)
         codes[i] = code
-        if code == CODE_NOT_TESTED:
-            patch = payload if payload is not None else model.patch_for(cand, ctx)
+        if code != CODE_NOT_TESTED:
+            continue
+        if info is not None:
+            if patch is None:
+                patch = model.patch_for(cand, ctx)
             info.append(
                 (
                     model.collapse_signature(cand, ctx, patch),
                     model.collapse_salt_datum(cand, ctx, patch),
                 )
             )
-        else:
-            info.append(None)
+        if patches is not None and patch is not None:
+            patches[cand] = patch
     result = codes, info, time.perf_counter() - t0
     if store is not None:
         store.put(cache_key, result)
     return result
 
 
-def _worker_observe_collapsed(
+def _worker_observe(
     model_ref, batch_size: int, cands: np.ndarray, salt: Any,
     cache_key: str | None = None,
 ) -> tuple[
     np.ndarray, dict[int, np.ndarray], list[float], float, tuple[int, int, int, int]
 ]:
-    """Simulate one shard of same-salt collapse-class representatives.
+    """Simulate one shard in consecutive ``batch_size`` batches.
 
-    Identical to :func:`_worker_observe` except every batch is simulated
-    through :meth:`FaultModel.observe_collapsed` with ``salt`` forced,
-    so regrouped representatives keep the observations their original
-    naive batches would have produced.
+    ``cands`` are pre-filter survivors in candidate order (or, under
+    collapse, same-salt class representatives).  ``salt=None``
+    simulates through :meth:`FaultModel.observe_batch`; any other salt
+    is forced via :meth:`FaultModel.observe_collapsed`, so regrouped
+    representatives keep their naive batches' observations.  Parked
+    patches are popped, the rest re-derived.  Returns verdict codes
+    aligned with ``cands``, the retained payloads, the per-batch
+    durations, the worker seconds spent, and the kernel fault-dropping
+    counter delta.
     """
     store = _shard_cache(cache_key)
     if store is not None:
@@ -786,15 +445,21 @@ def _worker_observe_collapsed(
             return hit
     t0 = time.perf_counter()
     kern0 = KERNEL_COUNTERS.snapshot()
-    model, ctx = _model_state(model_ref)
+    model, ctx, patches = _model_state(model_ref)
     codes = np.empty(cands.size, dtype=np.uint8)
     payloads: dict[int, np.ndarray] = {}
     batch_seconds: list[float] = []
     for start in range(0, int(cands.size), batch_size):
         t_batch = time.perf_counter()
-        chunk = cands[start : start + batch_size]
-        pending = [(int(c), model.patch_for(int(c), ctx)) for c in chunk]
-        observations = model.observe_collapsed(ctx, pending, salt)
+        pending = []
+        for cand in cands[start : start + batch_size]:
+            cand = int(cand)
+            patch = patches.pop(cand, None) if patches is not None else None
+            pending.append((cand, model.patch_for(cand, ctx) if patch is None else patch))
+        if salt is None:
+            observations = model.observe_batch(ctx, pending)
+        else:
+            observations = model.observe_collapsed(ctx, pending, salt)
         for j, ((cand, _), obs) in enumerate(zip(pending, observations)):
             codes[start + j] = model.classify(obs)
             rich = model.payload(obs)
@@ -810,30 +475,7 @@ def _worker_observe_collapsed(
     return result
 
 
-# -- sharded driver ------------------------------------------------------------
-
-
-def _part_sweep(
-    model: FaultModel,
-    cands: np.ndarray,
-    codes: np.ndarray,
-    host_seconds: float,
-    n_simulated: int,
-    payloads: dict[int, np.ndarray] | None = None,
-) -> SweepResult:
-    """Wrap one shard's verdicts as a mergeable partial result."""
-    verdicts = np.zeros(model.space_size(), dtype=np.uint8)
-    verdicts[cands] = codes
-    return SweepResult(
-        model_name=model.name,
-        model_key=model.key(),
-        n_space=int(verdicts.size),
-        verdicts=verdicts,
-        candidate_ids=np.asarray(cands, dtype=np.int64),
-        n_simulated=n_simulated,
-        host_seconds=host_seconds,
-        payloads=payloads or {},
-    )
+# -- the driver ----------------------------------------------------------------
 
 
 def shard_survivors(survivors: np.ndarray, batch_size: int, n_shards: int) -> list[np.ndarray]:
@@ -841,7 +483,7 @@ def shard_survivors(survivors: np.ndarray, batch_size: int, n_shards: int) -> li
 
     Every shard except (possibly) the last holds a multiple of
     ``batch_size`` survivors — the invariant that makes shard-local
-    batching identical to the serial loop's, both on a fresh run and
+    batching identical for every shard count, both on a fresh run and
     when re-sharding the remainder after a partial (killed) sweep.
     """
     n_batches = -(-int(survivors.size) // batch_size)
@@ -853,6 +495,107 @@ def shard_survivors(survivors: np.ndarray, batch_size: int, n_shards: int) -> li
         if shard.size:
             shards.append(shard)
     return shards
+
+
+def _collapse_classes(
+    model: FaultModel,
+    ctx: Any,
+    survivors: np.ndarray,
+    surv_info: list[tuple[Any, Any]],
+    batch_size: int,
+    patches: dict[int, Any] | None,
+) -> tuple[dict[Any, list[int]], dict[int, list[int]]]:
+    """Group survivors into collapse classes.
+
+    Walks survivors in their naive ``batch_size`` batches to derive each
+    batch's salt, keeps the first candidate of every ``(salt,
+    signature)`` class as its representative and the rest as followers
+    (a ``None`` signature is a class of its own).  Returns the
+    representatives per salt, in candidate order, and each
+    representative's followers; followers' parked patches are dropped.
+    """
+    reps_by_salt: dict[Any, list[int]] = {}
+    followers: dict[int, list[int]] = {}
+    seen_key: dict[Any, int] = {}  # (salt, signature) -> rep cand
+    n_surv = int(survivors.size)
+    for b0 in range(0, n_surv, batch_size):
+        idx = range(b0, min(b0 + batch_size, n_surv))
+        salt = model.collapse_salt(ctx, [surv_info[i][1] for i in idx])
+        for i in idx:
+            cand = int(survivors[i])
+            sig = surv_info[i][0]
+            key = None if sig is None else (salt, sig)
+            rep = seen_key.get(key) if key is not None else None
+            if rep is not None:
+                followers[rep].append(cand)
+                if patches is not None:
+                    patches.pop(cand, None)
+            else:
+                if key is not None:
+                    seen_key[key] = cand
+                followers[cand] = []
+                reps_by_salt.setdefault(salt, []).append(cand)
+    return reps_by_salt, followers
+
+
+class _Fold:
+    """Dense verdicts plus a done mask; a :class:`SweepResult` on demand.
+
+    Shards fold in by assignment, so the driver never re-merges partial
+    results; a result object is built only when a snapshot is written.
+    ``merge_with`` (an earlier partial sweep of the same model) seeds
+    it, and must not overlap ``candidates``.
+    """
+
+    def __init__(
+        self, model: FaultModel, candidates: np.ndarray, merge_with: SweepResult | None
+    ):
+        base = merge_with or SweepResult(
+            model.name, model.key(), model.space_size(),
+            np.zeros(model.space_size(), dtype=np.uint8), np.empty(0, dtype=np.int64),
+        )
+        if base.model_key != model.key():
+            raise CampaignError(
+                f"cannot merge sweeps of different models "
+                f"({base.model_key!r} vs {model.key()!r})"
+            )
+        self.model = model
+        self.verdicts = base.verdicts.copy()
+        self.done = np.zeros(self.verdicts.size, dtype=bool)
+        self.done[base.candidate_ids] = True
+        self.payloads = dict(base.payloads)
+        self.n_simulated = base.n_simulated
+        self.prior_host = base.host_seconds
+        overlap = np.unique(candidates[self.done[candidates]])
+        if overlap.size:
+            raise CampaignError(
+                f"candidate sets overlap ({overlap.size} ids, e.g. {int(overlap[0])})"
+            )
+
+    def add(
+        self,
+        cands: np.ndarray,
+        codes: np.ndarray,
+        n_simulated: int = 0,
+        payloads: dict[int, np.ndarray] | None = None,
+    ) -> None:
+        self.verdicts[cands] = codes
+        self.done[cands] = True
+        self.n_simulated += n_simulated
+        if payloads:
+            self.payloads.update(payloads)
+
+    def result(self, seconds: float, final: bool = False) -> SweepResult:
+        return SweepResult(
+            model_name=self.model.name,
+            model_key=self.model.key(),
+            n_space=int(self.verdicts.size),
+            verdicts=self.verdicts if final else self.verdicts.copy(),
+            candidate_ids=np.flatnonzero(self.done).astype(np.int64, copy=False),
+            n_simulated=self.n_simulated,
+            host_seconds=self.prior_host + seconds,
+            payloads=self.payloads if final else dict(self.payloads),
+        )
 
 
 def run_sharded(
@@ -868,31 +611,43 @@ def run_sharded(
     collapse: bool = True,
     policy: ExecutorPolicy | None = None,
     backend=None,
+    context: Any | None = None,
 ) -> SweepResult:
-    """Sharded multi-process sweep, byte-identical to ``jobs=1``.
+    """Exhaustive sweep of one fault model, byte-identical for any ``jobs``.
 
-    ``jobs=None`` uses every CPU (:func:`default_jobs`); ``jobs=1``
-    (without an external executor or a non-local transport) delegates
-    to :func:`run_serial`.  With ``checkpoint_save`` the parent
-    snapshots after the pre-filter and after every completed shard
-    (shards are the checkpoint granularity; raise ``shards_per_job``
-    for finer snapshots).  An external ``executor`` (e.g. a shared
-    pool) is used as-is and not shut down.  ``backend`` overrides the
-    transport: an :class:`~repro.engine.backends.ExecutorBackend`
-    instance is used directly, a name (``"local"``/``"tcp"``) is
-    resolved against the policy's transport block (which is also the
-    default, so ``--executor tcp`` reaches here ambiently).
+    ``jobs=None`` uses every CPU (:func:`default_jobs`).  ``jobs=1``
+    without an external executor, a backend or a non-local transport
+    runs every task in this process, in order — no executor, pickling
+    or retry — reusing the pre-filter's survivor patches; otherwise
+    tasks go through a :class:`ShardExecutor`.  An external
+    ``executor`` (e.g. a shared pool) is used as-is and not shut down.
+    ``backend`` overrides the transport: an
+    :class:`~repro.engine.backends.ExecutorBackend` instance is used
+    directly, a name (``"local"``/``"tcp"``) is resolved against the
+    policy's transport block (also the default, so ``--executor tcp``
+    reaches here ambiently).  ``context`` is a prebuilt
+    :meth:`FaultModel.build_context` result for this process.
+
+    With ``checkpoint_save`` the driver hands partial
+    :class:`SweepResult` snapshots to the callback: after the
+    pre-filter (under a pool), then as observe shards complete —
+    ``ceil(survivors / checkpoint_every)`` shards, at least ``jobs *
+    shards_per_job`` under a pool — and once with the complete result
+    at the end.
+    ``merge_with`` folds an earlier partial result into every snapshot
+    (used by resume so re-interrupted runs stay whole).
 
     With ``collapse`` the parent derives each survivor's collapse class
     from worker-computed ``(signature, salt_datum)`` pairs, dispatches
     only same-salt representative shards, and fans verdicts out to
-    followers.  Checkpoints then fold only the longest fully-resolved
-    survivor *prefix* (cut at a naive-batch boundary) — unlike the
+    followers.  Snapshots then fold only the longest fully-resolved
+    survivor *prefix* (cut at a naive-batch boundary) whenever it
+    crosses the next shard boundary of the naive plan — unlike the
     naive path, out-of-order shard completions cannot be folded
     individually, because removing a scattered subset of survivors
     would regroup the remainder's naive batches on resume.
 
-    **Fault tolerance.** Both phases drain through a
+    **Fault tolerance.** With a pool both phases drain through a
     :class:`~repro.engine.executor.ShardExecutor` governed by ``policy``
     (default: the ambient :func:`get_executor_policy`): worker
     exceptions retry with backoff, a broken pool is rebuilt and its
@@ -915,30 +670,33 @@ def run_sharded(
     if candidates is None:
         candidates = model.enumerate_candidates()
     candidates = np.asarray(candidates, dtype=np.int64)
-    if jobs == 1 and executor is None and backend is None and policy.transport == "local":
-        return run_serial(
-            model,
-            batch_size=batch_size,
-            candidates=candidates,
-            checkpoint_save=checkpoint_save,
-            checkpoint_every=checkpoint_every,
-            merge_with=merge_with,
-            collapse=collapse,
-        )
+    pooled = not (
+        jobs == 1 and executor is None and backend is None and policy.transport == "local"
+    )
     do_collapse = bool(collapse) and model.collapsible
 
+    # Whole-sweep result cache: consulted *before* the context build so
+    # a warm repeat skips even the golden simulation.  Resume merges
+    # (``merge_with``) sweep a remainder range whose key differs, so
+    # only clean full runs are served or stored.
     t0 = time.perf_counter()
     cache0 = CACHE_STATS.snapshot()
     store = result_cache()
+    model_blob = pickle.dumps(model) if pooled or store is not None else None
     sweep_key: str | None = None
     if store is not None and merge_with is None:
-        sweep_key = _sweep_cache_key(model, candidates, batch_size, collapse)
+        sweep_key = _sweep_cache_key(model, model_blob, candidates, batch_size, collapse)
         cached = store.get(sweep_key)
         if cached is not None:
             return _serve_cached_sweep(cached, cache0, jobs, checkpoint_save)
+    fold = _Fold(model, candidates, merge_with)
     telem = CampaignTelemetry(
         n_candidates=int(candidates.size), jobs=jobs, backend=resolve_backend()
     )
+
+    # Observability hooks.  Every emission below only *reads* campaign
+    # state — the verdict-invariance contract (see repro.obs) — and the
+    # untraced path pays one `observing` check per site.
     observer = get_observer()
     tracer, progress = observer.tracer, observer.progress
     observing = observer.enabled
@@ -951,317 +709,313 @@ def run_sharded(
         collapse=do_collapse,
         backend=telem.backend,
     )
+
     def add_kernel_delta(kd: tuple[int, int, int, int]) -> None:
         telem.machines_retired += kd[0]
         telem.batch_compactions += kd[1]
         telem.machine_cycles_saved += kd[2]
         telem.ff_cycles_skipped += kd[3]
 
-    shard_exec = ShardExecutor(jobs, policy, pool=executor, backend=backend)
-    # Register the pickled model with the transport once; every task
-    # carries only the returned ref (a content address for backends
-    # with a primed blob store, the raw bytes for external pools).
-    model_blob = pickle.dumps(model)
-    model_ref = shard_exec.prime_blob(model_blob)
-    # Per-shard content addresses: computed unconditionally (one SHA-256
-    # per shard) so remote workers with their own local cache can serve
-    # shards — stolen ones included — even when the parent has no store.
-    model_digest = blob_digest(model_blob)
+    shard_exec = ShardExecutor(jobs, policy, pool=executor, backend=backend) if pooled else None
+    if shard_exec is not None:
+        # Register the pickled model with the transport once; every task
+        # carries only the returned ref (a content address for backends
+        # with a primed blob store, the raw bytes for external pools).
+        model_ref: Hashable = shard_exec.prime_blob(model_blob)
+    else:
+        model_ref = ("in-process", id(model))
+    # Per-shard content addresses: computed unconditionally under a pool
+    # (one SHA-256 per shard) so remote workers with their own local
+    # cache can serve shards — stolen ones included — even when the
+    # parent has no store.
+    model_digest = blob_digest(model_blob) if model_blob is not None else None
 
-    def shard_key(kind: str, *parts: Any) -> str:
-        return content_key(
-            "shard-v1", model_digest, telem.backend, batch_size, kind, *parts
-        )
+    def shard_key(kind: str, *parts: Any) -> str | None:
+        if model_digest is None:
+            return None
+        return content_key("shard-v2", model_digest, telem.backend, batch_size, kind, *parts)
+
     # Pre-populate the worker cache under the same ref the tasks carry:
     # under fork the children inherit the model context copy-on-write;
     # under spawn the pool initializer re-installs the blob and workers
     # re-derive the context once each (and the parent still needs the
     # context for collapse grouping).
-    if model_ref not in _MODEL_STATE:
-        if len(_MODEL_STATE) >= _MAX_CACHED:
-            _MODEL_STATE.clear()
-        _MODEL_STATE[model_ref] = (model, model.build_context())
+    state = _MODEL_STATE.get(model_ref)
+    if context is None and state is not None:
+        context = state[1]
+    elif context is None:
+        kern0 = KERNEL_COUNTERS.snapshot()
+        context = model.build_context()
+        add_kernel_delta(KERNEL_COUNTERS.delta(kern0))
+    if model_ref not in _MODEL_STATE and pooled and len(_MODEL_STATE) >= _MAX_CACHED:
+        _MODEL_STATE.clear()
+    _MODEL_STATE[model_ref] = (model, context, None if pooled else {})
+
+    def drain(tasks: list[TaskSpec], phase: str, span_parent: int | None = None):
+        if shard_exec is not None:
+            yield from shard_exec.run(
+                tasks,
+                phase=phase,
+                telemetry=telem,
+                span_name=None if span_parent is None else "shard",
+                span_parent=span_parent,
+            )
+            return
+        for spec in tasks:
+            span = -1
+            if observing and span_parent is not None:
+                span = tracer.open_span("shard", parent=span_parent, **spec.fields)
+            result = spec.fn(*spec.args)
+            tracer.close_span(span, attempts=1)
+            yield spec.key, result
+
+    def checkpoint() -> None:
+        if checkpoint_save is None:
+            return
+        t_ck = time.perf_counter()
+        snapshot = fold.result(t_ck - t0)
+        checkpoint_save(snapshot)
+        seconds = time.perf_counter() - t_ck
+        telem.checkpoint_seconds += seconds
+        if observing:
+            tracer.point(
+                "checkpoint",
+                n_done=int(snapshot.candidate_ids.size),
+                seconds=round(seconds, 6),
+            )
+
     try:
-        # Phase 1: parallel pre-filter over contiguous candidate chunks.
-        n_chunks = max(1, min(jobs * shards_per_job, int(candidates.size)))
+        # Phase 1: pre-filter over contiguous candidate chunks.
+        n_chunks = jobs * shards_per_job if pooled else 1
+        n_chunks = max(1, min(n_chunks, int(candidates.size)))
         chunks = [c for c in np.array_split(candidates, n_chunks) if c.size]
-        prefilter_fn = _worker_prefilter_collapse if do_collapse else _worker_prefilter
-        prefilter_kind = "prefilter-collapse" if do_collapse else "prefilter"
         prefilter_span = tracer.open_span("phase.prefilter", chunks=len(chunks))
         progress.start(f"{model.name} prefilter", total=len(chunks))
-        chunk_results: dict[int, tuple] = {}
         prefilter_tasks = []
         for i, c in enumerate(chunks):
-            ck = shard_key(prefilter_kind, c)
+            ck = shard_key("prefilter", c, do_collapse)
             prefilter_tasks.append(
-                TaskSpec(f"prefilter:{i}", prefilter_fn, (model_ref, c, ck), cache_key=ck)
+                TaskSpec(
+                    f"prefilter:{i}", _worker_prefilter,
+                    (model_ref, c, do_collapse, ck), cache_key=ck,
+                )
             )
-        for key, res in shard_exec.run(
-            prefilter_tasks, phase="prefilter", telemetry=telem
-        ):
-            chunk_results[int(key.split(":", 1)[1])] = res
-            telem.prefilter_seconds += res[-1]
-            if observing:
-                progress.update(len(chunk_results))
-        # Reassemble in chunk order, dropping quarantined chunks — their
-        # candidates stay untested, excluded from the result entirely, so
-        # a later resume re-tests them (pre-filtering is per-candidate
-        # pure; dropping any subset is resume-safe).
-        kept_codes: list[np.ndarray] = []
-        kept_chunks: list[np.ndarray] = []
-        infos: list[tuple[Any, Any] | None] = []
-        for i, chunk in enumerate(chunks):
-            res = chunk_results.get(i)
-            if res is None:  # quarantined chunk
-                telem.candidates_quarantined += int(chunk.size)
-                continue
-            kept_codes.append(res[0])
-            kept_chunks.append(chunk)
-            if do_collapse:
-                infos.extend(res[1])
-        codes = (
-            np.concatenate(kept_codes) if kept_codes else np.empty(0, dtype=np.uint8)
-        )
-        kept = (
-            np.concatenate(kept_chunks) if kept_chunks else np.empty(0, dtype=np.int64)
-        )
-        survivor_mask = codes == CODE_NOT_TESTED
-        survivors = kept[survivor_mask]
-        skipped = kept[~survivor_mask]
-        telem.skip_structural = int(np.count_nonzero(codes == CODE_SKIP_STRUCTURAL))
-        telem.skip_cone = int(np.count_nonzero(codes == CODE_SKIP_CONE))
-        telem.skip_unaddressed = int(np.count_nonzero(codes == CODE_SKIP_UNADDRESSED))
-        telem.n_simulated = int(survivors.size)
+
+        def prefilter() -> tuple[np.ndarray, list[tuple[Any, Any]]]:
+            """Fold the settled candidates; return survivors and their
+            collapse inputs, in candidate order.
+
+            Quarantined chunks are dropped — their candidates stay
+            untested, excluded from the result entirely, so a later
+            resume re-tests them (pre-filtering is per-candidate pure;
+            dropping any subset is resume-safe).
+            """
+            chunk_results: dict[int, tuple] = {}
+            for key, res in drain(prefilter_tasks, "prefilter"):
+                chunk_results[int(key.split(":", 1)[1])] = res
+                telem.prefilter_seconds += res[-1]
+                if observing:
+                    progress.update(len(chunk_results))
+            kept_codes = [np.empty(0, dtype=np.uint8)]
+            kept_chunks = [np.empty(0, dtype=np.int64)]
+            surv_info: list[tuple[Any, Any]] = []
+            for i, chunk in enumerate(chunks):
+                res = chunk_results.pop(i, None)
+                if res is None:  # quarantined chunk
+                    telem.candidates_quarantined += int(chunk.size)
+                    continue
+                kept_codes.append(res[0])
+                kept_chunks.append(chunk)
+                if do_collapse:
+                    surv_info.extend(res[1])
+            codes = np.concatenate(kept_codes)
+            kept = np.concatenate(kept_chunks)
+            bad = codes[codes > CODE_SKIP_UNADDRESSED]
+            if bad.size:
+                raise CampaignError(f"prefilter returned non-skip code {int(bad[0])}")
+            telem.skip_structural = int(np.count_nonzero(codes == CODE_SKIP_STRUCTURAL))
+            telem.skip_cone = int(np.count_nonzero(codes == CODE_SKIP_CONE))
+            telem.skip_unaddressed = int(np.count_nonzero(codes == CODE_SKIP_UNADDRESSED))
+            settled = codes != CODE_NOT_TESTED
+            fold.add(kept[settled], codes[settled])
+            return kept[~settled], surv_info
+
+        survivors, surv_info = prefilter()
+        n_surv = int(survivors.size)
+        telem.n_simulated = n_surv
         if observing:
             tracer.close_span(
                 prefilter_span,
-                survivors=int(survivors.size),
-                skipped=int(skipped.size),
+                survivors=n_surv,
+                skipped=telem.n_skipped,
                 worker_seconds=round(telem.prefilter_seconds, 6),
             )
-            progress.finish(f"{int(survivors.size)} survivor(s)")
+            progress.finish(f"{n_surv} survivor(s)")
 
-        parts: list[SweepResult] = []
-        if merge_with is not None:
-            parts.append(merge_with)
-        if skipped.size:
-            parts.append(
-                _part_sweep(
-                    model, skipped, codes[~survivor_mask], telem.prefilter_seconds, 0
-                )
-            )
-        acc = merge_sweeps(parts) if len(parts) > 1 else (parts[0] if parts else None)
+        # Under a pool, snapshot the pre-filter's settled candidates; an
+        # in-process pre-filter is cheap next to the survivors it feeds.
+        if pooled and telem.n_skipped and n_surv:
+            checkpoint()
 
-        def checkpoint(result: SweepResult) -> None:
-            if checkpoint_save is not None:
-                t_ck = time.perf_counter()
-                checkpoint_save(result)
-                seconds = time.perf_counter() - t_ck
-                telem.checkpoint_seconds += seconds
-                if observing:
-                    tracer.point(
-                        "checkpoint",
-                        n_done=int(result.candidate_ids.size),
-                        seconds=round(seconds, 6),
-                    )
-
-        if acc is not None:
-            checkpoint(acc)
-
-        observe_span = tracer.open_span("phase.observe", survivors=int(survivors.size))
-        progress.start(f"{model.name} observe", total=int(survivors.size))
+        # The observe plan: one shard per ``checkpoint_every`` survivors,
+        # and at least ``jobs * shards_per_job`` to keep a pool busy.
+        n_shards = -(-n_surv // max(1, int(checkpoint_every)))
+        if pooled:
+            n_shards = max(n_shards, jobs * shards_per_job)
+        observe_span = tracer.open_span("phase.observe", survivors=n_surv)
+        progress.start(f"{model.name} observe", total=n_surv)
         done_bits = 0
 
-        def shard_done(
-            shard: np.ndarray, batch_seconds: list[float], seconds: float
-        ) -> None:
+        def shard_done(res: tuple, n_bits: int) -> tuple[np.ndarray, dict]:
             nonlocal done_bits
+            shard_codes, shard_payloads, batch_seconds, seconds, kd = res
             telem.n_batches += len(batch_seconds)
             telem.simulate_seconds += seconds
             for b in batch_seconds:
                 telem.record_batch_seconds(b)
             telem.record_shard_seconds(seconds)
+            add_kernel_delta(kd)
             if observing:
-                done_bits += int(shard.size)
+                done_bits += n_bits
                 progress.update(done_bits)
                 if telem.n_batches // _COUNTER_SAMPLE_BATCHES != (
                     telem.n_batches - len(batch_seconds)
                 ) // _COUNTER_SAMPLE_BATCHES:
                     tracer.counters(KERNEL_COUNTERS.to_dict())
+            return shard_codes, shard_payloads
 
-        if not do_collapse:
-            # Phase 2: survivor shards, whole batches each, fanned out.
-            shards = shard_survivors(survivors, batch_size, jobs * shards_per_job)
-            observe_tasks = []
-            for i, shard in enumerate(shards):
-                ck = shard_key("observe", shard)
-                observe_tasks.append(
-                    TaskSpec(
-                        f"observe:{i}",
-                        _worker_observe,
-                        (model_ref, batch_size, shard, ck),
-                        {"index": i, "bits": int(shard.size)},
-                        cache_key=ck,
-                    )
+        # Phase 2: observe.  Without collapse every survivor is its own
+        # representative, simulated with no salt.  With collapse, survivors
+        # are grouped into their naive batches to derive salts, and only
+        # one representative per (salt, signature) class is simulated, in
+        # shards of same-salt representatives.
+        followers: dict[int, list[int]] = {}  # rep cand -> follower cands
+        reps_by_salt: dict[Any, Any] = {None: survivors}
+        if do_collapse:
+            reps_by_salt, followers = _collapse_classes(
+                model, context, survivors, surv_info, batch_size,
+                _MODEL_STATE[model_ref][2],
+            )
+        del surv_info  # signatures are not needed while simulating
+        shard_specs = [
+            (shard, salt)
+            for salt, reps in reps_by_salt.items()
+            for shard in shard_survivors(np.asarray(reps, dtype=np.int64), batch_size, n_shards)
+        ]
+        observe_tasks = []
+        for i, (shard, salt) in enumerate(shard_specs):
+            ck = shard_key("observe", shard, salt)
+            observe_tasks.append(
+                TaskSpec(
+                    f"observe:{i}",
+                    _worker_observe,
+                    (model_ref, batch_size, shard, salt, ck),
+                    {"index": i, "bits": int(shard.size)},
+                    cache_key=ck,
                 )
-            for key, res in shard_exec.run(
-                observe_tasks,
-                phase="observe",
-                telemetry=telem,
-                span_name="shard",
-                span_parent=observe_span,
-            ):
-                shard = shards[int(key.split(":", 1)[1])]
-                shard_codes, shard_payloads, batch_seconds, seconds, kd = res
-                shard_done(shard, batch_seconds, seconds)
-                add_kernel_delta(kd)
-                part = _part_sweep(
-                    model, shard, shard_codes, seconds, int(shard.size), shard_payloads
-                )
-                acc = part if acc is None else merge_sweeps([acc, part])
-                checkpoint(acc)
-            # A quarantined shard's candidates are simply absent from the
-            # result — each shard is a whole run of naive batches, so the
-            # untested remainder re-groups identically on resume.
-            for key in shard_exec.quarantined:
-                if key.startswith("observe:"):
-                    telem.candidates_quarantined += int(
-                        shards[int(key.split(":", 1)[1])].size
-                    )
-        else:
-            # Phase 2 (collapsed): group survivors into their naive
-            # batches to derive salts, assign one representative per
-            # (salt, signature) class, and fan shards of same-salt
-            # representatives out to the pool.
-            ctx = _MODEL_STATE[model_ref][1]
-            surv_info = [infos[i] for i in np.flatnonzero(survivor_mask)]
-            n_surv = int(survivors.size)
-            rep_followers: dict[int, list[int]] = {}  # rep cand -> follower cands
-            reps_by_salt: dict[Any, list[int]] = {}
-            seen_key: dict[Any, int] = {}  # (salt, signature) -> rep cand
-            for b0 in range(0, n_surv, batch_size):
-                idx = range(b0, min(b0 + batch_size, n_surv))
-                salt = model.collapse_salt(ctx, [surv_info[i][1] for i in idx])
-                for i in idx:
-                    cand = int(survivors[i])
-                    sig = surv_info[i][0]
-                    key = None if sig is None else (salt, sig)
-                    rep = seen_key.get(key) if key is not None else None
-                    if rep is not None:
-                        rep_followers[rep].append(cand)
-                    else:
-                        if key is not None:
-                            seen_key[key] = cand
-                        rep_followers[cand] = []
-                        reps_by_salt.setdefault(salt, []).append(cand)
+            )
 
-            shard_specs: list[tuple[np.ndarray, Any]] = []
-            for salt, reps in reps_by_salt.items():
-                reps_arr = np.asarray(reps, dtype=np.int64)
-                for shard in shard_survivors(reps_arr, batch_size, jobs * shards_per_job):
-                    shard_specs.append((shard, salt))
-            observe_tasks = []
-            for i, (shard, salt) in enumerate(shard_specs):
-                ck = shard_key("observe-collapsed", shard, salt)
-                observe_tasks.append(
-                    TaskSpec(
-                        f"observe:{i}",
-                        _worker_observe_collapsed,
-                        (model_ref, batch_size, shard, salt, ck),
-                        {"index": i, "bits": int(shard.size)},
-                        cache_key=ck,
-                    )
-                )
+        # Under collapse, snapshots fold the resolved survivor prefix once
+        # it crosses the next shard boundary of the naive plan.
+        resolved_code: dict[int, int] = {}
+        resolved_payloads: dict[int, np.ndarray] = {}
+        cuts = np.cumsum([s.size for s in shard_survivors(survivors, batch_size, n_shards)])
+        next_cut = 0
+        ck_done = 0  # survivor-prefix length already folded
+        scan = 0  # survivor-prefix length known resolved
 
-            resolved_code: dict[int, int] = {}
-            resolved_payloads: dict[int, np.ndarray] = {}
-            ck_done = 0  # survivor-prefix length already folded into acc
+        def resolved_prefix() -> int:
+            """The resolved survivor prefix, cut at a naive-batch boundary."""
+            nonlocal scan
+            while scan < n_surv and int(survivors[scan]) in resolved_code:
+                scan += 1
+            return scan - scan % batch_size
 
-            def fold_prefix(hi: int) -> None:
-                nonlocal acc, ck_done
-                part_cands = survivors[ck_done:hi]
-                part_codes = np.array(
-                    [resolved_code[int(c)] for c in part_cands], dtype=np.uint8
-                )
-                part_payloads = {
-                    int(c): resolved_payloads[int(c)]
-                    for c in part_cands
-                    if int(c) in resolved_payloads
-                }
-                part = _part_sweep(
-                    model, part_cands, part_codes, 0.0, int(part_cands.size), part_payloads
-                )
-                acc = part if acc is None else merge_sweeps([acc, part])
-                ck_done = hi
+        def fold_prefix(hi: int) -> None:
+            nonlocal ck_done
+            part_cands = survivors[ck_done:hi]
+            part_codes = np.array(
+                [resolved_code[int(c)] for c in part_cands], dtype=np.uint8
+            )
+            part_payloads = {
+                int(c): resolved_payloads[int(c)]
+                for c in part_cands
+                if int(c) in resolved_payloads
+            }
+            fold.add(part_cands, part_codes, int(part_cands.size), part_payloads)
+            ck_done = hi
 
-            for key, res in shard_exec.run(
-                observe_tasks,
-                phase="observe",
-                telemetry=telem,
-                span_name="shard",
-                span_parent=observe_span,
-            ):
-                shard, _salt = shard_specs[int(key.split(":", 1)[1])]
-                shard_codes, shard_payloads, batch_seconds, seconds, kd = res
-                shard_done(shard, batch_seconds, seconds)
-                add_kernel_delta(kd)
-                for j, rep in enumerate(shard):
-                    rep = int(rep)
-                    code = int(shard_codes[j])
-                    rich = shard_payloads.get(rep)
-                    resolved_code[rep] = code
+        n_folded = 0
+        for key, res in drain(observe_tasks, "observe", observe_span):
+            shard = shard_specs[int(key.split(":", 1)[1])][0]
+            shard_codes, shard_payloads = shard_done(res, int(shard.size))
+            if not do_collapse:
+                # A naive shard is a whole run of naive batches: it folds
+                # on its own, in any completion order.
+                fold.add(shard, shard_codes, int(shard.size), shard_payloads)
+                n_folded += 1
+                if n_folded < len(shard_specs):  # the complete result is written last
+                    checkpoint()
+                continue
+            for j, rep in enumerate(shard):
+                rep = int(rep)
+                code = int(shard_codes[j])
+                rich = shard_payloads.get(rep)
+                resolved_code[rep] = code
+                if rich is not None:
+                    resolved_payloads[rep] = rich
+                for flw in followers[rep]:
+                    resolved_code[flw] = code
                     if rich is not None:
-                        resolved_payloads[rep] = rich
-                    for flw in rep_followers[rep]:
-                        resolved_code[flw] = code
-                        if rich is not None:
-                            resolved_payloads[flw] = rich.copy()
-                        telem.n_collapsed += 1
-                if checkpoint_save is not None:
-                    p = ck_done
-                    while p < n_surv and int(survivors[p]) in resolved_code:
-                        p += 1
-                    p -= p % batch_size
-                    if p > ck_done:
-                        fold_prefix(p)
-                        checkpoint(acc)
-            if any(k.startswith("observe:") for k in shard_exec.quarantined):
-                # Quarantined representatives leave holes in the survivor
-                # sequence: fold only the resolved prefix, cut at a naive-
-                # batch boundary, and drop everything past it (resolved
-                # stragglers included) — folding a scattered subset would
-                # regroup the remainder's naive batches on resume.
-                p = ck_done
-                while p < n_surv and int(survivors[p]) in resolved_code:
-                    p += 1
-                p -= p % batch_size
-                if p > ck_done:
+                        resolved_payloads[flw] = rich.copy()
+                    telem.n_collapsed += 1
+            if checkpoint_save is not None and next_cut < cuts.size - 1:
+                p = resolved_prefix()
+                if cuts[next_cut] <= p < n_surv:
                     fold_prefix(p)
-                telem.candidates_quarantined += n_surv - p
-            elif ck_done < n_surv:
-                fold_prefix(n_surv)
+                    checkpoint()
+                    while next_cut < cuts.size and cuts[next_cut] <= p:
+                        next_cut += 1
+        quarantined_shards = [
+            shard_specs[int(k.split(":", 1)[1])][0]
+            for k in (shard_exec.quarantined if shard_exec is not None else ())
+            if k.startswith("observe:")
+        ]
+        if not do_collapse:
+            # A quarantined shard's candidates are simply absent from the
+            # result; the untested remainder re-groups identically on resume.
+            telem.candidates_quarantined += sum(int(s.size) for s in quarantined_shards)
+        elif quarantined_shards:
+            # Quarantined representatives leave holes in the survivor
+            # sequence: fold only the resolved prefix, cut at a naive-
+            # batch boundary, and drop everything past it (resolved
+            # stragglers included) — folding a scattered subset would
+            # regroup the remainder's naive batches on resume.
+            fold_prefix(max(ck_done, resolved_prefix()))
+            telem.candidates_quarantined += n_surv - ck_done
+        elif ck_done < n_surv:
+            fold_prefix(n_surv)
         if observing:
             tracer.close_span(observe_span, batches=telem.n_batches)
             progress.finish(f"{telem.n_batches} batch(es)")
     finally:
-        shard_exec.close()
+        if shard_exec is not None:
+            shard_exec.close()
+        else:
+            _MODEL_STATE.pop(model_ref, None)
 
-    if acc is None:  # no candidates at all, or everything quarantined
-        acc = _part_sweep(
-            model, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), 0.0, 0
-        )
     telem.wall_seconds = time.perf_counter() - t0
-    prior = merge_with.host_seconds if merge_with is not None else 0.0
-    acc.host_seconds = prior + telem.wall_seconds
+    result = fold.result(telem.wall_seconds, final=True)
     telem.cache_hits, telem.cache_misses, telem.cache_bytes = CACHE_STATS.delta(cache0)
-    acc.telemetry = telem
+    result.telemetry = telem
+    quarantined = shard_exec.quarantined if shard_exec is not None else {}
     # Store the whole sweep only when it is clean and complete — never a
     # quarantined partial (its verdicts exclude untested candidates).
-    if store is not None and sweep_key is not None and not shard_exec.quarantined:
-        store.put(sweep_key, acc)
+    if store is not None and sweep_key is not None and not quarantined:
+        store.put(sweep_key, result)
     if checkpoint_save is not None:
         t_ck = time.perf_counter()
-        checkpoint_save(acc)
+        checkpoint_save(result)
         telem.checkpoint_seconds += time.perf_counter() - t_ck
     if observing:
         tracer.point("telemetry", **telem.to_dict())
@@ -1269,8 +1023,8 @@ def run_sharded(
         tracer.close_span(
             root_span, n_simulated=telem.n_simulated, n_batches=telem.n_batches
         )
-    if shard_exec.quarantined and not policy.allow_partial:
-        keys = ", ".join(sorted(shard_exec.quarantined))
+    if quarantined and not policy.allow_partial:
+        keys = ", ".join(sorted(quarantined))
         late = ""
         if shard_exec.late_results:
             late = (
@@ -1278,11 +1032,16 @@ def run_sharded(
                 f"completed during teardown — logged, not merged)"
             )
         raise CampaignError(
-            f"{len(shard_exec.quarantined)} shard(s) quarantined ({keys}){late}; "
+            f"{len(quarantined)} shard(s) quarantined ({keys}){late}; "
             f"everything resolved was checkpointed — re-run to retry the "
             f"missing work, or pass --allow-partial to accept a partial sweep"
         )
-    return acc
+    return result
+
+
+def run_serial(model: FaultModel, **kwargs: Any) -> SweepResult:
+    """:func:`run_sharded` with ``jobs=1``: the whole sweep in this process."""
+    return run_sharded(model, jobs=1, **kwargs)
 
 
 # -- convenience front door (engine-native checkpoint format) ------------------
@@ -1290,27 +1049,16 @@ def run_sharded(
 
 def run_sweep(
     model: FaultModel,
-    jobs: int = 1,
-    batch_size: int = 128,
-    candidates: np.ndarray | None = None,
+    jobs: int | None = 1,
     checkpoint_path: str | None = None,
-    checkpoint_every: int = 50_000,
-    merge_with: SweepResult | None = None,
-    executor=None,
-    shards_per_job: int = 4,
-    collapse: bool = True,
-    policy: ExecutorPolicy | None = None,
-    backend=None,
+    **kwargs: Any,
 ) -> SweepResult:
     """Run a sweep with the engine's native checkpoint format.
 
     The one-stop entry point for adapters without a historical
-    checkpoint format of their own: ``jobs`` picks serial vs sharded,
-    ``checkpoint_path`` snapshots :func:`save_sweep` archives that
-    :func:`resume_sweep` restarts from.  ``policy`` overrides the
-    ambient :class:`ExecutorPolicy` for sharded runs (serial runs have
-    no pool to recover); ``backend`` forces an executor transport the
-    same way it does for :func:`run_sharded`.
+    checkpoint format of their own: ``checkpoint_path`` snapshots
+    :func:`save_sweep` archives that :func:`resume_sweep` restarts
+    from; ``jobs`` and every keyword argument are :func:`run_sharded`'s.
     """
     checkpoint_cb = None
     if checkpoint_path is not None:
@@ -1318,51 +1066,17 @@ def run_sweep(
         def checkpoint_cb(sweep: SweepResult) -> None:
             save_sweep(sweep, checkpoint_path)
 
-    transport = (policy or get_executor_policy()).transport
-    if jobs == 1 and executor is None and backend is None and transport == "local":
-        return run_serial(
-            model,
-            batch_size=batch_size,
-            candidates=candidates,
-            checkpoint_save=checkpoint_cb,
-            checkpoint_every=checkpoint_every,
-            merge_with=merge_with,
-            collapse=collapse,
-        )
-    return run_sharded(
-        model,
-        jobs=jobs,
-        batch_size=batch_size,
-        candidates=candidates,
-        checkpoint_save=checkpoint_cb,
-        checkpoint_every=checkpoint_every,
-        merge_with=merge_with,
-        executor=executor,
-        shards_per_job=shards_per_job,
-        collapse=collapse,
-        policy=policy,
-        backend=backend,
-    )
+    return run_sharded(model, jobs=jobs, checkpoint_save=checkpoint_cb, **kwargs)
 
 
-def resume_sweep(
-    model: FaultModel,
-    checkpoint_path: str,
-    jobs: int = 1,
-    batch_size: int = 128,
-    checkpoint_every: int = 50_000,
-    executor=None,
-    shards_per_job: int = 4,
-    collapse: bool = True,
-    policy: ExecutorPolicy | None = None,
-    backend=None,
-) -> SweepResult:
+def resume_sweep(model: FaultModel, checkpoint_path: str, **kwargs: Any) -> SweepResult:
     """Resume an interrupted sweep from an engine-native checkpoint.
 
     Every checkpoint ever written holds only whole simulator batches,
     so the remainder re-groups into the same batches the uninterrupted
     run would have used — the merged result is byte-identical to a
-    never-killed sweep, for any worker count on either side.
+    never-killed sweep, for any worker count on either side.  Keyword
+    arguments are :func:`run_sweep`'s.
     """
     part = load_sweep(checkpoint_path)
     if part.model_key != model.key():
@@ -1376,15 +1090,8 @@ def resume_sweep(
         return part
     return run_sweep(
         model,
-        jobs=jobs,
-        batch_size=batch_size,
         candidates=remaining,
         checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
         merge_with=part,
-        executor=executor,
-        shards_per_job=shards_per_job,
-        collapse=collapse,
-        policy=policy,
-        backend=backend,
+        **kwargs,
     )

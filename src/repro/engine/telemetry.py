@@ -27,12 +27,13 @@ HIST_EDGES_SECONDS: tuple[float, ...] = (
 class CampaignTelemetry:
     """Throughput record of one campaign run (the perf-tracking contract).
 
-    Emitted by the engine drivers (:func:`repro.engine.run_serial`,
-    :func:`repro.engine.run_sharded`) and therefore by every adapter
-    built on them; the benchmark harness serialises it into
-    ``BENCH_*.json`` so the throughput trajectory (bits/sec, µs/bit) is
-    tracked across revisions.  Worker phase timings are summed CPU
-    seconds; ``wall_seconds`` is the parent's wall clock.
+    Emitted by the engine's one sweep driver
+    (:func:`repro.engine.run_sharded`, for every ``jobs``) and therefore
+    by every adapter built on it; the benchmark harness serialises it
+    into ``BENCH_*.json`` so the throughput trajectory (bits/sec,
+    µs/bit) is tracked across revisions.  Phase timings are summed
+    task seconds (worker CPU under a pool); ``wall_seconds`` is the
+    parent's wall clock.
 
     ``n_candidates`` counts whatever the fault model enumerates —
     configuration bits, trial sets, hidden-state nodes, hard faults —

@@ -28,11 +28,6 @@ from repro.seu.campaign import (
     run_halflatch_sweep,
     save_result,
 )
-from repro.seu.parallel import (
-    default_jobs,
-    resume_campaign_parallel,
-    run_campaign_parallel,
-)
 from repro.seu.multibit import MBUFaultModel, MultiBitResult, run_multibit_campaign
 from repro.seu.correlation import (
     CorrelationFaultModel,
@@ -56,9 +51,6 @@ __all__ = [
     "CorrelationFaultModel",
     "batch_active_mask",
     "run_campaign",
-    "run_campaign_parallel",
-    "resume_campaign_parallel",
-    "default_jobs",
     "run_halflatch_campaign",
     "run_halflatch_sweep",
     "merge_results",

@@ -38,6 +38,7 @@ import json
 import os
 import pickle
 import warnings
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
@@ -63,7 +64,7 @@ from repro.engine.model import (
 from repro.engine.sweep import (
     SweepResult,
     resume_sweep,
-    run_serial,
+    run_sharded,
     run_sweep,
 )
 from repro.engine.telemetry import CampaignTelemetry
@@ -659,24 +660,30 @@ def run_campaign(
     merge_with: CampaignResult | None = None,
     collapse: bool = True,
     retire: bool = True,
+    jobs: int | None = 1,
+    executor: Executor | None = None,
+    shards_per_job: int = 4,
 ) -> CampaignResult:
     """Exhaustive (or strided) single-bit SEU campaign over one design.
 
-    With ``checkpoint_path`` the campaign periodically snapshots a
-    partial :class:`CampaignResult` to disk (every ``checkpoint_every``
-    candidate bits, and once more at the end), so a multi-hour sweep
-    killed mid-run resumes with :func:`resume_campaign` instead of
-    starting over.  ``merge_with`` folds an earlier partial result into
-    every snapshot (used by resume so re-interrupted runs stay whole).
+    With ``checkpoint_path`` the campaign snapshots a partial
+    :class:`CampaignResult` to disk as it goes (every
+    ``checkpoint_every`` simulated survivors, per shard under a pool,
+    and once more at the end), so a multi-hour sweep killed mid-run
+    resumes with :func:`resume_campaign` instead of starting over.
+    ``merge_with`` folds an earlier partial result into every snapshot
+    (used by resume so re-interrupted runs stay whole).
+
+    ``jobs`` shards the sweep over worker processes (``None`` uses every
+    CPU) with verdicts byte-identical to ``jobs=1``, because shards cut
+    only at ``config.batch_size`` boundaries; an external ``executor``
+    (e.g. a shared pool) is used as-is and not shut down, and
+    ``shards_per_job`` sets how many shards each worker gets.
 
     ``collapse`` (fault collapsing: one simulation per identical-patch
     class) and ``retire`` (mid-run fault dropping) are verdict-identical
     accelerations, on by default; the ``--no-collapse`` / ``--no-retire``
     CLI flags map here.
-
-    For multi-core sweeps see
-    :func:`repro.seu.parallel.run_campaign_parallel`, which produces
-    bit-identical verdicts by sharding at batch boundaries.
     """
     config = config or CampaignConfig()
     prime_design_cache(hw)
@@ -693,17 +700,20 @@ def run_campaign(
             # monkeypatch it see every checkpoint write.
             save_result(_from_sweep(hw, config, sweep), checkpoint_path)
 
-    # No pre-built context: run_serial consults the whole-sweep result
+    # No pre-built context: the driver consults the whole-sweep result
     # cache *before* building one (model.build_context reuses the primed
     # implemented design), so a warm repeat sweep never pays for the
     # golden run at all.
-    sweep = run_serial(
+    sweep = run_sharded(
         model,
+        jobs=jobs,
         batch_size=config.batch_size,
         candidates=candidate_bits,
         checkpoint_save=checkpoint_cb,
         checkpoint_every=checkpoint_every,
         merge_with=_to_sweep(model, merge_with) if merge_with is not None else None,
+        executor=executor,
+        shards_per_job=shards_per_job,
         collapse=collapse,
     )
     return _from_sweep(hw, config, sweep)
@@ -716,13 +726,18 @@ def resume_campaign(
     checkpoint_every: int = 50_000,
     collapse: bool = True,
     retire: bool = True,
+    jobs: int | None = 1,
+    executor: Executor | None = None,
+    shards_per_job: int = 4,
 ) -> CampaignResult:
     """Resume an interrupted campaign from its checkpoint.
 
     Loads the snapshot, skips every bit that already has a verdict, runs
     the remainder (checkpointing to the same file as it goes), and
-    merges.  Verdicts are deterministic per bit given the config, so the
-    merged result is identical to an uninterrupted run.
+    merges.  Every checkpoint holds whole simulator batches only, so
+    the remainder re-groups into the batches the uninterrupted run
+    would have used — the merged result is identical to a never-killed
+    sweep, whatever ``jobs`` either run used.
     """
     part = load_result(checkpoint_path)
     if part.design_name != hw.spec.name or part.device_name != hw.device.name:
@@ -746,6 +761,9 @@ def resume_campaign(
         merge_with=part,
         collapse=collapse,
         retire=retire,
+        jobs=jobs,
+        executor=executor,
+        shards_per_job=shards_per_job,
     )
 
 

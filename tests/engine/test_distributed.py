@@ -25,7 +25,7 @@ from repro.engine import ChaosPolicy, ExecutorPolicy, executor_policy
 from repro.engine.executor import ShardExecutor, TaskSpec
 from repro.engine.telemetry import CampaignTelemetry
 from repro.errors import CampaignError
-from repro.seu import CampaignConfig, run_campaign_parallel, run_multibit_campaign
+from repro.seu import CampaignConfig, run_campaign, run_multibit_campaign
 from tests.utils.goldens import assert_golden_verdicts
 
 pytestmark = pytest.mark.timeout(300)
@@ -258,7 +258,7 @@ class TestGoldenOverTcp:
             on_workers=on_workers,
         )
         with executor_policy(policy):
-            result = run_campaign_parallel(
+            result = run_campaign(
                 mult_hw, CFG, jobs=4, collapse=collapse, retire=retire
             )
         assert state["killed"], "kill hook never saw the observe phase"
@@ -284,7 +284,7 @@ class TestGoldenOverTcp:
             chaos=ChaosPolicy(seed=3, drop=0.25),
         )
         with executor_policy(policy):
-            result = run_campaign_parallel(mult_hw, CFG, jobs=4)
+            result = run_campaign(mult_hw, CFG, jobs=4)
         assert_golden_verdicts("seu_verdicts", result.verdicts)
         telem = result.telemetry
         assert telem.shards_quarantined == 0
@@ -370,7 +370,7 @@ class TestWorkerJoinTimeout:
 
         def run():
             with executor_policy(policy):
-                result_box["result"] = run_campaign_parallel(mult_hw, CFG, jobs=2)
+                result_box["result"] = run_campaign(mult_hw, CFG, jobs=2)
 
         thread = threading.Thread(target=run)
         thread.start()

@@ -27,7 +27,6 @@ from repro.seu import (
     CampaignConfig,
     resume_campaign,
     run_campaign,
-    run_campaign_parallel,
 )
 from tests.engine.test_distributed import _spawn_worker, _tcp_policy, kill_leftovers  # noqa: F401
 from tests.utils.goldens import assert_golden_verdicts
@@ -143,8 +142,8 @@ class TestGoldenMatrix:
 
     def test_parallel_jobs_with_cache_matches_golden(self, mult_hw, tmp_path):
         with result_cache_scope(str(tmp_path / "cache")):
-            cold = run_campaign_parallel(mult_hw, GOLDEN_CFG, jobs=2)
-            warm = run_campaign_parallel(mult_hw, GOLDEN_CFG, jobs=2)
+            cold = run_campaign(mult_hw, GOLDEN_CFG, jobs=2)
+            warm = run_campaign(mult_hw, GOLDEN_CFG, jobs=2)
         assert_golden_verdicts("seu_verdicts", cold.verdicts)
         assert_golden_verdicts("seu_verdicts", warm.verdicts)
         assert warm.telemetry.cache_hits > 0
@@ -181,12 +180,12 @@ class TestTcpCache:
             # REPRO_RESULT_CACHE and serve stolen shards locally.
             workers = [_spawn_worker(f"@{announce}", f"w{i}") for i in range(2)]
             kill_leftovers.extend(workers)
-            cold = run_campaign_parallel(mult_hw, GOLDEN_CFG, jobs=2)
+            cold = run_campaign(mult_hw, GOLDEN_CFG, jobs=2)
         assert_golden_verdicts("seu_verdicts", cold.verdicts)
 
         with executor_policy(policy):
             workers = [_spawn_worker(f"@{announce}", f"w{i}") for i in range(2)]
             kill_leftovers.extend(workers)
-            warm = run_campaign_parallel(mult_hw, GOLDEN_CFG, jobs=2)
+            warm = run_campaign(mult_hw, GOLDEN_CFG, jobs=2)
         assert_golden_verdicts("seu_verdicts", warm.verdicts)
         assert warm.telemetry.cache_hits > 0

@@ -13,16 +13,15 @@ from concurrent.futures import Executor, Future
 import numpy as np
 import pytest
 
-import repro.seu.parallel as parmod
+import repro.seu.campaign as campmod
+from repro.engine import shard_survivors
 from repro.seu import (
     CampaignConfig,
     load_result,
     merge_results,
     run_campaign,
-    run_campaign_parallel,
-    resume_campaign_parallel,
+    resume_campaign,
 )
-from repro.seu.parallel import _shard_survivors
 
 # Small batches so the ~500 simulated bits of MULT4/S8 span many
 # simulator batches and several shards per worker.
@@ -67,15 +66,15 @@ class TestParallelIdentity:
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_processpool_byte_identical(self, mult_hw, full_result, jobs):
         """The acceptance criterion: real worker processes, any N."""
-        result = run_campaign_parallel(mult_hw, CFG, jobs=jobs)
+        result = run_campaign(mult_hw, CFG, jobs=jobs)
         assert_identical(result, full_result)
 
     def test_jobs1_delegates_to_serial(self, mult_hw, full_result):
-        result = run_campaign_parallel(mult_hw, CFG, jobs=1)
+        result = run_campaign(mult_hw, CFG, jobs=1)
         assert_identical(result, full_result)
 
     def test_inline_executor_identity(self, mult_hw, full_result):
-        result = run_campaign_parallel(
+        result = run_campaign(
             mult_hw, CFG, jobs=3, executor=InlineExecutor(), shards_per_job=2
         )
         assert_identical(result, full_result)
@@ -84,10 +83,10 @@ class TestParallelIdentity:
         from repro.errors import CampaignError
 
         with pytest.raises(CampaignError):
-            run_campaign_parallel(mult_hw, CFG, jobs=0)
+            run_campaign(mult_hw, CFG, jobs=0)
 
     def test_telemetry_emitted(self, mult_hw, full_result):
-        result = run_campaign_parallel(
+        result = run_campaign(
             mult_hw, CFG, jobs=2, executor=InlineExecutor()
         )
         t = result.telemetry
@@ -104,7 +103,7 @@ class TestParallelIdentity:
 class TestShardInvariants:
     def test_whole_batches_except_tail(self):
         survivors = np.arange(10 * 32 + 7)
-        shards = _shard_survivors(survivors, 32, 4)
+        shards = shard_survivors(survivors, 32, 4)
         assert np.array_equal(np.concatenate(shards), survivors)
         for shard in shards[:-1]:
             assert shard.size % 32 == 0
@@ -112,11 +111,11 @@ class TestShardInvariants:
 
     def test_more_shards_than_batches(self):
         survivors = np.arange(40)
-        shards = _shard_survivors(survivors, 32, 16)
+        shards = shard_survivors(survivors, 32, 16)
         assert np.array_equal(np.concatenate(shards), survivors)
 
     def test_empty_survivors(self):
-        assert _shard_survivors(np.empty(0, np.int64), 32, 4) == []
+        assert shard_survivors(np.empty(0, np.int64), 32, 4) == []
 
 
 class TestMergeOrderIndependence:
@@ -137,7 +136,7 @@ class TestParallelResume:
     def _killed_run(self, mult_hw, path, monkeypatch, die_after):
         """Run a checkpointed parallel sweep whose parent dies after
         ``die_after`` checkpoint writes."""
-        real_save = parmod.save_result
+        real_save = campmod.save_result
         calls = {"n": 0}
 
         def dying_save(result, p):
@@ -146,9 +145,9 @@ class TestParallelResume:
                 raise Killed()
             real_save(result, p)
 
-        monkeypatch.setattr(parmod, "save_result", dying_save)
+        monkeypatch.setattr(campmod, "save_result", dying_save)
         with pytest.raises(Killed):
-            run_campaign_parallel(
+            run_campaign(
                 mult_hw,
                 CFG,
                 jobs=3,
@@ -156,7 +155,7 @@ class TestParallelResume:
                 executor=InlineExecutor(),
                 shards_per_job=2,
             )
-        monkeypatch.setattr(parmod, "save_result", real_save)
+        monkeypatch.setattr(campmod, "save_result", real_save)
 
     @pytest.mark.parametrize("die_after", [1, 3])
     def test_kill_and_resume_identical(
@@ -167,7 +166,7 @@ class TestParallelResume:
         part = load_result(path)
         assert 0 < part.n_candidates < full_result.n_candidates
 
-        resumed = resume_campaign_parallel(
+        resumed = resume_campaign(
             mult_hw, path, jobs=3, executor=InlineExecutor(), shards_per_job=2
         )
         assert_identical(resumed, full_result)
@@ -196,7 +195,7 @@ class TestParallelResume:
 
         part = load_result(path)
         assert 0 < part.n_candidates < full_result.n_candidates
-        resumed = resume_campaign_parallel(
+        resumed = resume_campaign(
             mult_hw, path, jobs=2, executor=InlineExecutor()
         )
         assert_identical(resumed, full_result)
@@ -205,10 +204,10 @@ class TestParallelResume:
         self, mult_hw, full_result, tmp_path
     ):
         path = str(tmp_path / "done.npz")
-        run_campaign_parallel(
+        run_campaign(
             mult_hw, CFG, jobs=2, checkpoint_path=path, executor=InlineExecutor()
         )
-        resumed = resume_campaign_parallel(mult_hw, path, jobs=2)
+        resumed = resume_campaign(mult_hw, path, jobs=2)
         assert_identical(resumed, full_result)
         assert resumed.n_simulated == full_result.n_simulated  # nothing re-run
 
@@ -219,4 +218,4 @@ class TestParallelResume:
         path = str(tmp_path / "mult.npz")
         save_result(full_result, path)
         with pytest.raises(CampaignError, match="is for"):
-            resume_campaign_parallel(lfsr_hw, path)
+            resume_campaign(lfsr_hw, path)

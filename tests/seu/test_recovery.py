@@ -30,8 +30,8 @@ from repro.obs.report import load_trace
 from repro.seu import (
     CampaignConfig,
     load_result,
-    resume_campaign_parallel,
-    run_campaign_parallel,
+    resume_campaign,
+    run_campaign,
 )
 from tests.utils.goldens import assert_golden_verdicts
 
@@ -85,7 +85,7 @@ class TestChaosGoldenIdentity:
         trace_path = str(tmp_path / "chaos.jsonl")
         with observe(trace_path, progress=False, label="chaos"):
             with executor_policy(MATRIX_POLICY):
-                result = run_campaign_parallel(
+                result = run_campaign(
                     mult_hw, CFG, jobs=JOBS, collapse=collapse, retire=retire
                 )
         assert_golden_verdicts("seu_verdicts", result.verdicts)
@@ -104,7 +104,7 @@ class TestChaosGoldenIdentity:
             speculate_after_s=0.5, heartbeat_interval_s=0.1, chaos=HANG_CHAOS
         )
         with executor_policy(policy):
-            result = run_campaign_parallel(mult_hw, CFG, jobs=JOBS)
+            result = run_campaign(mult_hw, CFG, jobs=JOBS)
         assert_golden_verdicts("seu_verdicts", result.verdicts)
         telem = result.telemetry
         assert telem.speculative_launches >= 1
@@ -145,7 +145,7 @@ class TestWorkerDeath:
     def test_sigkill_live_worker_matches_golden(self, mult_hw, phase):
         policy, killed = self._policy_killing_during(phase)
         with executor_policy(policy):
-            result = run_campaign_parallel(mult_hw, CFG, jobs=JOBS)
+            result = run_campaign(mult_hw, CFG, jobs=JOBS)
         assert killed["done"], f"hook never saw a live worker during {phase}"
         assert_golden_verdicts("seu_verdicts", result.verdicts)
         telem = result.telemetry
@@ -163,11 +163,11 @@ class TestPoisonQuarantine:
     def test_partial_sweep_raises_by_default(self, mult_hw):
         with executor_policy(self.POLICY):
             with pytest.raises(CampaignError, match="quarantined"):
-                run_campaign_parallel(mult_hw, CFG, jobs=JOBS)
+                run_campaign(mult_hw, CFG, jobs=JOBS)
 
     def test_allow_partial_completes_with_exclusions(self, mult_hw, full_golden):
         with executor_policy(self.POLICY, allow_partial=True):
-            result = run_campaign_parallel(mult_hw, CFG, jobs=JOBS, collapse=False)
+            result = run_campaign(mult_hw, CFG, jobs=JOBS, collapse=False)
         telem = result.telemetry
         assert telem.shards_quarantined == 1
         assert telem.candidates_quarantined > 0
@@ -191,19 +191,17 @@ class TestPoisonQuarantine:
         path = str(tmp_path / "poisoned.npz")
         with executor_policy(self.POLICY):
             with pytest.raises(CampaignError, match="checkpointed"):
-                run_campaign_parallel(
+                run_campaign(
                     mult_hw, CFG, jobs=JOBS, checkpoint_path=path, collapse=collapse
                 )
         part = load_result(path)
         assert part.n_candidates > 0  # progress survived the poison
 
-        resumed = resume_campaign_parallel(mult_hw, path, jobs=2, collapse=collapse)
+        resumed = resume_campaign(mult_hw, path, jobs=2, collapse=collapse)
         assert_golden_verdicts("seu_verdicts", resumed.verdicts)
         assert np.unique(resumed.candidate_bits).size == resumed.candidate_bits.size
 
 
 @pytest.fixture(scope="module")
 def full_golden(mult_hw):
-    from repro.seu import run_campaign
-
     return run_campaign(mult_hw, CFG)
