@@ -25,6 +25,7 @@ HALF_LATCH node (hidden state the beam can flip but readback cannot see).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,13 +42,14 @@ from repro.fpga.resources import (
     FF_CE_INV,
     FF_INIT,
     FF_LATCH_MODE,
+    FF_RESERVED,
     FF_SR_EN,
     Direction,
     LocalSource,
     MUX_FIELD_BITS,
+    N_OUTPUT_PORTS,
     ResourceKind,
-    UnconnectedSource,
-    WireSource,
+    WIRES_PER_DIRECTION,
     classify_intra,
     ctrl_candidates,
     ctrl_mux_offset,
@@ -82,6 +84,53 @@ _INV_TABLE[14] = 1
 
 WireKey = tuple[int, int, int, int]  # (row, col, direction, index) — outgoing
 InKey = tuple[int, int, int, int]  # (row, col, side, index) — incoming view
+
+# Hot-path tables: wire resolution runs per live SEU candidate, so it works
+# on int directions and precomputed intra-CLB offsets, never on ``Direction``
+# or the range-checked ``*_offset`` helpers.
+
+#: (d_row, d_col) of one step toward direction ``d``.
+_DELTA = tuple(Direction(d).delta for d in range(4))
+#: Outgoing direction ``d`` -> intra offset of the drive PIP of wire (d, 0).
+_DRIVE_PIP = tuple(pip_drive_offset(Direction(d), 0) for d in range(4))
+#: Outgoing direction ``d`` -> ((incoming side, intra offset at wire 0), ...)
+#: of the straight and turn PIPs that forward onto wire (d, w).
+_FORWARD_PIPS = tuple(
+    ((int(Direction(d).opposite), pip_straight_offset(Direction(d).opposite, 0)),)
+    + tuple(
+        (int(a), pip_turn_offset(a, p, 0))
+        for a in Direction
+        for p, perp in enumerate(a.perpendicular)
+        if perp == d
+    )
+    for d in range(4)
+)
+
+
+def _plain_sources(cands: tuple) -> tuple[tuple[int | None, int], ...]:
+    """Mux candidates as ``(side, index)``; ``side`` is None for local sources."""
+    return tuple(
+        (None, c.index) if isinstance(c, LocalSource) else (int(c.direction), c.index)
+        for c in cands
+    )
+
+
+#: [lut][pin] -> (intra offset of the input-mux field, its candidates).
+_IMUX = tuple(
+    tuple(
+        (imux_offset(lut, pin, 0), _plain_sources(imux_candidates(lut, pin)))
+        for pin in range(4)
+    )
+    for lut in range(4)
+)
+#: [slice][which] -> (intra offset of the control-mux field, its candidates).
+_CTRL = tuple(
+    tuple(
+        (ctrl_mux_offset(slc, which, 0), _plain_sources(ctrl_candidates(slc, which)))
+        for which in range(3)
+    )
+    for slc in range(2)
+)
 
 
 @dataclass
@@ -120,6 +169,7 @@ class DecodedDesign:
         self.bits = bits
         self.io = io
         self.n_spare = n_spare
+        self._rows, self._cols = device.rows, device.cols
 
         # Vectorised CLB bit gather: linear offsets of every intra-CLB bit.
         self._clb_matrix = self._build_clb_matrix()
@@ -234,19 +284,28 @@ class DecodedDesign:
             else self.ff_node(row, col, index - 4)
         )
 
-    def _resolve_incoming(self, row: int, col: int, side: Direction, w: int, consumer: tuple) -> int:
-        coords: InKey = (row, col, int(side), w)
+    def _incoming_key(self, row: int, col: int, side: int, w: int) -> WireKey | None:
+        """The neighbour's outgoing wire that CLB (row, col) sees arriving
+        from ``side`` (:meth:`VirtexDevice.incoming_wire` in int form), or
+        ``None`` at the die edge."""
+        d_row, d_col = _DELTA[side]
+        n_row, n_col = row + d_row, col + d_col
+        if 0 <= n_row < self._rows and 0 <= n_col < self._cols:
+            return (n_row, n_col, (side + 2) % 4, w)
+        return None
+
+    def _resolve_incoming(self, row: int, col: int, side: int, w: int, consumer: tuple) -> int:
+        coords: InKey = (row, col, side, w)
         tap = self.io.taps.get(coords)
         if tap is not None:
             return self.input_nodes[tap]
         net_tap = self.io.net_taps.get(coords)
         if net_tap is not None:
             return self._resolve_local(net_tap[0], net_tap[1], net_tap[2])
-        nb = self.device.incoming_wire(row, col, side, w)
-        if nb is None:
-            site = HalfLatchSite(HalfLatchKind.WIRE, row, col, (int(side), w))
+        key = self._incoming_key(row, col, side, w)
+        if key is None:
+            site = HalfLatchSite(HalfLatchKind.WIRE, row, col, (side, w))
             return self._get_halflatch(("pad", coords), site)
-        key: WireKey = (nb.row, nb.col, int(nb.direction), nb.index)
         node = self._resolve_wire(key)
         self.wire_consumers.setdefault(key, []).append(consumer)
         return node
@@ -257,16 +316,14 @@ class DecodedDesign:
         Returns specs: ("port", r, c, p) or ("in", r, c, side, w).
         """
         r, c, d, w = key
+        mat = self._clb_matrix[r, c]
+        bits = self.bits.bits
         specs: list[tuple] = []
-        if self._bit(r, c, pip_drive_offset(Direction(d), w)):
+        if bits[mat[_DRIVE_PIP[d] + w]]:
             specs.append(("port", r, c, w % 4))
-        back = Direction(d).opposite
-        if self._bit(r, c, pip_straight_offset(back, w)):
-            specs.append(("in", r, c, int(back), w))
-        for a in Direction:
-            for p, perp in enumerate(a.perpendicular):
-                if int(perp) == d and self._bit(r, c, pip_turn_offset(a, p, w)):
-                    specs.append(("in", r, c, int(a), w))
+        for side, base in _FORWARD_PIPS[d]:
+            if bits[mat[base + w]]:
+                specs.append(("in", r, c, side, w))
         return specs
 
     def _resolve_wire(self, key: WireKey) -> int:
@@ -285,9 +342,7 @@ class DecodedDesign:
                     self.port_wires.setdefault((r, c, p), []).append(key)
                 else:
                     _, r, c, side, w = spec
-                    nodes.append(
-                        self._resolve_incoming(r, c, Direction(side), w, ("wire", key))
-                    )
+                    nodes.append(self._resolve_incoming(r, c, side, w, ("wire", key)))
             nodes = sorted(set(nodes))
             if not nodes:
                 r, c, d, w = key
@@ -320,27 +375,20 @@ class DecodedDesign:
         key = (row, col, pos, pin)
         if key in self.pin_source:
             return self.pin_source[key]
-        node = self._pin_value(row, col, pos, pin, register=True)
+        node = self._pin_value(row, col, pos, pin)
         self.pin_source[key] = node
         return node
 
-    def _pin_value(self, row: int, col: int, pos: int, pin: int, register: bool) -> int:
-        sel = self._field(row, col, imux_offset(pos, pin, 0))
-        cands = imux_candidates(pos, pin)
+    def _pin_value(self, row: int, col: int, pos: int, pin: int) -> int:
+        base, cands = _IMUX[pos][pin]
         consumer = ("pin", row, col, pos, pin)
         nodes: list[int] = []
-        for ci in sel:
-            cand = cands[ci]
-            if isinstance(cand, LocalSource):
-                nodes.append(self._resolve_local(row, col, cand.index))
-            elif isinstance(cand, WireSource):
-                nodes.append(
-                    self._resolve_incoming(row, col, cand.direction, cand.index, consumer)
-                    if register
-                    else self._transient_incoming(row, col, cand.direction, cand.index, {})
-                )
-            else:  # pragma: no cover - UnconnectedSource never in candidate lists
-                raise DecodeError("unexpected candidate kind")
+        for ci in self._field(row, col, base):
+            side, index = cands[ci]
+            if side is None:
+                nodes.append(self._resolve_local(row, col, index))
+            else:
+                nodes.append(self._resolve_incoming(row, col, side, index, consumer))
         nodes = sorted(set(nodes))
         if not nodes:
             site = HalfLatchSite(HalfLatchKind.LUT_PIN, row, col, (pos, pin))
@@ -353,25 +401,20 @@ class DecodedDesign:
         key = (row, col, slc, which)
         if key in self.ctrl_node:
             return self.ctrl_node[key]
-        node = self._ctrl_value(row, col, slc, which, register=True)
+        node = self._ctrl_value(row, col, slc, which)
         self.ctrl_node[key] = node
         return node
 
-    def _ctrl_value(self, row: int, col: int, slc: int, which: int, register: bool) -> int:
-        sel = self._field(row, col, ctrl_mux_offset(slc, which, 0))
-        cands = ctrl_candidates(slc, which)
+    def _ctrl_value(self, row: int, col: int, slc: int, which: int) -> int:
+        base, cands = _CTRL[slc][which]
         consumer = ("ctrl", row, col, slc, which)
         nodes: list[int] = []
-        for ci in sel:
-            cand = cands[ci]
-            if isinstance(cand, LocalSource):
-                nodes.append(self._resolve_local(row, col, cand.index))
-            elif isinstance(cand, WireSource):
-                nodes.append(
-                    self._resolve_incoming(row, col, cand.direction, cand.index, consumer)
-                    if register
-                    else self._transient_incoming(row, col, cand.direction, cand.index, {})
-                )
+        for ci in self._field(row, col, base):
+            side, index = cands[ci]
+            if side is None:
+                nodes.append(self._resolve_local(row, col, index))
+            else:
+                nodes.append(self._resolve_incoming(row, col, side, index, consumer))
         nodes = sorted(set(nodes))
         if not nodes:
             site = HalfLatchSite(HalfLatchKind.CTRL, row, col, (slc, which))
@@ -584,9 +627,7 @@ class DecodedDesign:
                     nodes.append(self._transient_port(r, c, p, overlay))
                 else:
                     _, r, c, side, w = spec
-                    nodes.append(
-                        self._transient_incoming(r, c, Direction(side), w, overlay, stack)
-                    )
+                    nodes.append(self._transient_incoming(r, c, side, w, overlay, stack))
             nodes = sorted(set(nodes))
             if not nodes:
                 # Use the golden keeper node when one exists; else const 1.
@@ -628,33 +669,29 @@ class DecodedDesign:
         return len(ands) - 1
 
     def _transient_incoming(
-        self, row: int, col: int, side: Direction, w: int, overlay: dict, stack: set | None = None
+        self, row: int, col: int, side: int, w: int, overlay: dict, stack: set | None = None
     ) -> int:
-        coords: InKey = (row, col, int(side), w)
+        coords: InKey = (row, col, side, w)
         tap = self.io.taps.get(coords)
         if tap is not None:
             return self.input_nodes[tap]
         net_tap = self.io.net_taps.get(coords)
         if net_tap is not None:
             return self._resolve_local(net_tap[0], net_tap[1], net_tap[2])
-        nb = self.device.incoming_wire(row, col, side, w)
-        if nb is None:
+        key = self._incoming_key(row, col, side, w)
+        if key is None:
             return self.halflatch_node.get(("pad", coords), NODE_CONST1)
-        key: WireKey = (nb.row, nb.col, int(nb.direction), nb.index)
         return self._transient_wire(key, overlay, stack)
 
     def _transient_pin(self, row: int, col: int, pos: int, pin: int, overlay: dict) -> int:
-        sel = self._field(row, col, imux_offset(pos, pin, 0))
-        cands = imux_candidates(pos, pin)
+        base, cands = _IMUX[pos][pin]
         nodes: list[int] = []
-        for ci in sel:
-            cand = cands[ci]
-            if isinstance(cand, LocalSource):
-                nodes.append(self._resolve_local(row, col, cand.index))
+        for ci in self._field(row, col, base):
+            side, index = cands[ci]
+            if side is None:
+                nodes.append(self._resolve_local(row, col, index))
             else:
-                nodes.append(
-                    self._transient_incoming(row, col, cand.direction, cand.index, overlay)
-                )
+                nodes.append(self._transient_incoming(row, col, side, index, overlay))
         nodes = sorted(set(nodes))
         if not nodes:
             return self.halflatch_node.get(
@@ -665,17 +702,14 @@ class DecodedDesign:
         return -1 - self._overlay_and(nodes, overlay)
 
     def _transient_ctrl(self, row: int, col: int, slc: int, which: int, overlay: dict) -> int:
-        sel = self._field(row, col, ctrl_mux_offset(slc, which, 0))
-        cands = ctrl_candidates(slc, which)
+        base, cands = _CTRL[slc][which]
         nodes: list[int] = []
-        for ci in sel:
-            cand = cands[ci]
-            if isinstance(cand, LocalSource):
-                nodes.append(self._resolve_local(row, col, cand.index))
+        for ci in self._field(row, col, base):
+            side, index = cands[ci]
+            if side is None:
+                nodes.append(self._resolve_local(row, col, index))
             else:
-                nodes.append(
-                    self._transient_incoming(row, col, cand.direction, cand.index, overlay)
-                )
+                nodes.append(self._transient_incoming(row, col, side, index, overlay))
         nodes = sorted(set(nodes))
         if not nodes:
             return self.halflatch_node.get(("ctrl", row, col, slc, which), NODE_CONST1)
@@ -785,66 +819,97 @@ class DecodedDesign:
     # the fault-injection fast path
     # ------------------------------------------------------------------
 
-    def _bit_may_matter(self, kind: ResourceKind, row: int, col: int, detail: tuple) -> bool:
-        """Cheap pre-screen: can this bit's resource reach the outputs?
+    @cached_property
+    def live_bits(self) -> np.ndarray:
+        """One bool per linear configuration bit: may flipping it change
+        the decoded hardware in a way the outputs can see?
 
-        Saves the transient-resolution work for the vast majority of
-        bits, which sit in unused fabric.  PIP/port cases defer to their
-        consumer caches; everything else checks output-cone membership of
-        the directly affected LUT/FF rows.
+        False settles a bit without any per-bit work.  The mask is a pure
+        function of the device geometry and the frozen golden state (the
+        output cone, ``port_value``, ``wire_value``, ``wire_consumers``) —
+        not of the bit values — built on first use, one numpy assignment
+        per intra-CLB offset over the whole CLB grid:
+
+        * LUT content: the LUT is in the output cone;
+        * LUT input mux: the LUT is in the cone, or (pin 0, which a bypass
+          FF reads) the FF at the same position is;
+        * FF config: the FF is in the cone, except INIT (no reset happens
+          under the injection protocol) and the reserved bit;
+        * slice control mux: either FF of the slice is in the cone;
+        * output mux: the golden decode resolved the port (it drives a
+          wire someone reads);
+        * PIPs: the target wire is resolved or read by the golden design.
+
+        Everything else — column overhead, clock, IOB and BRAM frames,
+        PIP-reserved, carry and reserved offsets — is inert.
         """
+        rows, cols = self._rows, self._cols
         d = self.design
-        if kind is ResourceKind.LUT_CONTENT:
-            lut, _ = detail
-            return bool(self._cone[d.lut_nodes[self.lut_row(row, col, lut)]])
-        if kind is ResourceKind.LUT_INPUT_MUX:
-            lut, pin, _ = detail
-            if self._cone[d.lut_nodes[self.lut_row(row, col, lut)]]:
-                return True
-            return pin == 0 and bool(self._cone[d.ff_nodes[self.ff_row(row, col, lut)]])
-        if kind is ResourceKind.FF_CONFIG:
-            ff, _ = detail
-            return bool(self._cone[d.ff_nodes[self.ff_row(row, col, ff)]])
-        if kind is ResourceKind.CTRL_MUX:
-            slc, _, _ = detail
-            return bool(
-                self._cone[d.ff_nodes[self.ff_row(row, col, 2 * slc)]]
-                or self._cone[d.ff_nodes[self.ff_row(row, col, 2 * slc + 1)]]
-            )
-        if kind is ResourceKind.OUTPUT_MUX:
-            port, _ = detail
-            return (row, col, port) in self.port_value
-        return True  # PIPs handle their own consumer check
+        n_fabric = 4 * rows * cols
+        lut_cone = self._cone[d.lut_nodes[:n_fabric]].reshape(rows, cols, 4)
+        ff_cone = self._cone[d.ff_nodes].reshape(rows, cols, 4)
+        port_live = np.zeros((rows, cols, N_OUTPUT_PORTS), dtype=bool)
+        if self.port_value:
+            port_live[tuple(np.array(list(self.port_value)).T)] = True
+        wire_live = np.zeros((rows, cols, 4, WIRES_PER_DIRECTION), dtype=bool)
+        wires = self.wire_value.keys() | self.wire_consumers.keys()
+        if wires:
+            wire_live[tuple(np.array(list(wires)).T)] = True
+
+        clb_live = np.zeros((rows, cols, CLB_BITS_PER_CLB), dtype=bool)
+        for intra in range(CLB_BITS_PER_CLB):
+            kind, detail = classify_intra(intra)
+            if kind is ResourceKind.LUT_CONTENT:
+                live = lut_cone[:, :, detail[0]]
+            elif kind is ResourceKind.LUT_INPUT_MUX:
+                lut, pin, _ = detail
+                live = lut_cone[:, :, lut]
+                if pin == 0:  # a bypass FF reads pin 0 directly
+                    live = live | ff_cone[:, :, lut]
+            elif kind is ResourceKind.FF_CONFIG:
+                ff, role = detail
+                if role in (FF_INIT, FF_RESERVED):
+                    continue
+                live = ff_cone[:, :, ff]
+            elif kind is ResourceKind.CTRL_MUX:
+                slc = detail[0]
+                live = ff_cone[:, :, 2 * slc] | ff_cone[:, :, 2 * slc + 1]
+            elif kind is ResourceKind.OUTPUT_MUX:
+                live = port_live[:, :, detail[0]]
+            elif kind is ResourceKind.PIP_DRIVE:
+                d_out, w = detail
+                live = wire_live[:, :, d_out, w]
+            elif kind is ResourceKind.PIP_STRAIGHT:
+                d_in, w = detail
+                live = wire_live[:, :, int(Direction(d_in).opposite), w]
+            elif kind is ResourceKind.PIP_TURN:
+                d_in, p, w = detail
+                live = wire_live[:, :, int(Direction(d_in).perpendicular[p]), w]
+            else:
+                continue
+            clb_live[:, :, intra] = live
+        mask = np.zeros(self.bits.bits.size, dtype=bool)
+        mask[self._clb_matrix] = clb_live
+        return mask
 
     def patch_for_bit(self, linear_bit: int) -> Patch | None:
         """Hardware difference caused by flipping one configuration bit.
 
         Returns ``None`` when the flip provably does not alter the
-        decoded hardware (reserved/overhead bits, INIT bits under the
-        no-reset injection protocol, changes outside any consumer).  The
-        golden bitstream is restored before returning.
+        decoded hardware the outputs depend on (:attr:`live_bits` is
+        False: inert or unused fabric, INIT bits under the no-reset
+        injection protocol, wires nobody reads) or when the re-decoded
+        hardware comes out equal.  The golden bitstream is restored
+        before returning.
         """
+        live = self.live_bits
+        if 0 <= linear_bit < live.size and not live[linear_bit]:
+            return None
         frame, off = self.bits.locate(linear_bit)
         loc = self.device.classify_bit(frame, off)
-        kind = loc.kind
-        if kind in (
-            ResourceKind.COLUMN_OVERHEAD,
-            ResourceKind.CLOCK_CONFIG,
-            ResourceKind.IOB_CONFIG,
-            ResourceKind.BRAM_CONTENT,
-            ResourceKind.BRAM_INTERCONNECT,
-            ResourceKind.CARRY,
-            ResourceKind.RESERVED,
-            ResourceKind.PIP_RESERVED,
-        ):
-            return None
-
-        row, col = loc.row, loc.col
-        if not self._bit_may_matter(kind, row, col, loc.detail):
-            return None
         self.bits.bits[linear_bit] ^= 1
         try:
-            return self._patch_clb_bit(row, col, kind, loc.detail)
+            return self._patch_clb_bit(loc.row, loc.col, loc.kind, loc.detail)
         finally:
             self.bits.bits[linear_bit] ^= 1
 
@@ -874,8 +939,6 @@ class DecodedDesign:
             ff, role = detail
             frow = self.ff_row(row, col, ff)
             cbit = lambda r: int(self._bit(row, col, ff_config_offset(ff, r)))
-            if role == FF_INIT:
-                return None  # no reset occurs under the injection protocol
             if role == FF_BYPASS:
                 new_d = (
                     self._materialize(
@@ -926,8 +989,6 @@ class DecodedDesign:
                 )
                 if clocked != int(self.design.ff_clocked[frow]):
                     patch.ff_fields.append((frow, FFField.CLOCKED, clocked))
-            else:
-                return None  # FF_RESERVED
 
         elif kind is ResourceKind.CTRL_MUX:
             slc, which, _ = detail
@@ -981,10 +1042,6 @@ class DecodedDesign:
             else:
                 d_in, p, w = detail
                 wkey = (row, col, int(Direction(d_in).perpendicular[p]), w)
-            if wkey not in self.wire_value and wkey not in self.wire_consumers:
-                # Nobody reads this wire in the golden design: turning it
-                # on/off feeds nothing.
-                return None
             nv = self._transient_wire(wkey, overlay)
             nv = self._materialize(nv, overlay, patch, spare_cursor)
             if nv != self.wire_value.get(wkey):

@@ -82,6 +82,14 @@ _MAX_BODY_BYTES = 1 << 20
 _JOB_PATH = re.compile(r"/v1/jobs/(j-\d+)(?:/([a-z]+))?$")
 
 
+class BadRequest(ReproError):
+    """A request the HTTP front rejects before routing (a 4xx status)."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Everything ``repro serve`` configures."""
@@ -434,6 +442,8 @@ class CampaignServer:
             if request is None:
                 return
             await self._dispatch(request, writer)
+        except BadRequest as err:
+            _write_response(writer, err.status, _json_body({"error": str(err)}))
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass
         except Exception as err:  # noqa: BLE001 - one bad request must not kill the server
@@ -616,6 +626,7 @@ _STATUS_TEXT = {
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
+    413: "Content Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
 }
@@ -637,10 +648,15 @@ async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
         name, _, value = raw.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     body = b""
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise BadRequest(400, f"invalid Content-Length {raw_length!r}")
+    length = int(raw_length)
+    if length > _MAX_BODY_BYTES:
+        raise BadRequest(
+            413, f"request body too large ({length} bytes > {_MAX_BODY_BYTES})"
+        )
     if length:
-        if length > _MAX_BODY_BYTES:
-            raise ValueError(f"body too large ({length} bytes)")
         body = await reader.readexactly(length)
     parsed = urllib.parse.urlsplit(target)
     query = {k: v[-1] for k, v in urllib.parse.parse_qs(parsed.query).items()}

@@ -15,6 +15,7 @@ from repro.fpga import get_device
 from repro.netlist import BatchSimulator
 from repro.place.configgen import IOBinding
 from repro.place.decoder import decode_bitstream
+from tests.utils.live_bits_reference import reference_live_bits
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +75,21 @@ class TestDecoderTotality:
         if patches:
             sim = BatchSimulator(decoded.design, patches)
             sim.step(np.zeros(0, dtype=np.uint8))
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_live_bits_match_per_bit_screen(self, s4dev, seed):
+        """The golden live-bit mask equals the per-bit screen it replaced
+        on arbitrary configurations, not only on router output.  A few
+        random output probes give the configuration an output cone."""
+        rng = np.random.default_rng(seed)
+        bits = ConfigBitstream(
+            s4dev.geometry,
+            rng.integers(0, 2, s4dev.geometry.total_bits).astype(np.uint8),
+        )
+        probes = [
+            (int(rng.integers(s4dev.rows)), int(rng.integers(s4dev.cols)), int(rng.integers(8)))
+            for _ in range(int(rng.integers(0, 4)))
+        ]
+        decoded = decode_bitstream(s4dev, bits, IOBinding(output_probes=probes), n_spare=4)
+        assert np.array_equal(decoded.live_bits, reference_live_bits(decoded))
