@@ -34,7 +34,6 @@ import sys
 
 import numpy as np
 
-from repro.errors import NetlistError
 from repro.netlist.compiled import NodeKind
 from repro.netlist.simulator import BatchSimulator
 
@@ -404,8 +403,6 @@ class BitplaneBatchSimulator(BatchSimulator):
         d = self.design
         vals = np.empty((self.B, d.n_nodes), dtype=np.uint8)
         if self._initial_values is not None:
-            if self._initial_values.max(initial=0) > 1:
-                raise NetlistError("bit-plane backend requires 0/1 node values")
             vals[:] = self._initial_values[None, :]
         else:
             vals[:] = 0
@@ -536,14 +533,9 @@ class BitplaneBatchSimulator(BatchSimulator):
         return self._out_buf
 
     def step(self, stimulus_row: np.ndarray) -> np.ndarray:
+        self._check_stimulus(stimulus_row)
         d = self.design
-        if stimulus_row.shape != (d.n_inputs,):
-            raise NetlistError(
-                f"stimulus row must have {d.n_inputs} entries, got {stimulus_row.shape}"
-            )
         if d.n_inputs:
-            if stimulus_row.max(initial=0) > 1:
-                raise NetlistError("bit-plane backend requires 0/1 stimulus")
             self._planes[d.input_nodes] = _full_masks(stimulus_row)[:, None]
         self._eval_combinational()
         out = self._gather_outputs()

@@ -35,7 +35,6 @@ from repro.netlist.backends.bitplane import (
     BitplaneBatchSimulator,
     _full_masks,
 )
-from repro.netlist.simulator import NetlistError
 
 __all__ = ["BitplaneJitBatchSimulator", "NUMBA_AVAILABLE", "step_kernel"]
 
@@ -340,12 +339,7 @@ class BitplaneJitBatchSimulator(BitplaneBatchSimulator):
             # take the unfused (byte-identical) bit-plane path.
             return super().step(stimulus_row)
         d = self.design
-        if stimulus_row.shape != (d.n_inputs,):
-            raise NetlistError(
-                f"stimulus row must have {d.n_inputs} entries, got {stimulus_row.shape}"
-            )
-        if d.n_inputs and stimulus_row.max(initial=0) > 1:
-            raise NetlistError("bit-plane backend requires 0/1 stimulus")
+        self._check_stimulus(stimulus_row)
         if self._ov_dirty:
             self._compile_overrides()
         in_masks = _full_masks(stimulus_row)

@@ -6,14 +6,14 @@ silicon; we get ours by simulating B corrupted variants of one design
 simultaneously with numpy:
 
 * node values live in a ``(B, n_nodes)`` uint8 matrix;
-* each LUT level evaluates for all machines at once via two flat
-  gathers (operand fetch, table lookup) whose index arrays are built
-  once — per-machine wiring only changes at patch/repair time, so the
-  per-cycle work is pure ``np.take`` into preallocated buffers;
-* LUT addresses are composed with in-place uint8 shift/or (no per-cycle
-  ``astype`` widening);
-* flip-flops update in one vectorised step honouring per-machine CE, SR
-  and clock health;
+* each LUT level evaluates for all machines at once in five array
+  calls: an operand gather, one uint32 multiply that composes every
+  LUT's 4-bit address (see :data:`ADDR_IDIOMS`), a table-index
+  add, a table gather and a scatter.  The index arrays are built once —
+  per-machine wiring only changes at patch/repair time, so the
+  per-cycle work runs into preallocated buffers;
+* flip-flops update from one gather of ``[D | CE | SR | current]``
+  and a masked-merge honouring per-machine CE, SR and clock health;
 * the per-cycle output-vs-golden comparison packs both sides into
   uint64 words, so a machine's health check is a handful of word
   compares instead of ``n_outputs`` byte compares.
@@ -26,6 +26,7 @@ state — exactly the persistence experiment of paper section III-A).
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -46,8 +47,9 @@ __all__ = [
     "KernelCounters",
     "KERNEL_COUNTERS",
     "SETTLE_CAP",
-    "compose_lut_addresses",
+    "ADDR_IDIOMS",
     "max_schedule_violations",
+    "require_binary",
 ]
 
 #: largest auto-detected settle-pass surplus; deeper acyclic rewirings
@@ -111,23 +113,30 @@ class KernelCounters:
 KERNEL_COUNTERS = KernelCounters()
 
 
-def compose_lut_addresses(operands: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Compose 4-bit LUT addresses from an ``(..., 4)`` operand array.
+#: ``(multiplier, byte index)`` of the LUT address idiom per byte order.
+#: Four adjacent 0/1 operand bytes read as one native uint32 and
+#: multiplied by the multiplier hold ``op0 | op1<<1 | op2<<2 | op3<<3``
+#: in that byte of the product.  Little-endian, operand ``i`` sits at
+#: bit ``8i`` and the term ``2**(24 - 7i)`` of ``0x01020408`` moves it to
+#: bit ``24 + i``.  Every other product term is one of the distinct bits
+#: 3, 10, 11, 17, 18, 19 — so no carry reaches bit 24 — or lands past
+#: bit 32 and wraps away.  Big-endian mirrors the operand positions, the
+#: multiplier and the byte index.
+ADDR_IDIOMS = {"little": (0x01020408, 3), "big": (0x08040201, 0)}
+ADDR_MULTIPLIER = np.uint32(ADDR_IDIOMS[sys.byteorder][0])
+ADDR_BYTE = ADDR_IDIOMS[sys.byteorder][1]
 
-    Writes ``op0 | op1<<1 | op2<<2 | op3<<3`` into ``out`` using ``tmp``
-    as shift scratch; ``out``/``tmp`` share the operands' leading shape
-    and may be any unsigned dtype wide enough for a 4-bit value.
-    Operand values must be 0/1.  The single source of the address
-    idiom the per-level kernel, the machine-0 address capture and the
-    occupancy recording all used to duplicate.
+
+def require_binary(values: np.ndarray, what: str) -> None:
+    """Raise :class:`NetlistError` unless every entry of ``values`` is 0/1.
+
+    Node values are 0/1 by invariant.  The reference kernel would read
+    a larger operand as an entry of another LUT's truth table, and the
+    bit-plane packing cannot represent one, so every backend rejects
+    non-binary stimulus and ``initial_values`` by name instead.
     """
-    np.left_shift(operands[..., 1], 1, out=tmp)
-    np.bitwise_or(operands[..., 0], tmp, out=out)
-    np.left_shift(operands[..., 2], 2, out=tmp)
-    np.bitwise_or(out, tmp, out=out)
-    np.left_shift(operands[..., 3], 3, out=tmp)
-    np.bitwise_or(out, tmp, out=out)
-    return out
+    if values.size and (values.max() > 1 or values.min() < 0):
+        raise NetlistError(f"simulator requires 0/1 {what}")
 
 
 def max_schedule_violations(design: CompiledDesign, patches: list[Patch] | None) -> int:
@@ -259,8 +268,10 @@ class BatchSimulator:
         self._initial_values = (
             None if initial_values is None else np.asarray(initial_values, dtype=np.uint8)
         )
-        if self._initial_values is not None and self._initial_values.shape != (design.n_nodes,):
-            raise NetlistError("initial_values must be a (n_nodes,) snapshot")
+        if self._initial_values is not None:
+            if self._initial_values.shape != (design.n_nodes,):
+                raise NetlistError("initial_values must be a (n_nodes,) snapshot")
+            require_binary(np.asarray(initial_values), "initial_values")
         self.patches = patches
         self.B = len(self.patches)
         if self.B < 1:
@@ -321,8 +332,9 @@ class BatchSimulator:
     # Per-machine wiring (LUT operand sources, FF control sources, output
     # bindings) changes only when a patch is applied or a machine is
     # repaired.  The flat gather indices derived from it are therefore
-    # precomputed here — per cycle the simulator only executes ``np.take``
-    # into preallocated buffers, never rebuilding index arrays.
+    # precomputed here — per cycle the simulator only gathers, multiplies
+    # and scatters into preallocated buffers, never rebuilding index
+    # arrays.
 
     def _build_gather_caches(self) -> None:
         d = self.design
@@ -331,47 +343,55 @@ class BatchSimulator:
         self._lut_tables_flat = self.lut_tables.reshape(-1)
         self._moff = (np.arange(B, dtype=np.intp) * d.n_nodes)[:, None]  # (B, 1)
 
-        self._lvl_gather: list[np.ndarray] = []  # intp (B, L*4) into values
-        self._lvl_buf: list[np.ndarray] = []  # uint8 (B, L*4) operand buffer
-        self._lvl_buf3: list[np.ndarray] = []  # (B, L, 4) view of _lvl_buf
-        self._lvl_addr: list[np.ndarray] = []  # uint8 (B, L) LUT addresses
-        self._lvl_tmp: list[np.ndarray] = []  # uint8 (B, L) shift scratch
-        self._lvl_tab_base: list[np.ndarray] = []  # intp (B, L) table row base
-        self._lvl_tab_idx: list[np.ndarray] = []  # intp (B, L) table entry
-        self._lvl_out: list[np.ndarray] = []  # uint8 (B, L) LUT outputs
-        self._lvl_scatter: list[np.ndarray] = []  # intp (B, L) into values
+        # One plan tuple per level of L LUTs (see _eval_combinational):
+        # (B, 4L) operand indices and uint8 operands, the operands' (B, L)
+        # uint32 view, (B, L) uint32 products and their address-byte
+        # view, (B, L) table row bases, table indices, outputs and output
+        # nodes.  All levels' operand indices share one flat buffer, so
+        # one machine's refresh is a single scatter to
+        # ``_lvl_pos0 + m * _lvl_pos_step`` of its ``_lvl_src`` operands.
+        sizes = [4 * int(rows.size) for rows in self._levels]
+        self._lvl_gather_flat = np.empty(B * sum(sizes), dtype=np.intp)
+        pos0, step, src = [], [], []
+        self._lvl_plan: list[tuple[np.ndarray, ...]] = []
         tab_moff = (np.arange(B, dtype=np.intp) * (d.n_luts * 16))[:, None]
-        for rows in self._levels:
-            n = int(rows.size)
-            buf = np.empty((B, n * 4), dtype=np.uint8)
-            self._lvl_gather.append(np.empty((B, n * 4), dtype=np.intp))
-            self._lvl_buf.append(buf)
-            self._lvl_buf3.append(buf.reshape(B, n, 4))
-            self._lvl_addr.append(np.empty((B, n), dtype=np.uint8))
-            self._lvl_tmp.append(np.empty((B, n), dtype=np.uint8))
-            self._lvl_tab_base.append(tab_moff + (rows.astype(np.intp) * 16)[None, :])
-            self._lvl_tab_idx.append(np.empty((B, n), dtype=np.intp))
-            self._lvl_out.append(np.empty((B, n), dtype=np.uint8))
-            self._lvl_scatter.append(
-                self._moff + d.lut_nodes[rows].astype(np.intp)[None, :]
-            )
+        start = 0
+        for rows, size in zip(self._levels, sizes):
+            n = size // 4
+            gather = self._lvl_gather_flat[start : start + B * size].reshape(B, size)
+            pos0.append(np.arange(start, start + size, dtype=np.intp))
+            step.append(np.full(size, size, dtype=np.intp))
+            src.append((rows.astype(np.intp)[:, None] * 4 + np.arange(4)).reshape(-1))
+            start += B * size
+            buf = np.empty((B, size), dtype=np.uint8)
+            prod = np.empty((B, n), dtype=np.uint32)
+            self._lvl_plan.append((
+                gather,
+                buf,
+                buf.view(np.uint32),
+                prod,
+                prod.view(np.uint8)[:, ADDR_BYTE::4],
+                tab_moff + (rows.astype(np.intp) * 16)[None, :],
+                np.empty((B, n), dtype=np.intp),
+                np.empty((B, n), dtype=np.uint8),
+                self._moff + d.lut_nodes[rows].astype(np.intp)[None, :],
+            ))
+        empty = np.zeros(0, dtype=np.intp)
+        self._lvl_pos0 = np.concatenate([empty, *pos0])
+        self._lvl_pos_step = np.concatenate([empty, *step])
+        self._lvl_src = np.concatenate([empty, *src])
 
+        # One (B, 4R) gather fetches [D | CE | SR | current] per FF; the
+        # current-value quarter reads the FF nodes themselves, so it is
+        # fixed and only the first three quarters follow the wiring.
         rows = self._ff_rows
         R = int(rows.size)
-        self._ff_idx_d = np.empty((B, R), dtype=np.intp)
-        self._ff_idx_ce = np.empty((B, R), dtype=np.intp)
-        self._ff_idx_sr = np.empty((B, R), dtype=np.intp)
-        self._ff_scatter = (
-            self._moff + d.ff_nodes[rows].astype(np.intp)[None, :]
-            if R
-            else np.empty((B, 0), dtype=np.intp)
-        )
-        self._ff_dval = np.empty((B, R), dtype=np.uint8)
-        self._ff_cebuf = np.empty((B, R), dtype=np.uint8)
-        self._ff_srbuf = np.empty((B, R), dtype=np.uint8)
-        self._ff_cur = np.empty((B, R), dtype=np.uint8)
+        self._ff_scatter = self._moff + d.ff_nodes[rows].astype(np.intp)[None, :]
+        self._ff_gather = np.empty((B, 4 * R), dtype=np.intp)
+        self._ff_gather[:, 3 * R :] = self._ff_scatter
+        self._ff_buf = np.empty((B, 4 * R), dtype=np.uint8)
+        self._ff_fields = np.hsplit(self._ff_buf, 4)  # D, CE, SR, current views
         self._ff_new = np.empty((B, R), dtype=np.uint8)
-        self._ff_boolbuf = np.empty((B, R), dtype=bool)
         self._ff_unclocked = np.empty((B, R), dtype=bool)
 
         self._out_idx = np.empty((B, d.n_outputs), dtype=np.intp)
@@ -392,32 +412,19 @@ class BatchSimulator:
         """
         d = self.design
         if m is None:
-            for k, rows in enumerate(self._levels):
-                np.add(
-                    self.lut_inputs[:, rows, :].reshape(self.B, -1),
-                    self._moff,
-                    out=self._lvl_gather[k],
-                )
-            rows = self._ff_rows
-            if rows.size:
-                np.add(self.ff_d[:, rows], self._moff, out=self._ff_idx_d)
-                np.add(self.ff_ce[:, rows], self._moff, out=self._ff_idx_ce)
-                np.add(self.ff_sr[:, rows], self._moff, out=self._ff_idx_sr)
-                np.not_equal(self.ff_clocked[:, rows], 1, out=self._ff_unclocked)
-            np.add(self.output_nodes, self._moff, out=self._out_idx)
-            return
-        off = m * d.n_nodes
-        for k, rows in enumerate(self._levels):
-            self._lvl_gather[k][m] = (
-                self.lut_inputs[m, rows, :].reshape(-1).astype(np.intp) + off
-            )
+            sel, off = slice(None), self._moff
+            for (gather, *_), rows in zip(self._lvl_plan, self._levels):
+                np.add(self.lut_inputs[:, rows, :].reshape(gather.shape), off, out=gather)
+        else:
+            sel, off = m, np.intp(m * d.n_nodes)
+            pos = self._lvl_pos0 + m * self._lvl_pos_step
+            self._lvl_gather_flat[pos] = self.lut_inputs[m].reshape(-1).take(self._lvl_src) + off
         rows = self._ff_rows
-        if rows.size:
-            self._ff_idx_d[m] = self.ff_d[m, rows].astype(np.intp) + off
-            self._ff_idx_ce[m] = self.ff_ce[m, rows].astype(np.intp) + off
-            self._ff_idx_sr[m] = self.ff_sr[m, rows].astype(np.intp) + off
-            self._ff_unclocked[m] = self.ff_clocked[m, rows] != 1
-        self._out_idx[m] = self.output_nodes[m].astype(np.intp) + off
+        R = int(rows.size)
+        for j, src in enumerate((self.ff_d, self.ff_ce, self.ff_sr)):
+            np.add(src[sel, rows], off, out=self._ff_gather[sel, j * R : (j + 1) * R])
+        np.not_equal(self.ff_clocked[sel, rows], 1, out=self._ff_unclocked[sel])
+        np.add(self.output_nodes[sel], off, out=self._out_idx[sel])
 
     @staticmethod
     def _max_schedule_violations(design: CompiledDesign, patches: list[Patch] | None) -> int:
@@ -581,35 +588,33 @@ class BatchSimulator:
     def _eval_combinational(self) -> None:
         vf = self._values_flat
         tf = self._lut_tables_flat
-        n_levels = len(self._levels)
+        plan = self._lvl_plan
         for _ in range(self.settle_passes):
-            for k in range(n_levels):
-                # Operand fetch: one flat gather into the level buffer.
-                np.take(vf, self._lvl_gather[k], out=self._lvl_buf[k])
-                # Compose 4-bit addresses in uint8 (operands are 0/1).
-                addr = compose_lut_addresses(
-                    self._lvl_buf3[k], self._lvl_addr[k], self._lvl_tmp[k]
-                )
+            for gather, buf, buf32, prod32, addr8, tab_base, tab_idx, out, scatter in plan:
+                # Operand fetch: one flat gather, four bytes per LUT.
+                vf.take(gather, out=buf)
+                # Address composition: one multiply per LUT's uint32 word.
+                np.multiply(buf32, ADDR_MULTIPLIER, out=prod32)
                 # Table lookup: flat gather into the per-level out buffer.
-                np.add(self._lvl_tab_base[k], addr, out=self._lvl_tab_idx[k])
-                np.take(tf, self._lvl_tab_idx[k], out=self._lvl_out[k])
-                vf[self._lvl_scatter[k]] = self._lvl_out[k]
+                np.add(tab_base, addr8, out=tab_idx)
+                tf.take(tab_idx, out=out)
+                vf[scatter] = out
 
     def _clock_ffs(self) -> None:
         if self._ff_rows.size == 0:
             return
         vf = self._values_flat
-        np.take(vf, self._ff_idx_d, out=self._ff_dval)
-        np.take(vf, self._ff_idx_ce, out=self._ff_cebuf)
-        np.take(vf, self._ff_idx_sr, out=self._ff_srbuf)
-        np.take(vf, self._ff_scatter, out=self._ff_cur)
+        vf.take(self._ff_gather, out=self._ff_buf)
+        d, ce, sr, cur = self._ff_fields
+        # Priority: SR clears, else CE loads D, else hold; unclocked FFs
+        # hold regardless.  With 0/1 values ``cur ^ ((cur ^ d) & ce)``
+        # picks D where CE is set and ``new > sr`` zeroes it where SR is.
         new = self._ff_new
-        np.copyto(new, self._ff_cur)
-        np.equal(self._ff_cebuf, 1, out=self._ff_boolbuf)
-        np.copyto(new, self._ff_dval, where=self._ff_boolbuf)
-        np.equal(self._ff_srbuf, 1, out=self._ff_boolbuf)
-        np.copyto(new, np.uint8(0), where=self._ff_boolbuf)
-        np.copyto(new, self._ff_cur, where=self._ff_unclocked)
+        np.bitwise_xor(cur, d, out=new)
+        np.bitwise_and(new, ce, out=new)
+        np.bitwise_xor(new, cur, out=new)
+        np.greater(new, sr, out=new)
+        np.copyto(new, cur, where=self._ff_unclocked)
         vf[self._ff_scatter] = new
 
     def step(self, stimulus_row: np.ndarray) -> np.ndarray:
@@ -621,12 +626,8 @@ class BatchSimulator:
         preallocated buffer reused by the next step — callers that keep
         a cycle's outputs must copy them.
         """
-        d = self.design
-        if stimulus_row.shape != (d.n_inputs,):
-            raise NetlistError(
-                f"stimulus row must have {d.n_inputs} entries, got {stimulus_row.shape}"
-            )
-        if d.n_inputs:
+        self._check_stimulus(stimulus_row)
+        if self.design.n_inputs:
             self._values_flat[self._in_scatter] = stimulus_row
         self._eval_combinational()
         out = np.take(self._values_flat, self._out_idx, out=self._out_buf)
@@ -639,15 +640,18 @@ class BatchSimulator:
         self._clock_ffs()
         return out
 
+    def _check_stimulus(self, stimulus_row: np.ndarray) -> None:
+        """Validate one cycle's stimulus row (shared by every backend's step)."""
+        n = self.design.n_inputs
+        if stimulus_row.shape != (n,):
+            raise NetlistError(f"stimulus row must have {n} entries, got {stimulus_row.shape}")
+        require_binary(stimulus_row, "stimulus")
+
     def _machine0_addr_row(self) -> np.ndarray:
         """One-hot uint16 per LUT: machine 0's current address mask."""
-        d = self.design
-        if not d.n_luts:
-            return np.zeros(0, dtype=np.uint16)
-        flat = self._machine0_values().take(self._m0_flat_idx).reshape(d.n_luts, 4)
-        addr = np.empty(d.n_luts, dtype=np.uint16)
-        compose_lut_addresses(flat, addr, np.empty(d.n_luts, dtype=np.uint16))
-        return np.left_shift(np.uint16(1), addr)
+        ops = self._machine0_values().take(self._m0_flat_idx)
+        addr = (ops.view(np.uint32) * ADDR_MULTIPLIER).view(np.uint8)[ADDR_BYTE::4]
+        return np.left_shift(np.uint16(1), addr, dtype=np.uint16)
 
     def run(
         self,

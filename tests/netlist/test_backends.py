@@ -143,6 +143,36 @@ def _run_sequence(sim_class, seed, B):
     return outs
 
 
+class TestBinaryGuard:
+    """Every backend rejects non-binary stimulus and snapshots by name.
+
+    A value above 1 would index another LUT's truth-table entry in the
+    reference kernel and cannot be packed into a bit-plane lane.
+    """
+
+    BACKENDS = [BatchSimulator, BitplaneBatchSimulator, BitplaneJitBatchSimulator]
+
+    @pytest.mark.parametrize("sim_class", BACKENDS)
+    @pytest.mark.parametrize("bad", [2, 255, -1])
+    def test_non_binary_stimulus_rejected(self, sim_class, bad):
+        design = random_compiled_design(np.random.default_rng(7))
+        sim = sim_class(design)
+        row = np.zeros(design.n_inputs, dtype=np.int64)
+        sim.step(row)  # 0/1 rows run
+        row[-1] = bad
+        with pytest.raises(NetlistError, match="requires 0/1 stimulus"):
+            sim.step(row)
+
+    @pytest.mark.parametrize("sim_class", BACKENDS)
+    def test_non_binary_initial_values_rejected(self, sim_class):
+        design = random_compiled_design(np.random.default_rng(8))
+        snapshot = np.zeros(design.n_nodes, dtype=np.uint8)
+        sim_class(design, initial_values=snapshot)  # 0/1 snapshots load
+        snapshot[int(design.lut_nodes[0])] = 2
+        with pytest.raises(NetlistError, match="requires 0/1 initial_values"):
+            sim_class(design, initial_values=snapshot)
+
+
 class TestWordBoundaryRoundTrips:
     """patch/repair/compact across the uint64 word boundary, vs reference."""
 

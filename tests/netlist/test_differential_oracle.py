@@ -50,6 +50,11 @@ BACKEND_PARAMS = [
 ]
 
 
+#: seeds of the plain and compaction suites (the coverage guard reads them)
+PLAIN_SEEDS = range(150)
+COMPACT_SEEDS = range(3000, 3030)
+
+
 @pytest.fixture(params=BACKEND_PARAMS)
 def sim_class(request):
     """The simulator class under test, one per kernel backend."""
@@ -103,7 +108,7 @@ def _assert_identical(sim, oracle, stimulus):
 class TestDifferentialPlain:
     """Straight runs: random designs, patches, stimulus."""
 
-    @pytest.mark.parametrize("seed", range(150))
+    @pytest.mark.parametrize("seed", PLAIN_SEEDS)
     def test_outputs_and_state_match(self, seed, sim_class):
         _, design, patches, stimulus = _case(seed)
         sim, oracle = _build_pair(
@@ -147,7 +152,7 @@ class TestDifferentialRepair:
 class TestDifferentialCompact:
     """Retire-compaction: surviving machines keep exact trajectories."""
 
-    @pytest.mark.parametrize("seed", range(3000, 3030))
+    @pytest.mark.parametrize("seed", COMPACT_SEEDS)
     def test_compact_mid_run_matches(self, seed, sim_class):
         rng, design, patches, stimulus = _case(seed)
         sim, oracle = _build_pair(design, patches, sim_class=sim_class)
@@ -159,3 +164,33 @@ class TestDifferentialCompact:
         oracle.compact(keep.tolist())
         assert sim.batch_slots.tolist() == oracle.batch_slots
         _assert_identical(sim, oracle, stimulus[half:] if half < len(stimulus) else stimulus)
+
+
+class TestOracleCoverage:
+    """The random cases above reach the kernel's harder paths.
+
+    Pins that the plain suite runs batches with ``settle_passes > 1``
+    and that the compaction suite really drops machines from such a
+    batch, so a change to the case generators cannot silently stop
+    exercising the settle loop or the rebuilt gather caches.
+    """
+
+    @staticmethod
+    def _settle_passes(design, patches):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return BatchSimulator(design, patches).settle_passes
+
+    def test_plain_suite_covers_multi_pass_settle(self):
+        passes = [self._settle_passes(*_case(seed)[1:3]) for seed in PLAIN_SEEDS]
+        assert sum(p > 1 for p in passes) >= 10
+
+    def test_compact_suite_covers_compacted_multi_pass_batches(self):
+        hits = 0
+        for seed in COMPACT_SEEDS:
+            rng, design, patches, _ = _case(seed)
+            # the same draw test_compact_mid_run_matches makes
+            n_keep = int(rng.integers(1, len(patches) + 1))
+            if n_keep < len(patches) and self._settle_passes(design, patches) > 1:
+                hits += 1
+        assert hits >= 2

@@ -11,6 +11,7 @@ from repro.netlist import (
 )
 from repro.netlist.cells import LUT_AND2, LUT_XOR2
 from repro.netlist.compiled import FFField
+from repro.netlist.simulator import ADDR_IDIOMS
 
 
 def _xor_ff_design():
@@ -247,3 +248,92 @@ class TestActiveNodes:
         d = _lfsr4()
         with pytest.raises(NetlistError):
             BatchSimulator(d, active_nodes=np.ones(2, dtype=bool))
+
+
+#: row ``p`` holds the operands (op0, op1, op2, op3) of LUT address ``p``
+_PATTERNS = np.array([[(p >> i) & 1 for i in range(4)] for p in range(16)], dtype=np.uint8)
+
+
+def _decoder_design(n_luts: int):
+    """Four inputs feeding one level of ``n_luts`` one-hot decoders.
+
+    LUT ``j`` outputs 1 exactly when its composed address is ``j % 16``,
+    so the output row names the address the kernel computed.
+    """
+    nl = Netlist("decoders")
+    pins = [nl.add_input(f"a{i}") for i in range(4)]
+    nl.set_outputs([nl.add_lut(f"l{j}", 1 << (j % 16), pins) for j in range(n_luts)])
+    d = compile_netlist(nl)
+    assert len(d.levels) == 1 and d.levels[0].size == n_luts
+    return d
+
+
+def _one_hot_tables(d, shift: int) -> Patch:
+    """Retable LUT ``j`` of a decoder design to fire at ``(j + shift) % 16``."""
+    rows = [(d.row_of_lut_node[d.node_of(f"l{j}")], j) for j in range(d.n_luts)]
+    return Patch(lut_tables=[(r, np.eye(16, dtype=np.uint8)[(j + shift) % 16]) for r, j in rows])
+
+
+class TestKernelIdioms:
+    """The fused level and FF update against their definitions, exhaustively."""
+
+    @pytest.mark.parametrize("order", sorted(ADDR_IDIOMS))
+    def test_multiplier_composes_address_in_both_byte_orders(self, order):
+        mul, byte = ADDR_IDIOMS[order]
+        dt = np.dtype(np.uint32).newbyteorder("<" if order == "little" else ">")
+        words = _PATTERNS.view(dt)[:, 0].astype(np.uint32)
+        prod = (words * np.uint32(mul)).astype(dt)
+        assert prod.view(np.uint8).reshape(16, 4)[:, byte].tolist() == list(range(16))
+
+    def test_one_lut_level_all_patterns(self):
+        d = _decoder_design(1)
+        # Machine m's single LUT fires at address m.
+        sim = BatchSimulator(d, [_one_hot_tables(d, m) for m in range(16)])
+        outs = sim.run(_PATTERNS)  # cycle t drives address t
+        np.testing.assert_array_equal(outs[:, :, 0], np.eye(16, dtype=np.uint8))
+
+    def test_wide_level_all_patterns(self):
+        d = _decoder_design(48)
+        outs = BatchSimulator(d).run(_PATTERNS)
+        want = (np.arange(16)[:, None] == np.arange(48)[None, :] % 16).astype(np.uint8)
+        np.testing.assert_array_equal(outs[:, 0, :], want)
+
+    def test_wide_level_after_compact(self):
+        d = _decoder_design(40)
+        sim = BatchSimulator(d, [_one_hot_tables(d, m) for m in range(7)])
+        keep = np.array([1, 4, 6])
+        sim.compact(keep)
+        outs = sim.run(_PATTERNS)
+        for i, m in enumerate(keep):
+            want = np.arange(16)[:, None] == (np.arange(40)[None, :] + m) % 16
+            np.testing.assert_array_equal(outs[:, i, :], want.astype(np.uint8))
+
+    def test_address_capture_all_patterns(self):
+        d = _decoder_design(20)
+        g = BatchSimulator.golden_trace(d, _PATTERNS, record_addr_rows=True)
+        want = np.left_shift(1, np.arange(16, dtype=np.uint16))[:, None]
+        np.testing.assert_array_equal(g.addr_rows, np.broadcast_to(want, (16, 20)))
+
+    def test_ff_update_priority_all_combinations(self):
+        # FF c takes (D, CE, SR, current) = bits 0..3 of c, D/CE/SR from
+        # inputs and the current value from its power-on INIT.
+        nl = Netlist("ffs")
+        names = []
+        for c in range(16):
+            pins = [nl.add_input(f"{p}{c}") for p in ("d", "ce", "sr")]
+            names.append(nl.add_ff(f"q{c}", *pins, init=(c >> 3) & 1))
+        nl.set_outputs(names)
+        d = compile_netlist(nl)
+        stim = np.zeros(d.n_inputs, dtype=np.uint8)
+        for c in range(16):
+            for i, p in enumerate(("d", "ce", "sr")):
+                pos = int(np.flatnonzero(d.input_nodes == d.node_of(f"{p}{c}"))[0])
+                stim[pos] = (c >> i) & 1
+        unclocked = Patch(ff_fields=[(r, FFField.CLOCKED, 0) for r in range(16)])
+        sim = BatchSimulator(d, [Patch(), unclocked])
+        sim.step(stim)
+        q = sim.values[:, [d.node_of(n) for n in names]]
+        for c in range(16):
+            dv, ce, sr, cur = ((c >> i) & 1 for i in range(4))
+            assert q[0, c] == (0 if sr else dv if ce else cur), c
+            assert q[1, c] == cur, c
