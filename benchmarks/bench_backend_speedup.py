@@ -1,18 +1,21 @@
-"""Kernel-backend harness: bit-plane (and JIT) vs the reference kernel.
+"""Kernel-path harness: the reference kernel's two paths vs bit-plane.
 
 Times the netlist kernel itself — a full faulty batch stepped over a
 long stimulus on the exhaustive MULT4/S8 implementation — once per
-available backend, asserts the outputs and final node state are
-byte-identical, and appends the per-backend timings plus speedups to
-``BENCH_backend.json``.  A campaign-level run per backend rides along
-for context (also byte-checked), but the floors gate the kernel
+kernel path: the reference kernel's compiled step (``reference``), its
+numpy body (``reference-numpy``, as on a host without a C compiler)
+and the ``bitplane`` backend.  It asserts the outputs and final node
+state are byte-identical and appends the per-path timings plus speedups
+to ``BENCH_backend.json``.  A campaign-level run per backend rides
+along for context (also byte-checked), but the floors gate the kernel
 measurement: campaign wall clock is dominated by decode/pre-filter and
 shrinks the batch as machines retire, which is exactly the regime the
 backends do *not* differ in.
 
-The JIT backend is timed warm: one untimed step triggers numba
-compilation, and the compile seconds are reported as their own field
-rather than folded into the kernel time.
+Kernel paths are timed warm (one untimed step builds the caches).  The
+one-time cost of compiling the native step is measured apart, as a
+cold build into a scratch directory, and reported as
+``compile_seconds`` rather than folded into any kernel time.
 
 Environment knobs:
 
@@ -23,23 +26,25 @@ Environment knobs:
 ``REPRO_BENCH_BACKEND_CYCLES``
     Stimulus length for the kernel timing (default 400).
 ``REPRO_BENCH_MIN_BACKEND_SPEEDUP``
-    Hard floor for the numpy bit-plane kernel speedup over the
-    reference kernel (default 0 = report-only; an unloaded machine
-    clears 2x).
-``REPRO_BENCH_MIN_JIT_SPEEDUP``
-    Hard floor for the JIT kernel speedup (default 0; only checked
-    when numba is installed; an unloaded machine clears 5x).
+    Hard floor for the bit-plane kernel speedup over the reference
+    kernel's numpy body (default 0 = report-only; an unloaded machine
+    clears 5x).
 """
 
-import json
 import os
+import shutil
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.netlist.backends import jit_available, kernel_backend, make_simulator
+from repro.netlist import native
+from repro.netlist.backends import BACKENDS, kernel_backend, make_simulator
 from repro.seu import CampaignConfig, run_campaign
+
+#: kernel path -> backend it runs under
+KERNEL_PATHS = {"reference": "reference", "reference-numpy": "reference", "bitplane": "bitplane"}
 
 
 def _batch_patches(hw, B):
@@ -54,11 +59,16 @@ def _batch_patches(hw, B):
     return patches
 
 
-def _time_kernel(backend, hw, patches, stim, repeats=3):
-    """Best-of-N wall seconds for a full batch run under ``backend``."""
-    with kernel_backend(backend):
-        sim = make_simulator(hw.decoded.design, patches, companion=True)
-    sim.run(stim[:1])  # warm: numba compiles here, caches build here
+def _time_kernel(path, hw, patches, stim, monkeypatch, repeats=3):
+    """Best-of-N wall seconds for a full batch run on one kernel path."""
+    with monkeypatch.context() as mp:
+        if path == "reference-numpy":
+            mp.setattr(native, "_step", None)
+        with kernel_backend(KERNEL_PATHS[path]):
+            sim = make_simulator(hw.decoded.design, patches, companion=True)
+    if path == "reference" and shutil.which("cc") is not None:
+        assert sim._native is not None, "cc is on PATH but the native step did not build"
+    sim.run(stim[:1])  # warm: caches build here
     best = float("inf")
     for _ in range(repeats):
         sim.reset()
@@ -68,7 +78,18 @@ def _time_kernel(backend, hw, patches, stim, repeats=3):
     return best, outputs.copy(), sim.values.copy()
 
 
-def test_backend_speedup(report, bench_record):
+def _cold_compile_seconds() -> float | None:
+    """Wall seconds of one cold build of the native step (None: no cc)."""
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    with tempfile.TemporaryDirectory() as tmp:
+        t0 = time.perf_counter()
+        native._compile(cc, Path(tmp) / native._lib_name())
+        return time.perf_counter() - t0
+
+
+def test_backend_speedup(report, bench_record, monkeypatch):
     from repro.designs import get_design
     from repro.fpga import get_device
     from repro.place import implement
@@ -76,46 +97,38 @@ def test_backend_speedup(report, bench_record):
     B = int(os.environ.get("REPRO_BENCH_KERNEL_BATCH", "1024"))
     cycles = int(os.environ.get("REPRO_BENCH_BACKEND_CYCLES", "400"))
     min_bp = float(os.environ.get("REPRO_BENCH_MIN_BACKEND_SPEEDUP", "0"))
-    min_jit = float(os.environ.get("REPRO_BENCH_MIN_JIT_SPEEDUP", "0"))
 
     hw = implement(get_design("MULT4"), get_device("S8"))
     patches = _batch_patches(hw, B)
     stim = hw.spec.stimulus(cycles)
 
-    backends = ["reference", "bitplane"]
-    if jit_available():
-        backends.append("bitplane-jit")
-
     kernel_rows = []
     ref_outputs = ref_values = None
     times = {}
-    for backend in backends:
-        seconds, outputs, values = _time_kernel(backend, hw, patches, stim)
+    for path in KERNEL_PATHS:
+        seconds, outputs, values = _time_kernel(path, hw, patches, stim, monkeypatch)
         if ref_outputs is None:
             ref_outputs, ref_values = outputs, values
         else:
             # The contract the floors ride on: bytes first, speed second.
-            assert np.array_equal(outputs, ref_outputs), backend
-            assert np.array_equal(values, ref_values), backend
-        times[backend] = seconds
-        row = {
-            "label": f"kernel:{backend}",
-            "backend": backend,
-            "batch": len(patches),
-            "cycles": cycles,
-            "kernel_seconds": seconds,
-            "machine_cycles_per_sec": len(patches) * cycles / seconds,
-        }
-        if backend == "bitplane-jit":
-            from repro.netlist.backends import jit as jitmod
+            assert np.array_equal(outputs, ref_outputs), path
+            assert np.array_equal(values, ref_values), path
+        times[path] = seconds
+        kernel_rows.append(
+            {
+                "label": f"kernel:{path}",
+                "backend": KERNEL_PATHS[path],
+                "path": path,
+                "batch": len(patches),
+                "cycles": cycles,
+                "kernel_seconds": seconds,
+                "machine_cycles_per_sec": len(patches) * cycles / seconds,
+            }
+        )
+    compile_seconds = _cold_compile_seconds()
 
-            row["compile_seconds"] = jitmod.compile_seconds
-        kernel_rows.append(row)
-
-    bp_speedup = times["reference"] / times["bitplane"]
-    jit_speedup = (
-        times["reference"] / times["bitplane-jit"] if "bitplane-jit" in times else None
-    )
+    bp_speedup = times["reference-numpy"] / times["bitplane"]
+    native_speedup = times["reference-numpy"] / times["reference"]
 
     # Campaign context: end-to-end wall per backend, verdicts byte-checked.
     cfg = CampaignConfig(
@@ -123,7 +136,7 @@ def test_backend_speedup(report, bench_record):
     )
     campaign_rows = []
     ref_verdicts = None
-    for backend in backends:
+    for backend in BACKENDS:
         with kernel_backend(backend):
             result = run_campaign(hw, cfg)
         if ref_verdicts is None:
@@ -141,7 +154,9 @@ def test_backend_speedup(report, bench_record):
             "design": hw.spec.name,
             "device": hw.device.name,
             "bitplane_kernel_speedup": bp_speedup,
-            "jit_kernel_speedup": jit_speedup,
+            "native_kernel_speedup": native_speedup,
+            "bitplane_vs_native": times["reference"] / times["bitplane"],
+            "compile_seconds": compile_seconds,
         }
     )
 
@@ -150,17 +165,16 @@ def test_backend_speedup(report, bench_record):
 
     lines = [
         "",
-        f"== Kernel backends (MULT4/S8, {len(patches)} machines x {cycles} cycles) ==",
+        f"== Kernel paths (MULT4/S8, {len(patches)} machines x {cycles} cycles) ==",
     ]
-    for backend in backends:
-        lines.append(f"{backend:<13}: {times[backend]:.3f}s kernel")
-    lines.append(f"bitplane      : {bp_speedup:.2f}x vs reference")
-    if jit_speedup is not None:
-        lines.append(f"bitplane-jit  : {jit_speedup:.2f}x vs reference")
+    for path in KERNEL_PATHS:
+        lines.append(f"{path:<16}: {times[path]:.3f}s kernel")
+    lines.append(f"reference       : {native_speedup:.2f}x vs reference-numpy")
+    lines.append(f"bitplane        : {bp_speedup:.2f}x vs reference-numpy")
+    if compile_seconds is not None:
+        lines.append(f"native compile  : {compile_seconds:.3f}s once per source version")
     lines.append("outputs, state and campaign verdicts byte-identical")
-    lines.append(f"record        : {out_path}")
+    lines.append(f"record          : {out_path}")
     report(*lines)
 
     assert bp_speedup >= min_bp
-    if jit_speedup is not None:
-        assert jit_speedup >= min_jit

@@ -75,9 +75,11 @@ class CampaignTelemetry:
     checkpoint_seconds: float = 0.0
     wall_seconds: float = 0.0
     jobs: int = 1
-    # Kernel backend the run resolved to (reference / bitplane /
-    # bitplane-jit); verdict-invariant, recorded so BENCH_*.json rows
-    # and trace spans say which engine produced the throughput numbers.
+    # Kernel backend the run resolved to (reference / bitplane);
+    # verdict-invariant, recorded so BENCH_*.json rows and trace spans
+    # say which engine produced the throughput numbers.  ``reference``
+    # covers both its compiled step and its numpy fallback: the bytes
+    # are identical.
     backend: str = "reference"
     # Recovery counters (sharded runs; see repro.engine.executor): how
     # often the executor retried a failed shard, launched a speculative

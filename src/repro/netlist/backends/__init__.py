@@ -1,20 +1,17 @@
 """Pluggable kernel backends for :class:`~repro.netlist.simulator.BatchSimulator`.
 
-Three backends share one semantic contract — verdict bytes identical
+Two backends share one semantic contract — verdict bytes identical
 across ``backend x jobs x collapse x retire x trace`` (enforced by the
 golden-SHA registry and the differential oracle suite):
 
 ``reference``
-    The uint8 numpy kernel in ``repro.netlist.simulator``.  Default.
+    The uint8 kernel in ``repro.netlist.simulator``: one compiled C
+    call per cycle (``repro.netlist.native``), or its numpy body where
+    no C compiler is present.  Default.
 ``bitplane``
     64 machines packed per uint64 lane; LUTs evaluate as bitwise mux
-    trees (``repro.netlist.backends.bitplane``).
-``bitplane-jit``
-    The bit-plane schedule compiled by numba into one fused
-    word-parallel function (``repro.netlist.backends.jit``).  Requires
-    the optional ``jit`` extra (``pip install .[jit]``); when numba is
-    absent the selection silently degrades to ``bitplane`` with a
-    one-line stderr note.
+    trees (``repro.netlist.backends.bitplane``).  Faster than
+    ``reference`` on wide dense batches.
 
 Selection is ambient, mirroring ``repro.obs``: a module-level current
 backend, seeded from the ``REPRO_KERNEL_BACKEND`` environment variable
@@ -27,7 +24,6 @@ of naming ``BatchSimulator`` directly.
 from __future__ import annotations
 
 import os
-import sys
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -36,8 +32,6 @@ from repro.netlist.simulator import BatchSimulator
 
 __all__ = [
     "BACKENDS",
-    "current_backend",
-    "jit_available",
     "kernel_backend",
     "make_simulator",
     "resolve_backend",
@@ -45,28 +39,12 @@ __all__ = [
 ]
 
 #: registered backend names, in documentation order
-BACKENDS = ("reference", "bitplane", "bitplane-jit")
+BACKENDS = ("reference", "bitplane")
 
 _ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 #: ambient selection; ``None`` means "defer to the environment variable"
 _backend: str | None = None
-
-_jit_available: bool | None = None
-_fallback_noted = False
-
-
-def jit_available() -> bool:
-    """True when numba imports cleanly (the optional ``jit`` extra)."""
-    global _jit_available
-    if _jit_available is None:
-        try:
-            import numba  # noqa: F401
-
-            _jit_available = True
-        except ImportError:
-            _jit_available = False
-    return _jit_available
 
 
 def _validate(name: str) -> str:
@@ -77,27 +55,11 @@ def _validate(name: str) -> str:
     return name
 
 
-def current_backend() -> str:
-    """The requested backend: ambient selection, else env, else reference."""
+def resolve_backend() -> str:
+    """The selected backend: ambient selection, else env, else reference."""
     if _backend is not None:
         return _backend
     return _validate(os.environ.get(_ENV_VAR, "reference"))
-
-
-def resolve_backend() -> str:
-    """The backend that will actually run (JIT degrades without numba)."""
-    global _fallback_noted
-    name = current_backend()
-    if name == "bitplane-jit" and not jit_available():
-        if not _fallback_noted:
-            print(
-                "repro: numba not installed (pip install .[jit]); "
-                "falling back to the bitplane backend",
-                file=sys.stderr,
-            )
-            _fallback_noted = True
-        return "bitplane"
-    return name
 
 
 @contextmanager
@@ -129,13 +91,9 @@ def simulator_class() -> type[BatchSimulator]:
     name = resolve_backend()
     if name == "reference":
         return BatchSimulator
-    if name == "bitplane":
-        from repro.netlist.backends.bitplane import BitplaneBatchSimulator
+    from repro.netlist.backends.bitplane import BitplaneBatchSimulator
 
-        return BitplaneBatchSimulator
-    from repro.netlist.backends.jit import BitplaneJitBatchSimulator
-
-    return BitplaneJitBatchSimulator
+    return BitplaneBatchSimulator
 
 
 def make_simulator(*args, **kwargs) -> BatchSimulator:

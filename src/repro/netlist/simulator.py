@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import NetlistError
+from repro.netlist import native
 from repro.netlist.compiled import (
     CompiledDesign,
     FFField,
@@ -139,6 +140,42 @@ def require_binary(values: np.ndarray, what: str) -> None:
         raise NetlistError(f"simulator requires 0/1 {what}")
 
 
+def _check_range(what: str, value, stop: int) -> None:
+    if not 0 <= value < stop:
+        raise NetlistError(f"patch {what} {value} out of range [0, {stop})")
+
+
+def _check_patch(d: CompiledDesign, patch: Patch) -> None:
+    """Raise :class:`NetlistError` naming the first out-of-range field.
+
+    Every index a patch carries is later used unchecked, by numpy and by
+    the compiled step alike: a node index past ``n_nodes`` would read
+    another machine's node, a negative one would wrap around.
+    """
+    for row, table in patch.lut_tables:
+        _check_range("lut_tables row", row, d.n_luts)
+        table = np.asarray(table)
+        if table.shape != (16,):
+            raise NetlistError(f"patch lut_tables row {row}: table must have 16 entries")
+        require_binary(table, "lut_tables entries")
+    for row, pin, node in patch.lut_inputs:
+        _check_range("lut_inputs row", row, d.n_luts)
+        _check_range("lut_inputs pin", pin, 4)
+        _check_range("lut_inputs node", node, d.n_nodes)
+    for row, fieldname, value in patch.ff_fields:
+        _check_range("ff_fields row", row, d.n_ffs)
+        if fieldname in (FFField.INIT, FFField.CLOCKED):
+            _check_range("ff_fields value", value, 2)
+        else:
+            _check_range("ff_fields node", value, d.n_nodes)
+    for node, value in patch.consts:
+        _check_range("consts node", node, d.n_nodes)
+        _check_range("consts value", value, 2)
+    for pos, node in patch.outputs:
+        _check_range("outputs position", pos, d.n_outputs)
+        _check_range("outputs node", node, d.n_nodes)
+
+
 def max_schedule_violations(design: CompiledDesign, patches: list[Patch] | None) -> int:
     """Largest per-machine count of LUT edges defying golden levels.
 
@@ -213,6 +250,10 @@ class MachineVerdict:
 class BatchSimulator:
     """Simulates ``B`` patched variants of one compiled design in lock-step."""
 
+    #: the compiled step bound to this batch's arrays; ``None`` runs the
+    #: numpy body (no C compiler, or a backend with its own kernel)
+    _native: native.StepPlan | None = None
+
     def __init__(
         self,
         design: CompiledDesign,
@@ -254,17 +295,6 @@ class BatchSimulator:
         patches = list(patches) if patches else [Patch()]
         if companion:
             patches.append(Patch())
-        #: uncapped schedule-violation count when auto-detect ran, else None
-        self.schedule_violations_uncapped: int | None = None
-        if settle_passes is None:
-            raw = self._max_schedule_violations(design, patches)
-            self.schedule_violations_uncapped = raw
-            if raw > SETTLE_CAP:
-                warnings.warn(_SETTLE_CAP_MSG, RuntimeWarning, stacklevel=2)
-            settle_passes = 1 + min(SETTLE_CAP, raw)
-        if settle_passes < 1:
-            raise NetlistError("settle_passes must be >= 1")
-        self.settle_passes = settle_passes
         self._initial_values = (
             None if initial_values is None else np.asarray(initial_values, dtype=np.uint8)
         )
@@ -299,6 +329,18 @@ class BatchSimulator:
         self._broken = np.zeros(B, dtype=bool)  # patched (faulty) machines
         for m, patch in enumerate(self.patches):
             self._apply_patch(m, patch)
+        # Auto-detect runs on range-checked patches (see _apply_patch).
+        #: uncapped schedule-violation count when auto-detect ran, else None
+        self.schedule_violations_uncapped: int | None = None
+        if settle_passes is None:
+            raw = self._max_schedule_violations(design, patches)
+            self.schedule_violations_uncapped = raw
+            if raw > SETTLE_CAP:
+                warnings.warn(_SETTLE_CAP_MSG, RuntimeWarning, stacklevel=2)
+            settle_passes = 1 + min(SETTLE_CAP, raw)
+        if settle_passes < 1:
+            raise NetlistError("settle_passes must be >= 1")
+        self.settle_passes = settle_passes
 
         if active_nodes is None:
             self._levels = d.levels
@@ -347,23 +389,34 @@ class BatchSimulator:
         # (B, 4L) operand indices and uint8 operands, the operands' (B, L)
         # uint32 view, (B, L) uint32 products and their address-byte
         # view, (B, L) table row bases, table indices, outputs and output
-        # nodes.  All levels' operand indices share one flat buffer, so
-        # one machine's refresh is a single scatter to
-        # ``_lvl_pos0 + m * _lvl_pos_step`` of its ``_lvl_src`` operands.
-        sizes = [4 * int(rows.size) for rows in self._levels]
-        self._lvl_gather_flat = np.empty(B * sum(sizes), dtype=np.intp)
+        # nodes.  The operand indices, table row bases, outputs and
+        # output nodes of all levels are level-major slices of four flat
+        # buffers, which the native step walks directly (``_lvl_len``
+        # holds each level's LUT count).  One machine's operand refresh
+        # is a single scatter to ``_lvl_pos0 + m * _lvl_pos_step`` of its
+        # ``_lvl_src`` operands.
+        counts = [int(rows.size) for rows in self._levels]
+        n_slots = B * sum(counts)
+        self._lvl_gather_flat = np.empty(4 * n_slots, dtype=np.intp)
+        self._lvl_tab_flat = np.empty(n_slots, dtype=np.intp)
+        self._lvl_scatter_flat = np.empty(n_slots, dtype=np.intp)
+        self._lvl_out_flat = np.empty(n_slots, dtype=np.uint8)
+        self._lvl_len = np.array(counts, dtype=np.intp)
         pos0, step, src = [], [], []
         self._lvl_plan: list[tuple[np.ndarray, ...]] = []
         tab_moff = (np.arange(B, dtype=np.intp) * (d.n_luts * 16))[:, None]
-        start = 0
-        for rows, size in zip(self._levels, sizes):
-            n = size // 4
-            gather = self._lvl_gather_flat[start : start + B * size].reshape(B, size)
-            pos0.append(np.arange(start, start + size, dtype=np.intp))
-            step.append(np.full(size, size, dtype=np.intp))
+        lo = 0
+        for rows, n in zip(self._levels, counts):
+            hi = lo + B * n
+            gather = self._lvl_gather_flat[4 * lo : 4 * hi].reshape(B, 4 * n)
+            pos0.append(np.arange(4 * lo, 4 * (lo + n), dtype=np.intp))
+            step.append(np.full(4 * n, 4 * n, dtype=np.intp))
             src.append((rows.astype(np.intp)[:, None] * 4 + np.arange(4)).reshape(-1))
-            start += B * size
-            buf = np.empty((B, size), dtype=np.uint8)
+            tab_base = self._lvl_tab_flat[lo:hi].reshape(B, n)
+            np.add(tab_moff, (rows.astype(np.intp) * 16)[None, :], out=tab_base)
+            scatter = self._lvl_scatter_flat[lo:hi].reshape(B, n)
+            np.add(self._moff, d.lut_nodes[rows].astype(np.intp)[None, :], out=scatter)
+            buf = np.empty((B, 4 * n), dtype=np.uint8)
             prod = np.empty((B, n), dtype=np.uint32)
             self._lvl_plan.append((
                 gather,
@@ -371,11 +424,12 @@ class BatchSimulator:
                 buf.view(np.uint32),
                 prod,
                 prod.view(np.uint8)[:, ADDR_BYTE::4],
-                tab_moff + (rows.astype(np.intp) * 16)[None, :],
+                tab_base,
                 np.empty((B, n), dtype=np.intp),
-                np.empty((B, n), dtype=np.uint8),
-                self._moff + d.lut_nodes[rows].astype(np.intp)[None, :],
+                self._lvl_out_flat[lo:hi].reshape(B, n),
+                scatter,
             ))
+            lo = hi
         empty = np.zeros(0, dtype=np.intp)
         self._lvl_pos0 = np.concatenate([empty, *pos0])
         self._lvl_pos_step = np.concatenate([empty, *step])
@@ -400,8 +454,38 @@ class BatchSimulator:
         # index makes the input write one flat broadcast assignment.
         self._out_buf = np.empty((B, d.n_outputs), dtype=np.uint8)
         self._in_scatter = self._moff + d.input_nodes.astype(np.intp)[None, :]
+        self._stim_buf = np.empty(d.n_inputs, dtype=np.uint8)
         self._refresh_machine_caches()
         self._caches_built = True
+        # The compiled step reads and writes the arrays above in place,
+        # so only a rebuild of them (here, after compaction) rebinds it.
+        fn = native.step_function()
+        self._native = None if fn is None else native.StepPlan(
+            fn,
+            v=self._values_flat,
+            tables=self._lut_tables_flat,
+            stim=self._stim_buf,
+            in_scatter=self._in_scatter,
+            B=B,
+            v_stride=d.n_nodes,
+            tab_stride=d.n_luts * 16,
+            n_in=d.n_inputs,
+            settle=self.settle_passes,
+            n_levels=len(counts),
+            level_len=self._lvl_len,
+            gather=self._lvl_gather_flat,
+            tab_base=self._lvl_tab_flat,
+            scatter=self._lvl_scatter_flat,
+            lut_out=self._lvl_out_flat,
+            n_out=d.n_outputs,
+            out_idx=self._out_idx,
+            out=self._out_buf,
+            R=R,
+            ff_gather=self._ff_gather,
+            ff_unclocked=self._ff_unclocked,
+            ff_scatter=self._ff_scatter,
+            ff_new=self._ff_new,
+        )
 
     def _refresh_machine_caches(self, m: int | None = None) -> None:
         """Rebuild gather indices after wiring changed (patch / repair).
@@ -448,8 +532,9 @@ class BatchSimulator:
     def _apply_patch(self, m: int, patch: Patch) -> None:
         if patch.is_empty():
             return
-        self._broken[m] = True
         d = self.design
+        _check_patch(d, patch)
+        self._broken[m] = True
         for row, table in patch.lut_tables:
             self.lut_tables[m, row] = table
         for row, pin, node in patch.lut_inputs:
@@ -585,6 +670,17 @@ class BatchSimulator:
         """
         return self.values[0]
 
+    def _evaluate(self, stimulus_row: np.ndarray) -> None:
+        """Drive the inputs, settle every level and gather the outputs."""
+        if self._native is not None:
+            self._stim_buf[:] = stimulus_row
+            self._native(native.EVAL)
+            return
+        if self.design.n_inputs:
+            self._values_flat[self._in_scatter] = stimulus_row
+        self._eval_combinational()
+        np.take(self._values_flat, self._out_idx, out=self._out_buf)
+
     def _eval_combinational(self) -> None:
         vf = self._values_flat
         tf = self._lut_tables_flat
@@ -601,6 +697,9 @@ class BatchSimulator:
                 vf[scatter] = out
 
     def _clock_ffs(self) -> None:
+        if self._native is not None:
+            self._native(native.CLOCK)
+            return
         if self._ff_rows.size == 0:
             return
         vf = self._values_flat
@@ -627,10 +726,12 @@ class BatchSimulator:
         a cycle's outputs must copy them.
         """
         self._check_stimulus(stimulus_row)
-        if self.design.n_inputs:
-            self._values_flat[self._in_scatter] = stimulus_row
-        self._eval_combinational()
-        out = np.take(self._values_flat, self._out_idx, out=self._out_buf)
+        if self._native is not None and self._addr_capture is None:
+            # The whole cycle in one compiled call.
+            self._stim_buf[:] = stimulus_row
+            self._native(native.EVAL | native.CLOCK)
+            return self._out_buf
+        self._evaluate(stimulus_row)
         if self._addr_capture is not None:
             # Machine 0's one-hot LUT address masks at the evaluation
             # fixpoint — captured *before* the flip-flops clock, because
@@ -638,7 +739,7 @@ class BatchSimulator:
             # from the pre-clock value.
             self._addr_capture.append(self._machine0_addr_row())
         self._clock_ffs()
-        return out
+        return self._out_buf
 
     def _check_stimulus(self, stimulus_row: np.ndarray) -> None:
         """Validate one cycle's stimulus row (shared by every backend's step)."""

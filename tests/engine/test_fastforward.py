@@ -18,7 +18,6 @@ import pytest
 from repro.engine import ExecutorPolicy, executor_policy
 from repro.engine.cache import fast_forward_scope, result_cache_scope
 from repro.netlist.backends import (
-    jit_available,
     kernel_backend,
     make_simulator,
     simulator_class,
@@ -33,7 +32,7 @@ from tests.utils.goldens import assert_golden_verdicts
 
 GOLDEN_CFG = CampaignConfig(detect_cycles=48, persist_cycles=32, stride=7, batch_size=32)
 
-_BACKENDS = ["reference", "bitplane"] + (["bitplane-jit"] if jit_available() else [])
+_BACKENDS = ["reference", "bitplane"]
 
 
 def _golden_with_snapshots(design, stim, backend, stride=16):

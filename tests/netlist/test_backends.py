@@ -1,12 +1,10 @@
 """The kernel-backend registry and the bit-plane packing contract.
 
 Covers the pieces the differential-oracle parametrization does not:
-the ambient selection machinery (env var, context manager, JIT
-fallback note), the lane packing equivalence between the packbits fast
-path and the endian-portable path, word-boundary round trips of
-patch/repair/compact at B = 1 / 64 / 65, and — on hosts without numba
-— a differential subset that drives the fused JIT kernel in its plain
-Python form so its logic stays pinned even where it never compiles.
+the ambient selection machinery (env var, context manager), the lane
+packing equivalence between the packbits fast path and the
+endian-portable path, and word-boundary round trips of
+patch/repair/compact at B = 1 / 64 / 65.
 """
 
 from __future__ import annotations
@@ -17,12 +15,9 @@ import warnings
 import numpy as np
 import pytest
 
-import repro.netlist.backends as backends
 from repro.errors import NetlistError
 from repro.netlist.backends import (
     BACKENDS,
-    current_backend,
-    jit_available,
     kernel_backend,
     make_simulator,
     resolve_backend,
@@ -35,9 +30,8 @@ from repro.netlist.backends.bitplane import (
     unpack_lanes,
     unpack_lanes_portable,
 )
-from repro.netlist.backends.jit import BitplaneJitBatchSimulator
 from repro.netlist.simulator import BatchSimulator
-from tests.utils.oracle import OracleSimulator, random_compiled_design, random_patch
+from tests.utils.oracle import random_compiled_design, random_patch
 
 
 @pytest.fixture(autouse=True)
@@ -48,24 +42,23 @@ def _clean_backend_env(monkeypatch):
 
 class TestRegistry:
     def test_default_is_reference(self):
-        assert current_backend() == "reference"
         assert resolve_backend() == "reference"
         assert simulator_class() is BatchSimulator
 
     def test_env_var_selects(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "bitplane")
-        assert current_backend() == "bitplane"
+        assert resolve_backend() == "bitplane"
         assert simulator_class() is BitplaneBatchSimulator
 
     def test_context_manager_scopes_and_exports_env(self):
         with kernel_backend("bitplane"):
-            assert current_backend() == "bitplane"
+            assert resolve_backend() == "bitplane"
             # workers (fork or spawn) inherit the selection via the env
             assert os.environ["REPRO_KERNEL_BACKEND"] == "bitplane"
             with kernel_backend("reference"):
-                assert current_backend() == "reference"
-            assert current_backend() == "bitplane"
-        assert current_backend() == "reference"
+                assert resolve_backend() == "reference"
+            assert resolve_backend() == "bitplane"
+        assert resolve_backend() == "reference"
         assert "REPRO_KERNEL_BACKEND" not in os.environ
 
     def test_unknown_backend_rejected(self):
@@ -77,7 +70,7 @@ class TestRegistry:
             for k, v in monkey_env.items():
                 mp.setenv(k, v)
             with pytest.raises(NetlistError, match="unknown kernel backend"):
-                current_backend()
+                resolve_backend()
 
     def test_make_simulator_uses_selection(self):
         rng = np.random.default_rng(0)
@@ -86,19 +79,11 @@ class TestRegistry:
             assert isinstance(make_simulator(design), BitplaneBatchSimulator)
         assert type(make_simulator(design)) is BatchSimulator
 
-    @pytest.mark.skipif(jit_available(), reason="covers the no-numba fallback")
-    def test_jit_fallback_notes_once_on_stderr(self, capsys, monkeypatch):
-        monkeypatch.setattr(backends, "_fallback_noted", False)
-        with kernel_backend("bitplane-jit"):
-            assert resolve_backend() == "bitplane"
-            assert resolve_backend() == "bitplane"
-        err = capsys.readouterr().err
-        assert err.count("falling back to the bitplane backend") == 1
-
-    @pytest.mark.skipif(jit_available(), reason="covers the no-numba fallback")
-    def test_jit_fallback_class_is_bitplane(self):
-        with kernel_backend("bitplane-jit"):
-            assert simulator_class() is BitplaneBatchSimulator
+    def test_registry_has_two_backends(self):
+        assert BACKENDS == ("reference", "bitplane")
+        with pytest.raises(NetlistError, match="unknown kernel backend 'bitplane-jit'"):
+            with kernel_backend("bitplane-jit"):
+                pass  # pragma: no cover
 
 
 class TestLanePacking:
@@ -150,9 +135,6 @@ class TestBinaryGuard:
     reference kernel and cannot be packed into a bit-plane lane.
     """
 
-    BACKENDS = [BatchSimulator, BitplaneBatchSimulator, BitplaneJitBatchSimulator]
-
-    @pytest.mark.parametrize("sim_class", BACKENDS)
     @pytest.mark.parametrize("bad", [2, 255, -1])
     def test_non_binary_stimulus_rejected(self, sim_class, bad):
         design = random_compiled_design(np.random.default_rng(7))
@@ -163,7 +145,6 @@ class TestBinaryGuard:
         with pytest.raises(NetlistError, match="requires 0/1 stimulus"):
             sim.step(row)
 
-    @pytest.mark.parametrize("sim_class", BACKENDS)
     def test_non_binary_initial_values_rejected(self, sim_class):
         design = random_compiled_design(np.random.default_rng(8))
         snapshot = np.zeros(design.n_nodes, dtype=np.uint8)
@@ -183,37 +164,3 @@ class TestWordBoundaryRoundTrips:
         got = _run_sequence(BitplaneBatchSimulator, seed, B)
         for r, g in zip(ref, got):
             np.testing.assert_array_equal(g, r)
-
-    @pytest.mark.parametrize("B", [1, 64, 65])
-    def test_jit_matches_reference(self, B):
-        # Runs the fused kernel unjitted when numba is absent.
-        ref = _run_sequence(BatchSimulator, 13, B)
-        got = _run_sequence(BitplaneJitBatchSimulator, 13, B)
-        for r, g in zip(ref, got):
-            np.testing.assert_array_equal(g, r)
-
-
-class TestJitKernelUnjitted:
-    """Differential subset that always drives the fused-kernel code path.
-
-    The oracle suite's bitplane-jit leg skips without numba; this
-    smaller sweep runs the same kernel as plain Python so its logic is
-    cross-checked against the oracle on every host.
-    """
-
-    @pytest.mark.parametrize("seed", range(40, 65))
-    def test_fused_kernel_matches_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        design = random_compiled_design(rng)
-        n_machines = int(rng.integers(1, 5))
-        patches = [random_patch(rng, design) for _ in range(n_machines)]
-        cycles = int(rng.integers(1, 9))
-        stim = rng.integers(0, 2, size=(cycles, design.n_inputs)).astype(np.uint8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            sim = BitplaneJitBatchSimulator(design, patches)
-        oracle = OracleSimulator(
-            design, patches, settle_passes=sim.settle_passes
-        )
-        np.testing.assert_array_equal(sim.run(stim), oracle.run(stim))
-        np.testing.assert_array_equal(sim.values, oracle.values_array())

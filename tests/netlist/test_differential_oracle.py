@@ -12,10 +12,10 @@ The suites total 230 randomized cases and run in a few seconds; any
 kernel "optimisation" that changes semantics fails here with the seed
 that reproduces it.
 
-Every case is parametrized over the kernel backends
-(:mod:`repro.netlist.backends`): the uint8 reference kernel, the
-uint64 bit-plane kernel, and — when numba is installed — the fused JIT
-kernel, pinning all of them to the same oracle bytes.
+Every case is parametrized over the kernel paths (``sim_class`` in
+``tests/netlist/conftest.py``): the reference kernel's compiled step,
+its numpy body, and the uint64 bit-plane kernel, pinning all of them to
+the same oracle bytes.
 """
 
 from __future__ import annotations
@@ -25,40 +25,13 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.netlist.backends import jit_available
-from repro.netlist.backends.bitplane import BitplaneBatchSimulator
 from repro.netlist.simulator import BatchSimulator
 from tests.utils.oracle import OracleSimulator, random_compiled_design, random_patch
-
-
-def _jit_class():
-    from repro.netlist.backends.jit import BitplaneJitBatchSimulator
-
-    return BitplaneJitBatchSimulator
-
-
-BACKEND_PARAMS = [
-    pytest.param(lambda: BatchSimulator, id="reference"),
-    pytest.param(lambda: BitplaneBatchSimulator, id="bitplane"),
-    pytest.param(
-        _jit_class,
-        id="bitplane-jit",
-        marks=pytest.mark.skipif(
-            not jit_available(), reason="numba not installed (pip install .[jit])"
-        ),
-    ),
-]
 
 
 #: seeds of the plain and compaction suites (the coverage guard reads them)
 PLAIN_SEEDS = range(150)
 COMPACT_SEEDS = range(3000, 3030)
-
-
-@pytest.fixture(params=BACKEND_PARAMS)
-def sim_class(request):
-    """The simulator class under test, one per kernel backend."""
-    return request.param()
 
 
 def _case(seed: int, max_cycles: int = 16):

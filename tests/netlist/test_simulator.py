@@ -156,6 +156,52 @@ class TestBatchPatches:
             BatchSimulator(d, [Patch(consts=[(lut_node, 0)])])
 
 
+#: (field the error must name, Patch keyword, bad entries for design d)
+_BAD_FIELDS = [
+    ("lut_inputs node", "lut_inputs", lambda d: [(0, 0, d.n_nodes + 5)]),
+    ("lut_inputs node", "lut_inputs", lambda d: [(0, 0, -1)]),
+    ("lut_inputs row", "lut_inputs", lambda d: [(d.n_luts, 0, 2)]),
+    ("lut_inputs row", "lut_inputs", lambda d: [(-1, 0, 2)]),
+    ("lut_inputs pin", "lut_inputs", lambda d: [(0, 4, 2)]),
+    ("lut_inputs pin", "lut_inputs", lambda d: [(0, -1, 2)]),
+    ("lut_tables row", "lut_tables", lambda d: [(d.n_luts, np.zeros(16, np.uint8))]),
+    ("lut_tables entries", "lut_tables", lambda d: [(0, np.full(16, 2, np.uint8))]),
+    ("16 entries", "lut_tables", lambda d: [(0, np.zeros(15, np.uint8))]),
+    ("ff_fields node", "ff_fields", lambda d: [(0, FFField.D, d.n_nodes)]),
+    ("ff_fields node", "ff_fields", lambda d: [(0, FFField.CE, -2)]),
+    ("ff_fields node", "ff_fields", lambda d: [(0, FFField.SR, d.n_nodes + 1)]),
+    ("ff_fields row", "ff_fields", lambda d: [(d.n_ffs, FFField.D, 0)]),
+    ("ff_fields value", "ff_fields", lambda d: [(0, FFField.INIT, 2)]),
+    ("ff_fields value", "ff_fields", lambda d: [(0, FFField.CLOCKED, 3)]),
+    ("consts node", "consts", lambda d: [(d.n_nodes, 0)]),
+    ("consts value", "consts", lambda d: [(1, 2)]),
+    ("outputs node", "outputs", lambda d: [(0, d.n_nodes + 3)]),
+    ("outputs position", "outputs", lambda d: [(d.n_outputs, 1)]),
+]
+
+
+class TestPatchRangeChecks:
+    """Out-of-range patch fields fail by name instead of reading memory.
+
+    Node indices are used unchecked by the kernel: one past ``n_nodes``
+    reads the next machine's node once B >= 2, and a negative one wraps.
+    """
+
+    @pytest.mark.parametrize("field, kw, bad", _BAD_FIELDS)
+    def test_bad_field_rejected_by_name(self, field, kw, bad):
+        d = _xor_ff_design()
+        with pytest.raises(NetlistError, match=field):
+            BatchSimulator(d, [Patch(**{kw: bad(d)}), Patch()])
+
+    def test_bad_mid_run_patch_leaves_machine_untouched(self):
+        d = _xor_ff_design()
+        sim = BatchSimulator(d, [Patch(), Patch()])
+        with pytest.raises(NetlistError, match="outputs node"):
+            sim._apply_patch(0, Patch(outputs=[(0, d.n_nodes)]))
+        assert not sim._broken[0]
+        np.testing.assert_array_equal(sim.output_nodes[0], d.output_nodes)
+
+
 class TestRepair:
     def test_repair_restores_hardware_not_state(self):
         d = _lfsr4()
@@ -274,8 +320,12 @@ def _one_hot_tables(d, shift: int) -> Patch:
     return Patch(lut_tables=[(r, np.eye(16, dtype=np.uint8)[(j + shift) % 16]) for r, j in rows])
 
 
+@pytest.mark.usefixtures("reference_path")
 class TestKernelIdioms:
-    """The fused level and FF update against their definitions, exhaustively."""
+    """The fused level and FF update against their definitions, exhaustively.
+
+    Each test runs on the compiled step and on the numpy body.
+    """
 
     @pytest.mark.parametrize("order", sorted(ADDR_IDIOMS))
     def test_multiplier_composes_address_in_both_byte_orders(self, order):

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.seu.campaign import load_result
 from tests.utils.goldens import golden
 
 pytestmark = pytest.mark.timeout(600)
@@ -39,6 +40,9 @@ SEU_SPEC = {
     "device": "S8",
     "flags": {"detect_cycles": 48, "persist_cycles": 32, "stride": 7, "batch_size": 32},
 }
+
+#: candidate bits of the golden SEU sweep
+SEU_CANDIDATES = 23246
 
 #: the golden MBU sweep (single_sensitivity skips the probe campaign;
 #: it shapes reported statistics only, never verdict bytes)
@@ -362,7 +366,7 @@ class TestSSE:
 
 class TestRestartResume:
     def test_kill_server_mid_sweep_then_resume_to_golden(self, tmp_path):
-        # Tight checkpoint cadence so the kill lands after a snapshot.
+        # Tight checkpoint cadence so the first snapshot lands early.
         spec = dict(
             SEU_SPEC, flags=dict(SEU_SPEC["flags"], checkpoint_every=200)
         )
@@ -374,12 +378,21 @@ class TestRestartResume:
             checkpoint = server.state / "checkpoints" / f"{job_id}.npz"
             deadline = time.monotonic() + 300.0
             while not checkpoint.exists():
-                _, rec = server.client.json("GET", f"/v1/jobs/{job_id}")
-                assert rec["state"] in ("queued", "running"), rec
                 assert time.monotonic() < deadline, "no checkpoint appeared"
-                time.sleep(0.1)
+                time.sleep(0.005)
+            # Freeze the engine as soon as its first snapshot lands, so
+            # the kill interrupts a running sweep however little of it
+            # is left (the remainder takes ~0.1 s on a fast kernel).
+            for pid in _orphan_pids(server.state):
+                try:
+                    os.killpg(pid, signal.SIGSTOP)
+                except (OSError, ProcessLookupError):
+                    os.kill(pid, signal.SIGSTOP)
         finally:
             server.kill_hard()
+        # The kill came after a real intermediate checkpoint.
+        part = load_result(str(checkpoint))
+        assert 0 < part.n_candidates < SEU_CANDIDATES
         # The engine subprocess survived as an orphan; a fresh server
         # over the same state dir must reap it and resume the job.
         orphans = _orphan_pids(server.state)
