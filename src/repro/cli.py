@@ -409,7 +409,8 @@ def _cmd_implement(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro import CampaignConfig, get_design, get_device, implement, run_campaign
+    from repro import CampaignConfig, get_design, run_campaign
+    from repro.engine import implemented_design
     from repro.errors import CampaignError
     from repro.seu import SensitivityMap, format_table1, resume_campaign, table1_row
 
@@ -419,7 +420,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         collapse=not args.no_collapse,
         retire=not args.no_retire,
     )
-    hw = implement(get_design(args.design), get_device(args.device))
+    # Through the engine's design cache, so the sweep's context build
+    # reuses this implementation instead of redoing it.
+    hw = implemented_design(get_design(args.design), args.device)
     if args.resume:
         if not args.checkpoint:
             raise CampaignError("--resume requires --checkpoint PATH")
@@ -446,10 +449,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_multibit(args: argparse.Namespace) -> int:
-    from repro import CampaignConfig, get_design, get_device, implement, run_campaign
+    from repro import CampaignConfig, get_design, run_campaign
+    from repro.engine import implemented_design
     from repro.seu import run_multibit_campaign
 
-    hw = implement(get_design(args.design), get_device(args.device))
+    hw = implemented_design(get_design(args.design), args.device)
     cfg_extra = {} if args.batch_size is None else {"batch_size": args.batch_size}
     config = CampaignConfig(detect_cycles=args.detect_cycles, persist_cycles=0,
                             classify_persistence=False, **cfg_extra)
@@ -490,14 +494,15 @@ def _cmd_bist_coverage(args: argparse.Namespace) -> int:
     from repro.bist.coverage import run_coverage
     from repro.bist.faults import sample_faults
     from repro.bist.patterns import clb_test_design
+    from repro.engine import implemented_design
     from repro.fpga import get_device
-    from repro.place import implement
 
     device = get_device(args.device)
     # Sample fault sites from the fabric of the first test configuration;
-    # both variants exercise the same CLB/wire resources.
-    probe = implement(
-        clb_test_design(args.register_pairs, register_bits=8, variant=0), device
+    # both variants exercise the same CLB/wire resources.  The coverage
+    # sweep's context build finds this implementation in the cache.
+    probe = implemented_design(
+        clb_test_design(args.register_pairs, register_bits=8, variant=0), device.name
     )
     faults = sample_faults(probe.decoded, args.n_faults, seed=args.seed)
     report = run_coverage(

@@ -1,6 +1,6 @@
 """Per-process caches shared by every fault model and executor backend.
 
-Two caches live here:
+Four caches live here:
 
 * The **implemented-design cache**.  Implementing a design (place +
   route + bitgen + decode) is the expensive part of a fault model's
@@ -31,7 +31,9 @@ Two caches live here:
   backend — see :func:`content_key`).  A corrupted or truncated entry
   is indistinguishable from a miss — the reader unpickles inside a
   blanket except and recomputes — so the cache can accelerate but
-  never change a verdict.  The ambient directory is env-scoped
+  never change a verdict.  A write that fails (a full disk) removes its
+  temp file, leaves the entry a miss and notes it once per process on
+  stderr.  The ambient directory is env-scoped
   (``REPRO_RESULT_CACHE``) so forked *and* spawned workers, and
   distributed ``repro worker`` processes with their own local
   directory, all consult a store before simulating.
@@ -50,13 +52,15 @@ import contextlib
 import hashlib
 import os
 import pickle
+import sys
 import threading
 import uuid
 from dataclasses import dataclass
 from typing import Any, Iterator
 
 from repro.errors import CampaignError
-from repro.place.flow import HardwareDesign, implement
+from repro.place import flow
+from repro.place.flow import HardwareDesign
 
 __all__ = [
     "implemented_design",
@@ -103,12 +107,13 @@ def implemented_design(spec, device_name: str) -> HardwareDesign:
     """Implement ``spec`` on ``device_name``, memoized per process."""
     from repro.fpga import get_device
 
-    key = (pickle.dumps(spec), device_name)
+    device = get_device(device_name)  # canonical name: "s12" keys as "S12"
+    key = (pickle.dumps(spec), device.name)
     hw = _HW_CACHE.get(key)
     if hw is None:
         if len(_HW_CACHE) >= _MAX_CACHED:
             _HW_CACHE.clear()
-        hw = implement(spec, get_device(device_name))
+        hw = flow.implement(spec, device)
         _HW_CACHE[key] = hw
     return hw
 
@@ -260,6 +265,7 @@ class ResultCache:
 
     def put(self, key: str, value: Any) -> None:
         path = self._path(key)
+        tmp = None
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             blob = pickle.dumps(value)
@@ -271,9 +277,28 @@ class ResultCache:
             with open(tmp, "wb") as f:
                 f.write(blob)
             os.replace(tmp, path)
-        except OSError:
-            # A full or read-only cache disk degrades to "no cache".
-            pass
+        except OSError as exc:
+            # A full or read-only cache disk degrades to "no cache": the
+            # entry stays a miss and its partial temp file is removed.
+            if tmp is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+            _note_put_failure(self.root, exc)
+
+
+_put_failure_noted = False
+
+
+def _note_put_failure(root: str, exc: OSError) -> None:
+    """One stderr note per process when a cache write fails."""
+    global _put_failure_noted
+    if not _put_failure_noted:
+        _put_failure_noted = True
+        print(
+            f"repro: result-cache write under {root} failed ({exc}); "
+            f"affected entries stay uncached",
+            file=sys.stderr,
+        )
 
 
 def result_cache() -> ResultCache | None:

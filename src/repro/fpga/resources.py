@@ -60,6 +60,9 @@ from repro.errors import GeometryError
 from repro.fpga.geometry import CLB_BITS_PER_CLB
 
 __all__ = [
+    "DIR_DELTA",
+    "DIR_OPPOSITE",
+    "DIR_PERP",
     "Direction",
     "ResourceKind",
     "BitLocation",
@@ -143,6 +146,20 @@ _CARRY_BITS_PER_SLICE = 8
 _RESERVED_BASE = 712
 
 
+# Direction tables indexed by the int value of a :class:`Direction`.  Hot
+# loops (the router's BFS, the decoder's wire resolution) index these with
+# plain ints instead of constructing enum members; the enum's properties
+# read them too, so the geometry is written down once.
+
+#: (d_row, d_col) of one step toward direction ``d`` (row 0 at top).
+DIR_DELTA: tuple[tuple[int, int], ...] = ((-1, 0), (0, 1), (1, 0), (0, -1))
+#: The direction facing ``d``.
+DIR_OPPOSITE: tuple[int, ...] = (2, 3, 0, 1)
+#: The two directions perpendicular to ``d``; the turn-PIP ``perp`` index
+#: selects one of them.
+DIR_PERP: tuple[tuple[int, int], ...] = ((1, 3), (2, 0), (3, 1), (0, 2))
+
+
 class Direction(enum.IntEnum):
     """Compass direction of a routing wire, as an array index."""
 
@@ -154,15 +171,16 @@ class Direction(enum.IntEnum):
     @property
     def delta(self) -> tuple[int, int]:
         """(d_row, d_col) of one step in this direction (row 0 at top)."""
-        return ((-1, 0), (0, 1), (1, 0), (0, -1))[self.value]
+        return DIR_DELTA[self]
 
     @property
     def opposite(self) -> "Direction":
-        return Direction((self.value + 2) % 4)
+        return Direction(DIR_OPPOSITE[self])
 
     @property
     def perpendicular(self) -> tuple["Direction", "Direction"]:
-        return Direction((self.value + 1) % 4), Direction((self.value + 3) % 4)
+        a, b = DIR_PERP[self]
+        return Direction(a), Direction(b)
 
 
 class ResourceKind(enum.Enum):
@@ -289,22 +307,22 @@ def output_mux_offset(port: int, bit: int) -> int:
     return _OUTPUT_MUX_BASE + port * MUX_FIELD_BITS + bit
 
 
-def pip_drive_offset(direction: Direction, wire: int) -> int:
+def pip_drive_offset(direction: int, wire: int) -> int:
     """PIP putting output port ``wire % 4`` onto outgoing wire (d, wire)."""
     _check(wire, WIRES_PER_DIRECTION, "wire")
     return _PIP_DRIVE_BASE + int(direction) * WIRES_PER_DIRECTION + wire
 
 
-def pip_straight_offset(in_from: Direction, wire: int) -> int:
+def pip_straight_offset(in_from: int, wire: int) -> int:
     """PIP forwarding incoming (in_from, wire) straight across the CLB."""
     _check(wire, WIRES_PER_DIRECTION, "wire")
     return _PIP_STRAIGHT_BASE + int(in_from) * WIRES_PER_DIRECTION + wire
 
 
-def pip_turn_offset(in_from: Direction, perp: int, wire: int) -> int:
+def pip_turn_offset(in_from: int, perp: int, wire: int) -> int:
     """PIP turning incoming (in_from, wire) onto perpendicular side.
 
-    ``perp`` is 0 or 1, indexing ``in_from.perpendicular``.
+    ``perp`` is 0 or 1, indexing ``DIR_PERP[in_from]``.
     """
     _check(perp, 2, "perp")
     _check(wire, WIRES_PER_DIRECTION, "wire")

@@ -31,7 +31,6 @@ from repro.fpga.resources import (
     pip_drive_offset,
     pip_straight_offset,
     pip_turn_offset,
-    Direction,
 )
 from repro.netlist.cells import CellKind
 from repro.place.router import RoutedDesign
@@ -121,11 +120,11 @@ def generate_bitstream(routed: RoutedDesign) -> tuple[ConfigBitstream, IOBinding
 
     # -- PIPs ---------------------------------------------------------------
     for row, col, d, w in routed.drive_pips:
-        set_clb_bit(row, col, pip_drive_offset(Direction(d), w), 1)
+        set_clb_bit(row, col, pip_drive_offset(d, w), 1)
     for row, col, d_in, w in routed.straight_pips:
-        set_clb_bit(row, col, pip_straight_offset(Direction(d_in), w), 1)
+        set_clb_bit(row, col, pip_straight_offset(d_in, w), 1)
     for row, col, d_in, perp, w in routed.turn_pips:
-        set_clb_bit(row, col, pip_turn_offset(Direction(d_in), perp, w), 1)
+        set_clb_bit(row, col, pip_turn_offset(d_in, perp, w), 1)
 
     # -- I/O binding ----------------------------------------------------------
     io = IOBinding(input_order=list(nl.inputs))

@@ -44,7 +44,9 @@ from repro.fpga.resources import (
     FF_LATCH_MODE,
     FF_RESERVED,
     FF_SR_EN,
-    Direction,
+    DIR_DELTA,
+    DIR_OPPOSITE,
+    DIR_PERP,
     LocalSource,
     MUX_FIELD_BITS,
     N_OUTPUT_PORTS,
@@ -89,18 +91,16 @@ InKey = tuple[int, int, int, int]  # (row, col, side, index) — incoming view
 # on int directions and precomputed intra-CLB offsets, never on ``Direction``
 # or the range-checked ``*_offset`` helpers.
 
-#: (d_row, d_col) of one step toward direction ``d``.
-_DELTA = tuple(Direction(d).delta for d in range(4))
 #: Outgoing direction ``d`` -> intra offset of the drive PIP of wire (d, 0).
-_DRIVE_PIP = tuple(pip_drive_offset(Direction(d), 0) for d in range(4))
+_DRIVE_PIP = tuple(pip_drive_offset(d, 0) for d in range(4))
 #: Outgoing direction ``d`` -> ((incoming side, intra offset at wire 0), ...)
 #: of the straight and turn PIPs that forward onto wire (d, w).
 _FORWARD_PIPS = tuple(
-    ((int(Direction(d).opposite), pip_straight_offset(Direction(d).opposite, 0)),)
+    ((DIR_OPPOSITE[d], pip_straight_offset(DIR_OPPOSITE[d], 0)),)
     + tuple(
-        (int(a), pip_turn_offset(a, p, 0))
-        for a in Direction
-        for p, perp in enumerate(a.perpendicular)
+        (a, pip_turn_offset(a, p, 0))
+        for a in range(4)
+        for p, perp in enumerate(DIR_PERP[a])
         if perp == d
     )
     for d in range(4)
@@ -238,9 +238,10 @@ class DecodedDesign:
 
     def _field(self, row: int, col: int, base_offset: int) -> tuple[int, ...]:
         """Selected candidate indices of an 8-bit one-hot field."""
-        mat = self._clb_matrix[row, col]
-        vals = self.bits.bits[mat[base_offset : base_offset + MUX_FIELD_BITS]]
-        return tuple(int(x) for x in np.flatnonzero(vals))
+        sel = self.bits.bits[
+            self._clb_matrix[row, col, base_offset : base_offset + MUX_FIELD_BITS]
+        ].tolist()
+        return tuple([i for i, v in enumerate(sel) if v])
 
     # ------------------------------------------------------------------
     # node helpers
@@ -288,10 +289,10 @@ class DecodedDesign:
         """The neighbour's outgoing wire that CLB (row, col) sees arriving
         from ``side`` (:meth:`VirtexDevice.incoming_wire` in int form), or
         ``None`` at the die edge."""
-        d_row, d_col = _DELTA[side]
+        d_row, d_col = DIR_DELTA[side]
         n_row, n_col = row + d_row, col + d_col
         if 0 <= n_row < self._rows and 0 <= n_col < self._cols:
-            return (n_row, n_col, (side + 2) % 4, w)
+            return (n_row, n_col, DIR_OPPOSITE[side], w)
         return None
 
     def _resolve_incoming(self, row: int, col: int, side: int, w: int, consumer: tuple) -> int:
@@ -881,10 +882,10 @@ class DecodedDesign:
                 live = wire_live[:, :, d_out, w]
             elif kind is ResourceKind.PIP_STRAIGHT:
                 d_in, w = detail
-                live = wire_live[:, :, int(Direction(d_in).opposite), w]
+                live = wire_live[:, :, DIR_OPPOSITE[d_in], w]
             elif kind is ResourceKind.PIP_TURN:
                 d_in, p, w = detail
-                live = wire_live[:, :, int(Direction(d_in).perpendicular[p]), w]
+                live = wire_live[:, :, DIR_PERP[d_in][p], w]
             else:
                 continue
             clb_live[:, :, intra] = live
@@ -1038,10 +1039,10 @@ class DecodedDesign:
                 wkey: WireKey = (row, col, d, w)
             elif kind is ResourceKind.PIP_STRAIGHT:
                 d_in, w = detail
-                wkey = (row, col, int(Direction(d_in).opposite), w)
+                wkey = (row, col, DIR_OPPOSITE[d_in], w)
             else:
                 d_in, p, w = detail
-                wkey = (row, col, int(Direction(d_in).perpendicular[p]), w)
+                wkey = (row, col, DIR_PERP[d_in][p], w)
             nv = self._transient_wire(wkey, overlay)
             nv = self._materialize(nv, overlay, patch, spare_cursor)
             if nv != self.wire_value.get(wkey):

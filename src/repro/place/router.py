@@ -29,6 +29,9 @@ from repro.errors import RoutingError
 from repro.fpga.resources import (
     CTRL_CE,
     CTRL_SR,
+    DIR_DELTA,
+    DIR_OPPOSITE,
+    DIR_PERP,
     Direction,
     LocalSource,
     WireSource,
@@ -42,6 +45,30 @@ __all__ = ["RoutedDesign", "route_design"]
 
 #: (row, col, direction value, wire index) — identifies an outgoing wire.
 WireKey = tuple[int, int, int, int]
+
+#: Incoming side -> the BFS hops out of a CLB entered from that side, in
+#: search order (straight, turn 0, turn 1): ``(outgoing direction, d_row,
+#: d_col, side the neighbour sees the wire arrive on, PIP kind, turn
+#: index)``.  Plain ints, so the search never builds a ``Direction``.
+_HOPS = tuple(
+    ((DIR_OPPOSITE[side], *DIR_DELTA[DIR_OPPOSITE[side]], side, "straight", -1),)
+    + tuple(
+        (out, *DIR_DELTA[out], DIR_OPPOSITE[out], "turn", p)
+        for p, out in enumerate(DIR_PERP[side])
+    )
+    for side in range(4)
+)
+
+
+def _incoming_key(dev, r: int, c: int, side: int, w: int) -> WireKey | None:
+    """The neighbour's outgoing wire that CLB (r, c) sees arriving from
+    ``side`` (:meth:`VirtexDevice.incoming_wire` in int form), or
+    ``None`` at the die edge."""
+    dr, dc = DIR_DELTA[side]
+    nr, nc = r + dr, c + dc
+    if 0 <= nr < dev.rows and 0 <= nc < dev.cols:
+        return (nr, nc, DIR_OPPOSITE[side], w)
+    return None
 
 
 @dataclass
@@ -117,9 +144,6 @@ class _RouterState:
 
     # -- wire ownership -----------------------------------------------------
 
-    def wire_owner(self, key: WireKey) -> str | None:
-        return self.routed.wire_net.get(key)
-
     def incoming_coords_free(self, coords: tuple[int, int, int, int], net: str) -> bool:
         """Can ``net`` use the incoming wire at ``coords``?
 
@@ -127,15 +151,13 @@ class _RouterState:
         outgoing wire; at the die edge it is a pad wire that only a
         long-line tap can drive.
         """
-        r, c, d, w = coords
         owner_tap = self.claimed_taps.get(coords)
         if owner_tap is not None:
             return owner_tap == net
-        neighbor = self.device.incoming_wire(r, c, Direction(d), w)
-        if neighbor is None:
+        key = _incoming_key(self.device, *coords)
+        if key is None:
             return True  # edge pad wire, free for a tap
-        key = (neighbor.row, neighbor.col, int(neighbor.direction), neighbor.index)
-        owner = self.wire_owner(key)
+        owner = self.routed.wire_net.get(key)
         return owner is None or owner == net
 
 
@@ -188,7 +210,9 @@ def _route_via_wires(
     """BFS a path delivering ``net`` into ``sink_clb`` from side ``d_in``
     on wire index ``w``; commits PIPs/ports on success."""
     dev = state.device
+    rows, cols = dev.rows, dev.cols
     routed = state.routed
+    wire_net = routed.wire_net
     port = w % 4
     port_key = (src_site.row, src_site.col, port)
     existing_port = routed.port_select.get(port_key)
@@ -207,16 +231,16 @@ def _route_via_wires(
 
     if can_drive:
         # Drive from the source CLB in each direction.
-        for d in Direction:
-            dr, dc = d.delta
-            nr, nc = src_site.row + dr, src_site.col + dc
-            if not (0 <= nr < dev.rows and 0 <= nc < dev.cols):
+        sr, sc = src_site.row, src_site.col
+        for d, (dr, dc) in enumerate(DIR_DELTA):
+            nr, nc = sr + dr, sc + dc
+            if not (0 <= nr < rows and 0 <= nc < cols):
                 continue
-            key = (src_site.row, src_site.col, int(d), w)
-            owner = state.wire_owner(key)
+            key = (sr, sc, d, w)
+            owner = wire_net.get(key)
             if owner is not None and owner != net:
                 continue
-            stt = (nr, nc, int(d.opposite), w)
+            stt = (nr, nc, DIR_OPPOSITE[d], w)
             if stt not in parents:
                 parents[stt] = ("drive", key)
                 queue.append(stt)
@@ -228,23 +252,18 @@ def _route_via_wires(
             found = True
             break
         r, c, side, _ = cur
-        in_dir = Direction(side)
-        # Forward straight or turn; outgoing dirs and pip identities.
-        hops = [(in_dir.opposite, ("straight", (r, c, int(in_dir), w)))]
-        for p, perp in enumerate(in_dir.perpendicular):
-            hops.append((perp, ("turn", (r, c, int(in_dir), p, w))))
-        for out_dir, pip in hops:
-            dr, dc = out_dir.delta
+        # Forward straight or turn onto the next CLB at the same index.
+        for out_dir, dr, dc, n_side, kind_, p in _HOPS[side]:
             nr, nc = r + dr, c + dc
-            if not (0 <= nr < dev.rows and 0 <= nc < dev.cols):
+            if not (0 <= nr < rows and 0 <= nc < cols):
                 continue
-            key = (r, c, int(out_dir), w)
-            owner = state.wire_owner(key)
+            owner = wire_net.get((r, c, out_dir, w))
             if owner is not None and owner != net:
                 continue
-            stt = (nr, nc, int(out_dir.opposite), w)
+            stt = (nr, nc, n_side, w)
             if stt not in parents:
-                parents[stt] = (pip[0], pip[1], cur)
+                pip = (r, c, side, w) if p < 0 else (r, c, side, p, w)
+                parents[stt] = (kind_, pip, cur)
                 queue.append(stt)
         if goal in parents:
             found = True
@@ -263,16 +282,12 @@ def _route_via_wires(
         if edge[0] == "drive":
             key = edge[1]
             routed.drive_pips.add(key)
-            routed.wire_net[key] = net
+            wire_net[key] = net
             routed.port_select[port_key] = src_signal
             break
         kind_, pip_key, prev = edge
-        r, c, side, w_ = cur
         # The outgoing wire of the hop is at the *previous* CLB.
-        pr, pc = prev[0], prev[1]
-        out_dir = Direction(side).opposite
-        wire_key = (pr, pc, int(out_dir), w)
-        routed.wire_net[wire_key] = net
+        wire_net[(prev[0], prev[1], DIR_OPPOSITE[cur[2]], w)] = net
         if kind_ == "straight":
             routed.straight_pips.add(pip_key)
         else:
@@ -295,8 +310,7 @@ def _free_buffer_positions(state: _RouterState, site: Site, cands) -> list[tuple
         if isinstance(cand, LocalSource) and cand.index < 4:
             out.append((ci, Site(site.row, site.col, cand.index)))
     dev = state.device
-    for d in Direction:
-        dr, dc = d.delta
+    for dr, dc in DIR_DELTA:
         r, c = site.row + dr, site.col + dc
         if not (0 <= r < dev.rows and 0 <= c < dev.cols):
             continue
@@ -419,16 +433,8 @@ def _route_sink(
         coords = (site.row, site.col, int(cand.direction), cand.index)
         if not state.incoming_coords_free(coords, net_name):
             continue
-        neighbor = state.placement.device.incoming_wire(
-            site.row, site.col, cand.direction, cand.index
-        )
-        if neighbor is not None:
-            key = (
-                neighbor.row,
-                neighbor.col,
-                int(neighbor.direction),
-                neighbor.index,
-            )
+        key = _incoming_key(state.device, *coords)
+        if key is not None:
             state.routed.wire_net.setdefault(key, net_name)
         state.claimed_taps[coords] = net_name
         state.routed.net_taps[coords] = net_name
@@ -479,16 +485,8 @@ def route_design(placement: Placement) -> RoutedDesign:
                     continue
                 coords = (site.row, site.col, int(cand.direction), cand.index)
                 if state.incoming_coords_free(coords, src_name):
-                    neighbor = placement.device.incoming_wire(
-                        site.row, site.col, cand.direction, cand.index
-                    )
-                    if neighbor is not None:
-                        key = (
-                            neighbor.row,
-                            neighbor.col,
-                            int(neighbor.direction),
-                            neighbor.index,
-                        )
+                    key = _incoming_key(state.device, *coords)
+                    if key is not None:
                         state.routed.wire_net.setdefault(key, src_name)
                     state.claimed_taps[coords] = src_name
                     state.routed.tap_of_wire[coords] = src_name

@@ -79,6 +79,12 @@ __all__ = ["ServiceConfig", "CampaignServer", "run_server"]
 API_VERSION = 1
 
 _MAX_BODY_BYTES = 1 << 20
+#: Most header lines one request may carry; more is answered with 431.
+_MAX_HEADERS = 100
+#: Seconds a client has to deliver its whole request (line, headers and
+#: body); a client that stalls past it is disconnected.  Only reading the
+#: request is timed, so responses and SSE streams run as long as they need.
+_REQUEST_DEADLINE_S = 5.0
 _JOB_PATH = re.compile(r"/v1/jobs/(j-\d+)(?:/([a-z]+))?$")
 
 
@@ -438,7 +444,12 @@ class CampaignServer:
 
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         try:
-            request = await _read_request(reader)
+            try:
+                request = await asyncio.wait_for(
+                    _read_request(reader), _REQUEST_DEADLINE_S
+                )
+            except asyncio.TimeoutError:
+                return  # a stalled client: drop the connection
             if request is None:
                 return
             await self._dispatch(request, writer)
@@ -628,6 +639,7 @@ _STATUS_TEXT = {
     409: "Conflict",
     413: "Content Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
 
@@ -641,12 +653,23 @@ async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
     except ValueError:
         return None
     headers: dict[str, str] = {}
+    n_lines = 0
     while True:
         raw = await reader.readline()
         if raw in (b"\r\n", b"\n", b""):
             break
+        n_lines += 1
+        if n_lines > _MAX_HEADERS:
+            # Keep consuming to the blank line (still under the request
+            # deadline): closing on unread input would reset the
+            # connection and lose the 431 before the client reads it.
+            continue
         name, _, value = raw.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+    if n_lines > _MAX_HEADERS:
+        raise BadRequest(
+            431, f"too many header lines ({n_lines} > {_MAX_HEADERS})"
+        )
     body = b""
     raw_length = headers.get("content-length", "0") or "0"
     if not (raw_length.isascii() and raw_length.isdigit()):

@@ -10,6 +10,7 @@ transport worker can fetch exactly the missing blob and retry.
 
 from __future__ import annotations
 
+import errno
 import os
 import pickle
 from dataclasses import dataclass
@@ -85,6 +86,15 @@ class TestDesignCache:
         prime_design_cache(second)
         key = (pickle.dumps(first.spec), "S8")
         assert cache._HW_CACHE[key] is first
+        cache._HW_CACHE.clear()
+
+    def test_device_name_lookup_is_case_insensitive(self):
+        # get_device accepts any case; "s8" must hit the "S8" entry, not
+        # implement the design a second time.
+        cache._HW_CACHE.clear()
+        hw = _HW("case")
+        prime_design_cache(hw)
+        assert cache.implemented_design(hw.spec, "s8") is hw
         cache._HW_CACHE.clear()
 
 
@@ -277,6 +287,59 @@ class TestConcurrentWriters:
             if p.is_file() and not p.name.endswith(".pkl")
         ]
         assert leftovers == []
+
+
+class TestFailedWrite:
+    """A write that fails once its temp file is open (a full disk) costs
+    only the entry: the sweep still produces golden bytes, no temp file
+    is left behind, the entry reads back as a miss, and stderr carries
+    one note for the whole process."""
+
+    def test_enospc_mid_write(self, mult_hw, tmp_path, monkeypatch, capsys):
+        from repro.seu import CampaignConfig, run_campaign
+        from tests.utils.goldens import assert_golden_verdicts
+
+        real_open = open
+
+        class _FullDisk:
+            def __init__(self, f):
+                self._f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._f.close()
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def full_disk_open(path, mode="r", *args, **kwargs):
+            f = real_open(path, mode, *args, **kwargs)
+            return _FullDisk(f) if "w" in mode else f
+
+        keys = []
+        real_put = ResultCache.put
+
+        def recording_put(self, key, value):
+            keys.append(key)
+            real_put(self, key, value)
+
+        monkeypatch.setattr(ResultCache, "put", recording_put)
+        monkeypatch.setattr(cache, "open", full_disk_open, raising=False)
+        monkeypatch.setattr(cache, "_put_failure_noted", False)
+        root = tmp_path / "cache"
+        config = CampaignConfig(
+            detect_cycles=48, persist_cycles=32, stride=7, batch_size=32
+        )
+        with result_cache_scope(str(root)):
+            result = run_campaign(mult_hw, config)
+        assert_golden_verdicts("seu_verdicts", result.verdicts)
+        assert keys, "the sweep never tried to store a result"
+        assert list(root.rglob("*.tmp")) == []
+        store = ResultCache(str(root))
+        assert all(store.get(key) is None for key in keys)
+        assert capsys.readouterr().err.count("result-cache write") == 1
 
 
 class TestAmbientScopes:

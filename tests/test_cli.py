@@ -226,3 +226,48 @@ class TestEngineSubcommands:
                    "--single-sensitivity", "0.05", "--trials", "8"])
         assert rc == 2
         assert "checkpoint" in capsys.readouterr().err
+
+
+class TestOneImplementPerJob:
+    """A sweep command implements each design once: the command's own
+    ``implement`` and the sweep's context build share the engine's
+    per-process design cache."""
+
+    @pytest.fixture
+    def implement_calls(self, monkeypatch):
+        """Count ``repro.place.flow.implement`` calls, however bound."""
+        import sys
+
+        import repro.engine.cache as cache
+        import repro.place.flow as flow
+
+        calls = []
+        real = flow.implement
+
+        def counting(spec, device, *args, **kwargs):
+            calls.append((spec.name, device.name))
+            return real(spec, device, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "implement", None) is real:
+                monkeypatch.setattr(module, "implement", counting)
+        monkeypatch.setattr(cache, "_HW_CACHE", {})
+        return calls
+
+    def test_campaign_implements_once(self, capsys, implement_calls):
+        rc = main([
+            "campaign", "MULT3", "--device", "S8", "--stride", "7",
+            "--detect-cycles", "48", "--persist-cycles", "32",
+            "--jobs", "1", "--result-cache", "off",
+        ])
+        assert rc == 0
+        assert len(implement_calls) == 1
+
+    def test_bist_coverage_implements_each_variant_once(self, capsys, implement_calls):
+        rc = main([
+            "bist-coverage", "--device", "S8", "--faults", "16", "--seed", "5",
+            "--cycles", "64", "--jobs", "1", "--result-cache", "off",
+        ])
+        assert rc == 0
+        assert len(implement_calls) == 2
+        assert len(set(implement_calls)) == 2  # variant 0 and variant 1

@@ -22,6 +22,10 @@ import re
 # --- GOLDENS BEGIN (autogenerated - edit via --regen) ---
 GOLDENS = {
     "halflatch_verdicts": "3edf712d36d1adfc5011d23c2b9ba1670f4eca2d20bdc794048e8e983d30119b",
+    "implement_bist_v0_s12": "b65ec3ec48d549a56dfe66aa68475d586bd2f9159106ac1e06af8d86b35bb186",
+    "implement_bist_v1_s12": "0b764bfc6f3ad0b62f70fdf62f017072ffaa595d3b6280f5460deeff57aa63dd",
+    "implement_mult4_s8": "1296f7c537d9eeb06790f6fb46b4f9f2647fc9746a6b7a92dca0088a17470ee0",
+    "implement_mult6_s12": "ca451942a1ef42713a62d043385237767b2d61d48367014ce7af47474573efe0",
     "mbu_verdicts": "12cbfeb8774489476688fe4605ae02f16ccee4f82af2683e3683d9a31eeadea9",
     "seu_verdicts": "d68e0e62c9ea82e91587795304d4c4ff5cbfb3f3292c4239f9c16d0a5ec321ec",
 }
@@ -38,6 +42,59 @@ def golden(name: str) -> str:
 def verdict_sha(verdicts) -> str:
     """Canonical digest of a verdict array: SHA-256 of its bytes."""
     return hashlib.sha256(verdicts.tobytes()).hexdigest()
+
+
+def implement_sha(hw) -> str:
+    """Canonical digest of everything ``implement`` produces.
+
+    Covers the bitstream bytes, the sorted drive/straight/turn PIP sets,
+    the router's ``wire_net`` and every array of the decoded
+    :class:`~repro.netlist.compiled.CompiledDesign`, so a router or
+    decoder speed-up that moves any of them by one bit fails the pin.
+    """
+    import dataclasses
+
+    import numpy as np
+
+    h = hashlib.sha256()
+
+    def feed(tag: str, data: bytes) -> None:
+        h.update(f"{tag}:{len(data)}:".encode())
+        h.update(data)
+
+    routed = hw.routed
+    feed("bits", hw.bitstream.bits.tobytes())
+    feed("drive", repr(sorted(routed.drive_pips)).encode())
+    feed("straight", repr(sorted(routed.straight_pips)).encode())
+    feed("turn", repr(sorted(routed.turn_pips)).encode())
+    feed("wire_net", repr(sorted(routed.wire_net.items())).encode())
+    design = hw.decoded.design
+    for f in dataclasses.fields(design):
+        value = getattr(design, f.name)
+        if isinstance(value, np.ndarray):
+            feed(f"{f.name}:{value.dtype.str}:{value.shape}", value.tobytes())
+        elif f.name == "levels":
+            for i, rows in enumerate(value):
+                feed(f"level{i}:{rows.dtype.str}:{rows.shape}", rows.tobytes())
+        elif isinstance(value, dict):
+            feed(f.name, repr(sorted(value.items())).encode())
+        else:
+            feed(f.name, repr(value).encode())
+    return h.hexdigest()
+
+
+def implement_cases() -> dict[str, tuple]:
+    """Golden name -> (design spec, device name) of every pinned
+    ``implement`` run: MULT4/S8, MULT6/S12 and both BIST variants."""
+    from repro.bist.patterns import clb_test_design
+    from repro.designs import array_multiplier
+
+    return {
+        "implement_mult4_s8": (array_multiplier(4), "S8"),
+        "implement_mult6_s12": (array_multiplier(6), "S12"),
+        "implement_bist_v0_s12": (clb_test_design(4, register_bits=8, variant=0), "S12"),
+        "implement_bist_v1_s12": (clb_test_design(4, register_bits=8, variant=1), "S12"),
+    }
 
 
 def assert_golden(name: str, sha: str) -> None:
@@ -99,7 +156,11 @@ def compute_goldens() -> dict[str, str]:
     mbu_model = MBUFaultModel(
         hw.spec, hw.device.name, mbu_cfg, k=2, n_trials=160, seed=0
     )
-    return {
+    pins = {
+        name: implement_sha(implement(spec, get_device(device)))
+        for name, (spec, device) in implement_cases().items()
+    }
+    return pins | {
         "seu_verdicts": verdict_sha(run_campaign(hw, cfg).verdicts),
         "halflatch_verdicts": verdict_sha(run_halflatch_sweep(hw, hl_cfg).verdicts),
         "mbu_verdicts": verdict_sha(

@@ -17,7 +17,15 @@ from tests.utils.goldens import (
 
 class TestRegistry:
     def test_known_goldens_present(self):
-        assert set(GOLDENS) == {"seu_verdicts", "halflatch_verdicts", "mbu_verdicts"}
+        assert set(GOLDENS) == {
+            "seu_verdicts",
+            "halflatch_verdicts",
+            "mbu_verdicts",
+            "implement_mult4_s8",
+            "implement_mult6_s12",
+            "implement_bist_v0_s12",
+            "implement_bist_v1_s12",
+        }
         for sha in GOLDENS.values():
             assert len(sha) == 64 and int(sha, 16) >= 0
 
