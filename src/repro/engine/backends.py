@@ -24,6 +24,9 @@ speculate or quarantine, identically on every backend.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 import time
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -77,7 +80,8 @@ class WorkersLost:
     ``sids`` are the casualties (requeue/retry is the executor's call).
     ``rebuilt`` means the backend already replaced the capacity (local
     pool rebuild); ``fatal`` means it cannot (external pool) and the
-    campaign must abort.
+    campaign must abort.  ``culprits`` are the sids the dead workers
+    were running, when the backend knows them.
     """
 
     sids: tuple[int, ...]
@@ -85,6 +89,7 @@ class WorkersLost:
     worker: str | None = None
     rebuilt: bool = False
     fatal: bool = False
+    culprits: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -147,9 +152,77 @@ def _run_task(chaos: "ChaosPolicy", key: str, launch: int, fn, args):
     return fn(*args)
 
 
+#: this worker's ``(pid, sid + 1)`` pair in its pool's shared slot array
+_slots = None
+_slot = -1
+
+
+def _init_worker(blobs: dict[str, bytes], slots) -> None:
+    """Pool initializer: prime the blob store and claim a slot pair."""
+    global _slots, _slot
+    install_blobs(blobs)
+    with slots.get_lock():
+        for i in range(0, len(slots), 2):
+            if slots[i] == 0:
+                slots[i] = os.getpid()
+                _slots, _slot = slots.get_obj(), i
+                break
+
+
+def _run_tracked(sid: int, chaos, key: str, launch: int, fn, args):
+    """Worker entry: publish ``sid`` in this worker's slot while it runs,
+    so the parent can tell which launch a dead worker was running.
+    External pools never ran :func:`_init_worker`, so nothing is
+    published there."""
+    if _slot >= 0:
+        _slots[_slot + 1] = sid + 1
+    try:
+        if chaos is not None:
+            chaos.apply(key, launch)
+        return fn(*args)
+    finally:
+        if _slot >= 0:
+            _slots[_slot + 1] = 0
+
+
 def _worker_pids(pool: Executor | None) -> frozenset[int]:
     procs = getattr(pool, "_processes", None)
     return frozenset(procs.keys()) if procs else frozenset()
+
+
+def _wedged(pool: Executor) -> bool:
+    """True when an owned pool's manager thread can no longer clean up.
+
+    On CPython 3.11 the manager of a broken ``ProcessPoolExecutor``
+    fails each pending future before it terminates the workers, and a
+    future cancelled by :meth:`LocalPoolBackend.abandon` makes that loop
+    raise ``InvalidStateError``: the thread dies, the surviving workers
+    block on the call queue for good, and the interpreter's exit hook
+    then waits on them forever.  ``_broken`` is set before that loop.
+    """
+    thread = getattr(pool, "_executor_manager_thread", None)
+    return bool(getattr(pool, "_broken", False)) or (
+        thread is not None and not thread.is_alive()
+    )
+
+
+def _culprits(procs: dict, slots) -> tuple[int, ...]:
+    """The sids that workers of a torn-down pool died running.
+
+    A worker the pool (or :func:`_hard_shutdown`) stopped exits on
+    SIGTERM; one that exited any other way took itself down, and its
+    slot still holds the launch it was running.
+    """
+    running = {
+        slots[i]: slots[i + 1] - 1
+        for i in range(0, len(slots), 2)
+        if slots[i] and slots[i + 1]
+    }
+    return tuple(
+        running[pid]
+        for pid, proc in sorted(procs.items())
+        if pid in running and proc.exitcode not in (None, -signal.SIGTERM)
+    )
 
 
 def _hard_shutdown(pool: Executor) -> None:
@@ -193,6 +266,7 @@ class LocalPoolBackend:
         self.jobs = int(jobs)
         self._external = pool is not None
         self._pool: Executor | None = pool
+        self._slots = None  # owned pool's (pid, sid + 1) pairs, see _init_worker
         self._blobs: dict[str, bytes] = {}
         self._futures: dict[Future, int] = {}  # in-flight future -> sid
         self._abandoned: dict[Future, int] = {}  # abandoned but maybe completing
@@ -202,10 +276,11 @@ class LocalPoolBackend:
 
     def _ensure_pool(self) -> Executor:
         if self._pool is None:
+            self._slots = multiprocessing.Array("q", 2 * self.jobs)
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
-                initializer=install_blobs,
-                initargs=(dict(self._blobs),),
+                initializer=_init_worker,
+                initargs=(dict(self._blobs), self._slots),
             )
         return self._pool
 
@@ -224,9 +299,14 @@ class LocalPoolBackend:
             self._pending.append(WorkersLost(sids=sids, error=repr(err), fatal=True))
             return
         dead, self._pool = self._pool, None
+        culprits: tuple[int, ...] = ()
         if dead is not None:
-            dead.shutdown(wait=False, cancel_futures=True)
-        self._pending.append(WorkersLost(sids=sids, error=repr(err), rebuilt=True))
+            procs = dict(getattr(dead, "_processes", None) or {})
+            _hard_shutdown(dead)  # its manager may have died mid-cleanup
+            culprits = _culprits(procs, self._slots.get_obj())
+        self._pending.append(
+            WorkersLost(sids=sids, error=repr(err), rebuilt=True, culprits=culprits)
+        )
         self._ensure_pool()
 
     # -- protocol --
@@ -242,9 +322,7 @@ class LocalPoolBackend:
         pool = self._ensure_pool()
 
         def do() -> Future:
-            if chaos is not None:
-                return pool.submit(_run_task, chaos, spec.key, launch, spec.fn, spec.args)
-            return pool.submit(spec.fn, *spec.args)
+            return pool.submit(_run_tracked, sid, chaos, spec.key, launch, spec.fn, spec.args)
 
         try:
             fut = do()
@@ -317,7 +395,7 @@ class LocalPoolBackend:
     def close(self) -> None:
         if self._external or self._pool is None:
             return
-        if any(not fut.done() for fut in self._abandoned):
+        if _wedged(self._pool) or any(not fut.done() for fut in self._abandoned):
             _hard_shutdown(self._pool)
         else:
             self._pool.shutdown(wait=True, cancel_futures=True)

@@ -104,10 +104,11 @@ class ExecutorPolicy:
 
     ``max_attempts`` bounds per-task worker *exceptions*.  Worker-loss
     casualties (one worker death fails every in-flight shard on it,
-    innocents included) are attributed by launch recency: a task that
-    crashes its worker dies within milliseconds of launching, so the
-    most recently launched casualty is charged as the *suspect* and
-    quarantined after ``2 × max_attempts`` implications, while
+    innocents included) are attributed: the launch the dead worker was
+    running when the backend knows it (the local pool does), else the
+    most recently launched casualty — a task that crashes its worker
+    dies within milliseconds of launching — is charged as the *suspect*
+    and quarantined after ``2 × max_attempts`` implications, while
     bystanders only count losses against a ``4 × max_attempts``
     backstop — a poison shard cannot drag a long-running healthy shard
     into quarantine with it, but an ambiguous break storm still
@@ -458,12 +459,14 @@ class ShardExecutor:
                         f"warning: worker pool broke during {phase}; rebuilding"
                     )
             # Charge each unresolved casualty one worker-loss failure and
-            # schedule its relaunch.  The most recently launched open
-            # casualty is additionally charged as the loss's *suspect*:
-            # a task that kills its worker dies within milliseconds of
-            # launching, so launch recency attributes the loss far
-            # better than charging the whole blast radius equally.
+            # schedule its relaunch.  The loss's *suspects* are charged
+            # too: the tasks the dead workers were running, when the
+            # backend knows them, else the most recently launched open
+            # casualty — a task that kills its worker dies within
+            # milliseconds of launching, so launch recency attributes
+            # the loss far better than charging the whole blast radius.
             casualties: list[_Task] = []
+            culprits: list[_Task] = []
             for sid in ev.sids:
                 entry = self._sids.pop(sid, None)
                 if entry is None:
@@ -471,6 +474,8 @@ class ShardExecutor:
                 task = entry[0]
                 task.sids.discard(sid)
                 casualties.append(task)
+                if sid in ev.culprits:
+                    culprits.append(task)
                 if ev.worker is not None:
                     if telemetry is not None:
                         telemetry.dist_requeues += 1
@@ -483,10 +488,13 @@ class ShardExecutor:
                 t for t in casualties
                 if not t.resolved and t.spec.key not in self.quarantined
             ]
-            suspect = max(
-                open_casualties, key=lambda t: t.last_launch_t, default=None
-            )
-            if suspect is not None:
+            if ev.culprits:
+                suspects = [t for t in culprits if t in open_casualties]
+            else:
+                suspects = open_casualties and [
+                    max(open_casualties, key=lambda t: t.last_launch_t)
+                ]
+            for suspect in suspects:
                 suspect.break_suspects += 1
             for task in casualties:
                 fail(task, ev.error, pool_wide=True)

@@ -734,6 +734,11 @@ class DecodedDesign:
             return value
         ticket = -1 - value
         sources = overlay["_ands"][ticket]
+        if spare_cursor[0] >= len(self.spare_rows):
+            # Out of spares: nothing below can allocate, and only the
+            # first source is used.  Walking every source here re-walks
+            # shared tickets once per path, exponential on a wide DAG.
+            return self._materialize(sources[0], overlay, patch, spare_cursor)
         real = [self._materialize(s, overlay, patch, spare_cursor) for s in sources]
         if spare_cursor[0] >= len(self.spare_rows):
             return real[0]

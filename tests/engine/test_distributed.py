@@ -186,6 +186,7 @@ class TestElasticMembership:
     def test_sigkilled_worker_shard_requeued(self, kill_leftovers):
         ex = ShardExecutor(4, _tcp_policy(min_workers=2, max_attempts=4))
         telem = CampaignTelemetry()
+        killed, drained = threading.Event(), threading.Event()
         try:
             workers = [
                 _spawn_worker(ex.backend.address, f"w{i}") for i in range(2)
@@ -194,19 +195,27 @@ class TestElasticMembership:
             victim = workers[0]
             tasks = [TaskSpec(f"t:{i}", time.sleep, (0.3,)) for i in range(10)]
 
-            def kill_victim():
-                victim.send_signal(signal.SIGKILL)
+            def kill_victim_mid_shard():
+                # Kill w0 while it holds a shard.  A fixed timer can fire
+                # before a slow-starting victim has even joined, and the
+                # drain then waits out the join timeout for it.
+                while not drained.is_set():
+                    if ex.backend.census_detail().get("w0", {}).get("busy"):
+                        victim.send_signal(signal.SIGKILL)
+                        killed.set()
+                        return
+                    time.sleep(0.005)
 
-            timer = threading.Timer(1.0, kill_victim)
-            timer.start()
+            killer = threading.Thread(target=kill_victim_mid_shard, daemon=True)
+            killer.start()
             try:
                 out = dict(ex.run(tasks, phase="drain", telemetry=telem))
             finally:
-                timer.cancel()
+                drained.set()
+                killer.join(timeout=10.0)
         finally:
             ex.close()
-        # Every shard resolved despite the casualty: the in-flight one
-        # was requeued onto the survivor.
+        assert killed.is_set(), "w0 never held a shard"
         assert set(out) == {f"t:{i}" for i in range(10)}
         assert telem.workers_left >= 1
         assert telem.dist_requeues >= 1

@@ -17,6 +17,7 @@ from concurrent.futures import Executor, Future
 
 import pytest
 
+from repro.engine.backends import LocalPoolBackend, WorkersLost
 from repro.engine.chaos import CRASH_EXIT_CODE, ChaosPolicy
 from repro.engine.executor import (
     DEFAULT_POLICY,
@@ -40,6 +41,11 @@ def _double(x):
 def _slow_double(x, seconds):
     time.sleep(seconds)
     return 2 * x
+
+
+def _exit_after(seconds):
+    time.sleep(seconds)
+    os._exit(70)
 
 
 def _always_fail(x):
@@ -227,7 +233,12 @@ class TestShardExecutorProcessPool:
 
     def test_flaky_worker_retries_to_success(self, tmp_path):
         telem = CampaignTelemetry()
-        policy = ExecutorPolicy(max_attempts=3, backoff_base_s=0.01, backoff_cap_s=0.05)
+        # No speculation: t:0 outlives the other tasks' tiny runtimes, so
+        # the straggler tracker could launch a duplicate whose success
+        # lands first and leaves the failed launch nothing to retry.
+        policy = ExecutorPolicy(
+            max_attempts=3, backoff_base_s=0.01, backoff_cap_s=0.05, speculate=False
+        )
         ex = ShardExecutor(2, policy)
         try:
             tasks = [
@@ -309,6 +320,36 @@ class TestShardExecutorProcessPool:
         assert set(ex.quarantined) == {"t:0"}
         assert "hung" in ex.quarantined["t:0"]
         assert telem.speculative_launches >= 1
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_break_with_cancelled_launch_leaves_no_worker(self):
+        """A pool that breaks while an abandoned launch still waits in its
+        queue (cancelled, never started) kills every old worker.  The
+        standard library's own cleanup dies on that cancelled future
+        before it terminates the workers, and a surviving one would block
+        interpreter exit."""
+        backend = LocalPoolBackend(2)
+        try:
+            backend.submit(1, TaskSpec("crash", _exit_after, (0.3,)), 0, None)
+            backend.submit(2, TaskSpec("slow", _slow_double, (2, 1.0)), 0, None)
+            for sid in range(3, 9):
+                backend.submit(sid, TaskSpec(f"t:{sid}", _double, (sid,)), 0, None)
+            backend.abandon([8])
+            workers = list(backend._pool._processes.values())
+            lost = []
+            deadline = time.monotonic() + 30.0
+            while not lost and time.monotonic() < deadline:
+                lost = [ev for ev in backend.poll(0.1) if isinstance(ev, WorkersLost)]
+            assert lost and set(lost[0].sids) == set(range(1, 8))
+            assert lost[0].culprits == (1,)  # the launch its worker died running
+        finally:
+            backend.close()
+        for proc in workers:
+            proc.join(5.0)
+        leaked = [proc for proc in workers if proc.is_alive()]
+        for proc in leaked:
+            proc.kill()  # a failing run must not also hang the session's exit
+        assert leaked == []
 
     def test_on_workers_hook_sees_live_pids(self):
         seen: list[frozenset[int]] = []

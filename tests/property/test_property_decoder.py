@@ -76,6 +76,22 @@ class TestDecoderTotality:
             sim = BatchSimulator(decoded.design, patches)
             sim.step(np.zeros(0, dtype=np.uint8))
 
+    @pytest.mark.timeout(20)
+    def test_patch_past_the_spare_rows_stays_fast(self, s4dev):
+        """A case the fuzz above can draw: on this random configuration
+        bit 20969's rewire yields more shared AND tickets than there are
+        spare rows.  Materializing them once the spares run out must not
+        re-walk every shared ticket per path (minutes before, now ms)."""
+        rng = np.random.default_rng(551886180)
+        bits = ConfigBitstream(
+            s4dev.geometry,
+            rng.integers(0, 2, s4dev.geometry.total_bits).astype(np.uint8),
+        )
+        decoded = decode_bitstream(s4dev, bits, IOBinding(), n_spare=8)
+        patch = decoded.patch_for_bit(20969)
+        assert patch is not None
+        BatchSimulator(decoded.design, [patch]).step(np.zeros(0, dtype=np.uint8))
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=5, deadline=None)
     def test_live_bits_match_per_bit_screen(self, s4dev, seed):

@@ -119,11 +119,13 @@ class TestRequestDeadline:
 
     def test_event_stream_outlives_the_deadline(self, server):
         # A sweep that runs far longer than the deadline: its event
-        # stream must stay open until the job ends.
+        # stream must stay open until the job ends.  (With 256 detect
+        # cycles it took about 9 s on a 2-vCPU VM, close enough to the
+        # watch window below to end inside it on a faster run.)
         job = server.client.submit({
             "kind": "campaign", "design": "MULT6", "device": "S12",
             "flags": {
-                "stride": 1, "jobs": 1, "detect_cycles": 256,
+                "stride": 1, "jobs": 1, "detect_cycles": 4096,
                 "no_collapse": True, "no_retire": True,
             },
         })["job"]
