@@ -11,9 +11,9 @@ error-latch verdicts from the two complementary CLB test variants, and
 the engine contributes structural pre-filtering (faults that patch
 nothing in either variant are latent by construction), ``jobs=N``
 process sharding, checkpoint/resume and :class:`CampaignTelemetry`.
-Per-machine detection is independent of batch composition here (no
-active-node mask; the settle-pass auto-detect covers each machine's
-own needs), so any grouping yields the same report.
+The engine batches faults only with others of the same per-variant
+settle key, so each machine's detection is its batch-of-one detection
+and any grouping yields the same report.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.errors import CampaignError
 from repro.fpga.device import VirtexDevice
 from repro.netlist.compiled import Patch
 from repro.netlist.backends import make_simulator, simulator_class
-from repro.netlist.simulator import SETTLE_CAP, max_schedule_violations
+from repro.netlist.simulator import settle_key
 
 __all__ = ["CoverageReport", "BistCoverageModel", "run_coverage"]
 
@@ -137,39 +137,18 @@ class BistCoverageModel(FaultModel):
         return tuple(fault_patch(hw.decoded, fault) for hw, _, _ in ctx)
 
     def observe_batch(self, ctx, pending) -> list[tuple[bool, bool]]:
-        return self._observe(ctx, pending, settle=None)
-
-    def _observe(
-        self, ctx, pending, settle: tuple[int, ...] | None
-    ) -> list[tuple[bool, bool]]:
         hits = []
         for v, (hw, stim, golden) in enumerate(ctx):
-            sim = make_simulator(
-                hw.decoded.design,
-                [pair[v] for _, pair in pending],
-                settle_passes=settle[v] if settle is not None else None,
-            )
+            sim = make_simulator(hw.decoded.design, [pair[v] for _, pair in pending])
             hits.append(
                 detect_failures(sim, stim, golden.outputs, self.cycles, retire=self.retire)
             )
         return [(bool(h0), bool(h1)) for h0, h1 in zip(*hits)]
 
-    # Each variant's batch auto-detects its own settle count, so the
-    # salt is the pair of counts the fault's naive batch would derive.
+    # Each variant's batch auto-detects its own settle count, so the key
+    # is the pair of per-variant counts.
     def collapse_salt_datum(self, candidate: int, ctx, pair) -> tuple[int, ...]:
-        return tuple(
-            max_schedule_violations(hw.decoded.design, [pair[v]])
-            for v, (hw, _, _) in enumerate(ctx)
-        )
-
-    def collapse_salt(self, ctx, data) -> tuple[int, ...]:
-        return tuple(
-            1 + min(SETTLE_CAP, max(d[v] for d in data) if data else 0)
-            for v in range(len(ctx))
-        )
-
-    def observe_collapsed(self, ctx, pending, salt) -> list[tuple[bool, bool]]:
-        return self._observe(ctx, pending, settle=salt)
+        return tuple(settle_key(hw.decoded.design, p) for (hw, _, _), p in zip(ctx, pair))
 
     def classify(self, observation: tuple[bool, bool]) -> int:
         hit0, hit1 = observation

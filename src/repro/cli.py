@@ -111,9 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_batch_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--batch-size", type=int, default=None, metavar="N",
-            help="survivors simulated per batch (default 128; this is "
-            "verdict-affecting — batch composition decides which machines "
-            "are observed marginally — so fix it when pinning bytes)",
+            help="survivors simulated per batch (default 128; a pure "
+            "performance setting — verdicts never depend on it)",
         )
 
     def add_transport_flags(p: argparse.ArgumentParser) -> None:

@@ -11,7 +11,7 @@ permanent defect hunted by BIST.  This package owns that loop once:
   derivation, batch observation, verdict classification;
 * :func:`~repro.engine.sweep.run_sharded` is the one driver — a
   two-phase pre-filter → observe sweep that owns batching, warm-state
-  context, fault collapsing, batch-aligned checkpoint/resume and
+  context, fault collapsing, checkpoint/resume and
   :class:`CampaignTelemetry`.  ``jobs=1`` runs its tasks in-process
   (:func:`~repro.engine.sweep.run_serial` is that alias); ``jobs=N``
   fans the same tasks out with verdicts byte-identical by construction;

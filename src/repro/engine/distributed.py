@@ -28,8 +28,8 @@ Design points:
   campaign, not once per shard).  A worker that disconnects — process
   death, network drop, heartbeat silence past ``worker_timeout_s`` —
   surfaces as :class:`~repro.engine.backends.WorkersLost` with its
-  in-flight shard, which the executor requeues; the batch-aligned
-  checkpoint contract makes the re-execution byte-identical.
+  in-flight shard, which the executor requeues; verdicts are per
+  candidate, so the re-execution is byte-identical.
 
 * **Heartbeats are transport messages.**  Each worker sends ``hb``
   frames; the parent folds them into the same

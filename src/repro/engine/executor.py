@@ -297,8 +297,8 @@ class ShardExecutor:
     def _record_late(self, task: _Task, result: Any) -> None:
         """A quarantined (or otherwise written-off) task completed anyway.
 
-        The verdict already excludes it — re-incorporating out-of-band
-        results would break the batch-aligned resume contract — but the
+        The verdict already excludes it (its candidates are counted as
+        quarantined, and a resume re-tests them) — but the
         completion is drained and logged so ``--allow-partial`` reports
         say which quarantined shards actually finished (a re-run will
         resolve them cheaply).

@@ -94,11 +94,11 @@ class FaultModel(abc.ABC):
     """One fault class, as seen by the campaign engine.
 
     The engine guarantees the *determinism contract* on the model's
-    behalf: candidates are pre-filtered in candidate order, survivors
-    are grouped into consecutive ``batch_size`` batches, and shards cut
-    only at batch boundaries — so any ``jobs=N`` produces the batches
-    (and therefore verdicts) of ``jobs=1``.  A model only has to keep
-    its own methods deterministic per candidate.
+    behalf: a batch only ever holds survivors with equal
+    :meth:`collapse_salt_datum` settle keys, so each observation is the
+    one a batch of that candidate alone would give, whatever the batch
+    size, shard count or ``jobs``.  A model only has to keep its own
+    methods deterministic per candidate.
     """
 
     #: short identifier recorded in checkpoints ("seu", "mbu", ...)
@@ -156,25 +156,23 @@ class FaultModel(abc.ABC):
         """Simulate one batch of ``(candidate, patch)`` survivors.
 
         Returns one observation per entry, aligned with ``pending``.
-        Batch composition alone may influence marginal observations
-        (settle passes, active-node closure) — the engine guarantees
-        composition is identical for every worker count.
+        Every entry shares one settle key (:meth:`collapse_salt_datum`),
+        so batch-level parameters derived from ``pending`` are each
+        entry's own.
         """
 
     @abc.abstractmethod
     def classify(self, observation: Any) -> int:
         """Map one observation to its verdict code (>= 4)."""
 
-    # -- fault collapsing ---------------------------------------------------
+    # -- fault collapsing and settle grouping -------------------------------
     #
-    # A candidate's observation is a pure function of (its patch, the
-    # batch-level simulation parameters its original batch would have
-    # derived).  Collapsing exploits this: candidates with equal
-    # signatures AND equal *salts* (the derived batch parameters, e.g.
-    # auto-detected settle passes) form one equivalence class; the
-    # engine simulates a single representative per class — grouped with
-    # same-salt representatives and forced to that salt via
-    # ``observe_collapsed`` — and fans the observation out.
+    # A candidate's observation is a pure function of its patch, because
+    # the engine only batches candidates whose settle keys are equal: a
+    # batch's auto-detected simulation parameters are then each
+    # machine's own.  Candidates with equal signatures therefore form
+    # one equivalence class; the engine simulates a single
+    # representative per class and fans the observation out.
 
     def collapse_signature(self, candidate: int, ctx: Any, patch: Any) -> Any:
         """Hashable equivalence-class key of this candidate's patch.
@@ -186,31 +184,19 @@ class FaultModel(abc.ABC):
         return default_patch_signature(patch)
 
     def collapse_salt_datum(self, candidate: int, ctx: Any, patch: Any) -> Any:
-        """Per-candidate input to :meth:`collapse_salt` (picklable)."""
-        return None
+        """This candidate's settle key (picklable, hashable, orderable).
 
-    def collapse_salt(self, ctx: Any, data: list[Any]) -> Any:
-        """Batch-level simulation parameters a naive batch would derive.
-
-        ``data`` holds the :meth:`collapse_salt_datum` of every survivor
-        the naive engine would have grouped into one batch.  The return
-        value must be hashable; representatives are regrouped per salt
-        and simulated via :meth:`observe_collapsed` with the salt forced,
-        so regrouping cannot change any observation.  ``None`` (default)
-        says observations are batch-composition independent.
+        The batch-level parameter the simulator would auto-detect for a
+        batch holding only this candidate — for the bundled kernels the
+        capped settle-pass count.  The engine batches only candidates
+        with equal keys, so every batch derives exactly each member's
+        own parameters and no verdict depends on its batchmates.  It
+        must be a function of ``patch``, so that candidates of one
+        collapse class share it.  The default (``0``) says observations
+        are batch-composition independent: any candidates may share a
+        batch.
         """
-        return None
-
-    def observe_collapsed(self, ctx: Any, pending: list[tuple[int, Any]], salt: Any) -> list[Any]:
-        """Simulate one batch of collapse-class representatives.
-
-        ``salt`` is the :meth:`collapse_salt` every entry's original
-        batch would have derived; implementations must force their
-        batch-level parameters to it instead of re-deriving them from
-        this (regrouped) batch.  The default ignores the salt — correct
-        only for models whose :meth:`collapse_salt` is constant.
-        """
-        return self.observe_batch(ctx, pending)
+        return 0
 
     # -- golden-prefix fast-forward ----------------------------------------
 

@@ -7,48 +7,42 @@ driver; ``jobs=1`` runs the very same task list in-process, in order,
 with no executor, pickling or retry (a deterministic exception simply
 propagates), and :func:`run_serial` is a ``jobs=1`` alias.
 
-**Determinism contract.** ``jobs=N`` produces verdicts *byte-identical*
-to ``jobs=1``.  Batch composition may decide marginal observations (the
-active-node closure and settle-pass count are per-batch), so sharding
-must not change which candidates share a batch.  The driver therefore
+**Determinism contract.**  Every verdict is a property of its candidate
+alone, as in a single-bit inject/observe/repair loop: the simulator
+derives batch-level parameters (the settle-pass count) from the batch,
+so the driver only batches survivors whose settle keys
+(:meth:`FaultModel.collapse_salt_datum`) are equal, and a batch's
+parameters are then each member's own.  ``jobs``, ``batch_size``, the
+shard cuts and the candidate order cannot change a byte.  The driver
 runs in two phases:
 
 1. **Pre-filter** — candidates are split into contiguous chunks and
    classified (in parallel under a pool; :meth:`FaultModel.prefilter`
-   is a pure per-candidate function, so any split is safe).  Survivors
-   are collected in candidate order.
-2. **Observe** — the survivor sequence is cut into contiguous shards
-   whose sizes are multiples of ``batch_size`` (only the global tail
-   shard may be ragged).  Grouping each shard into consecutive
-   ``batch_size`` blocks reproduces exactly the same batches for any
-   shard count, so every batch simulates with the same companions
-   whatever ``jobs`` is.
+   is a pure per-candidate function, so any split is safe).  Each
+   survivor comes back with its ``(signature, settle key)`` pair, in
+   candidate order.
+2. **Observe** — survivors are stable-sorted by settle key and cut into
+   equal contiguous shards; each shard runs batches of at most
+   ``batch_size`` survivors of one key.
 
 **Checkpoint/resume.** The driver snapshots after the pre-filter
-(under a pool) and then as observe shards complete;
+(under a pool) and then as observe shards complete, in any order;
 ``checkpoint_every`` (survivors per snapshot) sets the shard count,
 raised to ``jobs * shards_per_job`` when a pool exists, and the
-complete result is written once at the end.  Snapshots hold whole batches only, so the
-un-swept remainder always re-groups into the *same* batches on resume
-and a killed sweep resumes to the byte-identical result under any
-worker count.
+complete result is written once at the end.  Since no verdict depends
+on which candidates share a batch, any resolved subset is a valid
+snapshot and a killed sweep resumes to the byte-identical result under
+any worker count.
 
 **Fault collapsing.** Candidates whose patches configure identical
-hardware produce identical observations — *if* they simulate under the
-batch-level parameters their naive batch would have derived (settle
-passes auto-detect per batch, so a candidate's observation is a pure
-function of ``(patch, salt)`` where the *salt* is
-:meth:`FaultModel.collapse_salt` over its naive batch).  With
-``collapse=True`` (the default, honoured only when the model is
-:attr:`~repro.engine.model.FaultModel.collapsible`) the parent walks
-survivors in naive ``batch_size`` groups to derive each candidate's
-salt, dispatches only one *representative* per ``(salt, signature)``
-class — in shards of same-salt representatives simulated via
-:meth:`FaultModel.observe_collapsed` with the salt forced — and fans
-the observation out to the class.  Verdicts are byte-identical to
-``collapse=False`` for any ``jobs``; snapshots fold only the resolved
-survivor prefix cut at a naive-batch boundary, so resume re-derives
-the same salts.
+hardware produce identical observations.  With ``collapse=True`` (the
+default, honoured only when the model is
+:attr:`~repro.engine.model.FaultModel.collapsible`) the parent keeps
+the first survivor of every signature class as its *representative*,
+simulates only representatives, and fans each observation out to the
+class's followers; a finished shard folds its representatives and
+their followers together.  Verdicts are byte-identical to
+``collapse=False`` for any ``jobs``.
 
 **Patch reuse.** At ``jobs=1`` the pre-filter parks survivor patches
 (its payloads) in the per-process model state and the observe phase
@@ -275,27 +269,16 @@ def _sweep_cache_key(
     model: FaultModel,
     model_blob: bytes,
     candidates: np.ndarray,
-    batch_size: int,
-    collapse: bool,
 ) -> str:
     """Content address of one whole sweep's verdicts.
 
-    Keyed on everything that can change a byte of the result: the fault
-    model's own key *and* its pickled blob (the key is human-oriented
-    and may under-describe), the exact candidate range, the batch size
-    (batch composition decides settle salts), the collapse toggle and
-    the resolved kernel backend.  The schema tag versions the
-    :class:`SweepResult` layout itself.
+    Keyed on the fault model's own key *and* its pickled blob (the key
+    is human-oriented and may under-describe), the exact candidate range
+    and the resolved kernel backend.  Batch size and collapse cannot
+    change a byte (see the determinism contract).  The schema tag
+    versions the :class:`SweepResult` layout itself.
     """
-    return content_key(
-        "sweep-v1",
-        model.key(),
-        model_blob,
-        candidates,
-        batch_size,
-        bool(collapse) and model.collapsible,
-        resolve_backend(),
-    )
+    return content_key("sweep-v2", model.key(), model_blob, candidates, resolve_backend())
 
 
 def _serve_cached_sweep(
@@ -375,16 +358,15 @@ def _shard_cache(cache_key: str | None):
 
 
 def _worker_prefilter(
-    model_ref, cands: np.ndarray, collapse: bool, cache_key: str | None = None
-) -> tuple[np.ndarray, list[tuple[Any, Any]] | None, float]:
+    model_ref, cands: np.ndarray, cache_key: str | None = None
+) -> tuple[np.ndarray, list[tuple[Any, Any]], float]:
     """Classify one contiguous candidate chunk.
 
     Returns per-candidate verdict codes aligned with ``cands``
     (``CODE_NOT_TESTED`` marks a pre-filter survivor that must be
-    simulated), the collapse inputs — with ``collapse``, one
-    ``(signature, salt_datum)`` pair per survivor in order, everything
-    the parent needs to group collapse classes without shipping
-    patches; otherwise ``None`` — and the worker seconds spent.
+    simulated), one ``(signature, settle key)`` pair per survivor in
+    order — everything the parent needs to group collapse classes and
+    batches without shipping patches — and the worker seconds spent.
     Survivor patches are parked for the observe phase when this process
     keeps them.
     """
@@ -396,23 +378,22 @@ def _worker_prefilter(
     t0 = time.perf_counter()
     model, ctx, patches = _model_state(model_ref)
     codes = np.empty(cands.size, dtype=np.uint8)
-    info: list[tuple[Any, Any]] | None = [] if collapse else None
+    info: list[tuple[Any, Any]] = []
     for i, cand in enumerate(cands):
         cand = int(cand)
         code, patch = model.prefilter(cand, ctx)
         codes[i] = code
         if code != CODE_NOT_TESTED:
             continue
-        if info is not None:
-            if patch is None:
-                patch = model.patch_for(cand, ctx)
-            info.append(
-                (
-                    model.collapse_signature(cand, ctx, patch),
-                    model.collapse_salt_datum(cand, ctx, patch),
-                )
+        if patch is None:
+            patch = model.patch_for(cand, ctx)
+        info.append(
+            (
+                model.collapse_signature(cand, ctx, patch),
+                model.collapse_salt_datum(cand, ctx, patch),
             )
-        if patches is not None and patch is not None:
+        )
+        if patches is not None:
             patches[cand] = patch
     result = codes, info, time.perf_counter() - t0
     if store is not None:
@@ -421,22 +402,17 @@ def _worker_prefilter(
 
 
 def _worker_observe(
-    model_ref, batch_size: int, cands: np.ndarray, salt: Any,
-    cache_key: str | None = None,
+    model_ref, cands: np.ndarray, cuts: np.ndarray, cache_key: str | None = None
 ) -> tuple[
     np.ndarray, dict[int, np.ndarray], list[float], float, tuple[int, int, int, int]
 ]:
-    """Simulate one shard in consecutive ``batch_size`` batches.
+    """Simulate one shard, one batch per ``np.split(cands, cuts)`` piece.
 
-    ``cands`` are pre-filter survivors in candidate order (or, under
-    collapse, same-salt class representatives).  ``salt=None``
-    simulates through :meth:`FaultModel.observe_batch`; any other salt
-    is forced via :meth:`FaultModel.observe_collapsed`, so regrouped
-    representatives keep their naive batches' observations.  Parked
-    patches are popped, the rest re-derived.  Returns verdict codes
-    aligned with ``cands``, the retained payloads, the per-batch
-    durations, the worker seconds spent, and the kernel fault-dropping
-    counter delta.
+    ``cands`` are survivors (under collapse, class representatives) and
+    every batch holds one settle key.  Parked patches are popped, the
+    rest re-derived.  Returns verdict codes aligned with ``cands``, the
+    retained payloads, the per-batch durations, the worker seconds
+    spent, and the kernel fault-dropping counter delta.
     """
     store = _shard_cache(cache_key)
     if store is not None:
@@ -449,22 +425,21 @@ def _worker_observe(
     codes = np.empty(cands.size, dtype=np.uint8)
     payloads: dict[int, np.ndarray] = {}
     batch_seconds: list[float] = []
-    for start in range(0, int(cands.size), batch_size):
+    start = 0
+    for batch in np.split(cands, cuts):
         t_batch = time.perf_counter()
         pending = []
-        for cand in cands[start : start + batch_size]:
+        for cand in batch:
             cand = int(cand)
             patch = patches.pop(cand, None) if patches is not None else None
             pending.append((cand, model.patch_for(cand, ctx) if patch is None else patch))
-        if salt is None:
-            observations = model.observe_batch(ctx, pending)
-        else:
-            observations = model.observe_collapsed(ctx, pending, salt)
+        observations = model.observe_batch(ctx, pending)
         for j, ((cand, _), obs) in enumerate(zip(pending, observations)):
             codes[start + j] = model.classify(obs)
             rich = model.payload(obs)
             if rich is not None:
                 payloads[cand] = rich
+        start += len(pending)
         batch_seconds.append(time.perf_counter() - t_batch)
     result = (
         codes, payloads, batch_seconds, time.perf_counter() - t0,
@@ -478,64 +453,56 @@ def _worker_observe(
 # -- the driver ----------------------------------------------------------------
 
 
-def shard_survivors(survivors: np.ndarray, batch_size: int, n_shards: int) -> list[np.ndarray]:
-    """Cut the survivor sequence into contiguous shards of whole batches.
+def shard_survivors(survivors: np.ndarray, n_shards: int) -> list[np.ndarray]:
+    """Cut the survivor sequence into ``n_shards`` equal contiguous shards.
 
-    Every shard except (possibly) the last holds a multiple of
-    ``batch_size`` survivors — the invariant that makes shard-local
-    batching identical for every shard count, both on a fresh run and
-    when re-sharding the remainder after a partial (killed) sweep.
+    Sizes differ by at most one; empty shards are dropped.
     """
-    n_batches = -(-int(survivors.size) // batch_size)
-    n_shards = max(1, min(n_shards, n_batches))
-    bounds = [round(i * n_batches / n_shards) for i in range(n_shards + 1)]
-    shards = []
-    for b0, b1 in zip(bounds[:-1], bounds[1:]):
-        shard = survivors[b0 * batch_size : b1 * batch_size]
-        if shard.size:
-            shards.append(shard)
-    return shards
+    n_shards = max(1, min(n_shards, int(survivors.size)))
+    return [s for s in np.array_split(survivors, n_shards) if s.size]
+
+
+def _batch_cuts(keys: list[Any], batch_size: int) -> np.ndarray:
+    """``np.split`` offsets batching one shard: at every settle-key change
+    and every ``batch_size`` survivors within a run of equal keys."""
+    cuts = []
+    run0 = 0
+    for i in range(1, len(keys)):
+        if keys[i] != keys[i - 1]:
+            run0 = i
+            cuts.append(i)
+        elif (i - run0) % batch_size == 0:
+            cuts.append(i)
+    return np.asarray(cuts, dtype=np.int64)
 
 
 def _collapse_classes(
-    model: FaultModel,
-    ctx: Any,
-    survivors: np.ndarray,
-    surv_info: list[tuple[Any, Any]],
-    batch_size: int,
-    patches: dict[int, Any] | None,
-) -> tuple[dict[Any, list[int]], dict[int, list[int]]]:
-    """Group survivors into collapse classes.
+    survivors: np.ndarray, signatures: list[Any], patches: dict[int, Any] | None
+) -> tuple[list[int], dict[int, list[int]]]:
+    """Group survivors into collapse classes by signature.
 
-    Walks survivors in their naive ``batch_size`` batches to derive each
-    batch's salt, keeps the first candidate of every ``(salt,
-    signature)`` class as its representative and the rest as followers
-    (a ``None`` signature is a class of its own).  Returns the
-    representatives per salt, in candidate order, and each
-    representative's followers; followers' parked patches are dropped.
+    Keeps the first candidate of every signature as its representative
+    and the rest as followers (a ``None`` signature is a class of its
+    own).  Returns the representatives' survivor indices, in candidate
+    order, and each representative's followers; followers' parked
+    patches are dropped.
     """
-    reps_by_salt: dict[Any, list[int]] = {}
+    reps: list[int] = []
     followers: dict[int, list[int]] = {}
-    seen_key: dict[Any, int] = {}  # (salt, signature) -> rep cand
-    n_surv = int(survivors.size)
-    for b0 in range(0, n_surv, batch_size):
-        idx = range(b0, min(b0 + batch_size, n_surv))
-        salt = model.collapse_salt(ctx, [surv_info[i][1] for i in idx])
-        for i in idx:
-            cand = int(survivors[i])
-            sig = surv_info[i][0]
-            key = None if sig is None else (salt, sig)
-            rep = seen_key.get(key) if key is not None else None
-            if rep is not None:
-                followers[rep].append(cand)
-                if patches is not None:
-                    patches.pop(cand, None)
-            else:
-                if key is not None:
-                    seen_key[key] = cand
-                followers[cand] = []
-                reps_by_salt.setdefault(salt, []).append(cand)
-    return reps_by_salt, followers
+    rep_of: dict[Any, int] = {}  # signature -> rep cand
+    for i, sig in enumerate(signatures):
+        cand = int(survivors[i])
+        rep = rep_of.get(sig) if sig is not None else None
+        if rep is not None:
+            followers[rep].append(cand)
+            if patches is not None:
+                patches.pop(cand, None)
+            continue
+        if sig is not None:
+            rep_of[sig] = cand
+        followers[cand] = []
+        reps.append(i)
+    return reps, followers
 
 
 class _Fold:
@@ -637,15 +604,9 @@ def run_sharded(
     ``merge_with`` folds an earlier partial result into every snapshot
     (used by resume so re-interrupted runs stay whole).
 
-    With ``collapse`` the parent derives each survivor's collapse class
-    from worker-computed ``(signature, salt_datum)`` pairs, dispatches
-    only same-salt representative shards, and fans verdicts out to
-    followers.  Snapshots then fold only the longest fully-resolved
-    survivor *prefix* (cut at a naive-batch boundary) whenever it
-    crosses the next shard boundary of the naive plan — unlike the
-    naive path, out-of-order shard completions cannot be folded
-    individually, because removing a scattered subset of survivors
-    would regroup the remainder's naive batches on resume.
+    With ``collapse`` the parent groups survivors into classes by their
+    worker-computed signatures, dispatches only representatives, and
+    fans each verdict out to the representative's followers.
 
     **Fault tolerance.** With a pool both phases drain through a
     :class:`~repro.engine.executor.ShardExecutor` governed by ``policy``
@@ -657,10 +618,9 @@ def run_sharded(
     A quarantined shard's candidates stay untested and are *excluded*
     from ``candidate_ids`` — the sweep still completes and checkpoints
     everything resolved, then raises :class:`CampaignError` unless
-    ``policy.allow_partial``.  Quarantine drops are resume-safe: every
-    dropped piece is a whole number of ``batch_size`` batches (or a
-    prefix-aligned tail under collapse), so a later resume re-groups
-    the remainder into the byte-identical batches.
+    ``policy.allow_partial``.  Quarantine drops are resume-safe: no
+    verdict depends on which candidates share a batch, so a later
+    resume of the remainder yields the byte-identical sweep.
     """
     jobs = default_jobs() if jobs is None else int(jobs)
     if jobs < 1:
@@ -685,7 +645,7 @@ def run_sharded(
     model_blob = pickle.dumps(model) if pooled or store is not None else None
     sweep_key: str | None = None
     if store is not None and merge_with is None:
-        sweep_key = _sweep_cache_key(model, model_blob, candidates, batch_size, collapse)
+        sweep_key = _sweep_cache_key(model, model_blob, candidates)
         cached = store.get(sweep_key)
         if cached is not None:
             return _serve_cached_sweep(cached, cache0, jobs, checkpoint_save)
@@ -733,7 +693,7 @@ def run_sharded(
     def shard_key(kind: str, *parts: Any) -> str | None:
         if model_digest is None:
             return None
-        return content_key("shard-v2", model_digest, telem.backend, batch_size, kind, *parts)
+        return content_key("shard-v3", model_digest, telem.backend, kind, *parts)
 
     # Pre-populate the worker cache under the same ref the tasks carry:
     # under fork the children inherit the model context copy-on-write;
@@ -793,17 +753,14 @@ def run_sharded(
         progress.start(f"{model.name} prefilter", total=len(chunks))
         prefilter_tasks = []
         for i, c in enumerate(chunks):
-            ck = shard_key("prefilter", c, do_collapse)
+            ck = shard_key("prefilter", c)
             prefilter_tasks.append(
-                TaskSpec(
-                    f"prefilter:{i}", _worker_prefilter,
-                    (model_ref, c, do_collapse, ck), cache_key=ck,
-                )
+                TaskSpec(f"prefilter:{i}", _worker_prefilter, (model_ref, c, ck), cache_key=ck)
             )
 
         def prefilter() -> tuple[np.ndarray, list[tuple[Any, Any]]]:
             """Fold the settled candidates; return survivors and their
-            collapse inputs, in candidate order.
+            ``(signature, settle key)`` pairs, in candidate order.
 
             Quarantined chunks are dropped — their candidates stay
             untested, excluded from the result entirely, so a later
@@ -826,8 +783,7 @@ def run_sharded(
                     continue
                 kept_codes.append(res[0])
                 kept_chunks.append(chunk)
-                if do_collapse:
-                    surv_info.extend(res[1])
+                surv_info.extend(res[1])
             codes = np.concatenate(kept_codes)
             kept = np.concatenate(kept_chunks)
             bad = codes[codes > CODE_SKIP_UNADDRESSED]
@@ -885,116 +841,67 @@ def run_sharded(
             return shard_codes, shard_payloads
 
         # Phase 2: observe.  Without collapse every survivor is its own
-        # representative, simulated with no salt.  With collapse, survivors
-        # are grouped into their naive batches to derive salts, and only
-        # one representative per (salt, signature) class is simulated, in
-        # shards of same-salt representatives.
+        # representative; with collapse only the first survivor of every
+        # signature class is.  Representatives are stable-sorted by settle
+        # key and cut into equal shards of single-key batches.
         followers: dict[int, list[int]] = {}  # rep cand -> follower cands
-        reps_by_salt: dict[Any, Any] = {None: survivors}
+        rep_idx = list(range(n_surv))
         if do_collapse:
-            reps_by_salt, followers = _collapse_classes(
-                model, context, survivors, surv_info, batch_size,
-                _MODEL_STATE[model_ref][2],
+            rep_idx, followers = _collapse_classes(
+                survivors, [sig for sig, _ in surv_info], _MODEL_STATE[model_ref][2]
             )
+        order = sorted(rep_idx, key=lambda i: surv_info[i][1])
+        keys = [surv_info[i][1] for i in order]
         del surv_info  # signatures are not needed while simulating
-        shard_specs = [
-            (shard, salt)
-            for salt, reps in reps_by_salt.items()
-            for shard in shard_survivors(np.asarray(reps, dtype=np.int64), batch_size, n_shards)
-        ]
+        shard_specs = []
+        pos = 0
+        for shard in shard_survivors(survivors[order], n_shards):
+            shard_specs.append((shard, _batch_cuts(keys[pos : pos + shard.size], batch_size)))
+            pos += int(shard.size)
         observe_tasks = []
-        for i, (shard, salt) in enumerate(shard_specs):
-            ck = shard_key("observe", shard, salt)
+        for i, (shard, cuts) in enumerate(shard_specs):
+            ck = shard_key("observe", shard)
             observe_tasks.append(
                 TaskSpec(
                     f"observe:{i}",
                     _worker_observe,
-                    (model_ref, batch_size, shard, salt, ck),
+                    (model_ref, shard, cuts, ck),
                     {"index": i, "bits": int(shard.size)},
                     cache_key=ck,
                 )
             )
 
-        # Under collapse, snapshots fold the resolved survivor prefix once
-        # it crosses the next shard boundary of the naive plan.
-        resolved_code: dict[int, int] = {}
-        resolved_payloads: dict[int, np.ndarray] = {}
-        cuts = np.cumsum([s.size for s in shard_survivors(survivors, batch_size, n_shards)])
-        next_cut = 0
-        ck_done = 0  # survivor-prefix length already folded
-        scan = 0  # survivor-prefix length known resolved
+        def with_followers(reps: np.ndarray) -> np.ndarray:
+            """``reps`` then every follower, in representative order."""
+            flw = [f for r in reps for f in followers.get(int(r), ())]
+            return np.concatenate([reps, np.asarray(flw, dtype=np.int64)])
 
-        def resolved_prefix() -> int:
-            """The resolved survivor prefix, cut at a naive-batch boundary."""
-            nonlocal scan
-            while scan < n_surv and int(survivors[scan]) in resolved_code:
-                scan += 1
-            return scan - scan % batch_size
-
-        def fold_prefix(hi: int) -> None:
-            nonlocal ck_done
-            part_cands = survivors[ck_done:hi]
-            part_codes = np.array(
-                [resolved_code[int(c)] for c in part_cands], dtype=np.uint8
-            )
-            part_payloads = {
-                int(c): resolved_payloads[int(c)]
-                for c in part_cands
-                if int(c) in resolved_payloads
-            }
-            fold.add(part_cands, part_codes, int(part_cands.size), part_payloads)
-            ck_done = hi
-
+        # A finished shard folds its representatives and their followers,
+        # in any completion order.
         n_folded = 0
         for key, res in drain(observe_tasks, "observe", observe_span):
-            shard = shard_specs[int(key.split(":", 1)[1])][0]
-            shard_codes, shard_payloads = shard_done(res, int(shard.size))
-            if not do_collapse:
-                # A naive shard is a whole run of naive batches: it folds
-                # on its own, in any completion order.
-                fold.add(shard, shard_codes, int(shard.size), shard_payloads)
-                n_folded += 1
-                if n_folded < len(shard_specs):  # the complete result is written last
-                    checkpoint()
-                continue
-            for j, rep in enumerate(shard):
-                rep = int(rep)
-                code = int(shard_codes[j])
-                rich = shard_payloads.get(rep)
-                resolved_code[rep] = code
+            reps = shard_specs[int(key.split(":", 1)[1])][0]
+            cands = with_followers(reps)
+            rep_codes, payloads = shard_done(res, int(cands.size))
+            flws = [followers.get(int(r), ()) for r in reps]
+            codes = np.concatenate([rep_codes, np.repeat(rep_codes, [len(f) for f in flws])])
+            payloads = dict(payloads)
+            for rep, flw in zip(reps, flws):
+                rich = payloads.get(int(rep))
                 if rich is not None:
-                    resolved_payloads[rep] = rich
-                for flw in followers[rep]:
-                    resolved_code[flw] = code
-                    if rich is not None:
-                        resolved_payloads[flw] = rich.copy()
-                    telem.n_collapsed += 1
-            if checkpoint_save is not None and next_cut < cuts.size - 1:
-                p = resolved_prefix()
-                if cuts[next_cut] <= p < n_surv:
-                    fold_prefix(p)
-                    checkpoint()
-                    while next_cut < cuts.size and cuts[next_cut] <= p:
-                        next_cut += 1
-        quarantined_shards = [
-            shard_specs[int(k.split(":", 1)[1])][0]
+                    payloads.update((f, rich.copy()) for f in flw)
+            telem.n_collapsed += int(cands.size - reps.size)
+            fold.add(cands, codes, int(cands.size), payloads)
+            n_folded += 1
+            if n_folded < len(shard_specs):  # the complete result is written last
+                checkpoint()
+        # A quarantined shard's candidates are simply absent from the
+        # result; a resume re-tests them.
+        telem.candidates_quarantined += sum(
+            int(with_followers(shard_specs[int(k.split(":", 1)[1])][0]).size)
             for k in (shard_exec.quarantined if shard_exec is not None else ())
             if k.startswith("observe:")
-        ]
-        if not do_collapse:
-            # A quarantined shard's candidates are simply absent from the
-            # result; the untested remainder re-groups identically on resume.
-            telem.candidates_quarantined += sum(int(s.size) for s in quarantined_shards)
-        elif quarantined_shards:
-            # Quarantined representatives leave holes in the survivor
-            # sequence: fold only the resolved prefix, cut at a naive-
-            # batch boundary, and drop everything past it (resolved
-            # stragglers included) — folding a scattered subset would
-            # regroup the remainder's naive batches on resume.
-            fold_prefix(max(ck_done, resolved_prefix()))
-            telem.candidates_quarantined += n_surv - ck_done
-        elif ck_done < n_surv:
-            fold_prefix(n_surv)
+        )
         if observing:
             tracer.close_span(observe_span, batches=telem.n_batches)
             progress.finish(f"{telem.n_batches} batch(es)")
@@ -1072,11 +979,11 @@ def run_sweep(
 def resume_sweep(model: FaultModel, checkpoint_path: str, **kwargs: Any) -> SweepResult:
     """Resume an interrupted sweep from an engine-native checkpoint.
 
-    Every checkpoint ever written holds only whole simulator batches,
-    so the remainder re-groups into the same batches the uninterrupted
-    run would have used — the merged result is byte-identical to a
-    never-killed sweep, for any worker count on either side.  Keyword
-    arguments are :func:`run_sweep`'s.
+    No verdict depends on which candidates share a batch, so the
+    merged result is byte-identical to a never-killed sweep, for any
+    worker count on either side — also from checkpoints whose cuts
+    follow an older batching plan.  Keyword arguments are
+    :func:`run_sweep`'s.
     """
     part = load_sweep(checkpoint_path)
     if part.model_key != model.key():

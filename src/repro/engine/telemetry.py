@@ -87,7 +87,7 @@ class CampaignTelemetry:
     # rebuilt a broken worker pool, and how many shards it quarantined.
     # ``candidates_quarantined`` counts candidates dropped from the
     # result because their shard was quarantined (under collapse this
-    # includes resolved stragglers past the foldable prefix).
+    # includes the followers of its representatives).
     shard_retries: int = 0
     speculative_launches: int = 0
     speculative_wins: int = 0

@@ -51,6 +51,7 @@ __all__ = [
     "ADDR_IDIOMS",
     "max_schedule_violations",
     "require_binary",
+    "settle_key",
 ]
 
 #: largest auto-detected settle-pass surplus; deeper acyclic rewirings
@@ -177,14 +178,18 @@ def _check_patch(d: CompiledDesign, patch: Patch) -> None:
 
 
 def max_schedule_violations(design: CompiledDesign, patches: list[Patch] | None) -> int:
-    """Largest per-machine count of LUT edges defying golden levels.
-
-    Public view of the settle-pass auto-detect input: fault models use
-    it to *salt* collapse classes, so a representative simulated in a
-    regrouped batch is forced to the settle count its candidate's
-    original batch would have auto-detected.
-    """
+    """Largest per-machine count of LUT edges defying golden levels."""
     return BatchSimulator._max_schedule_violations(design, patches)
+
+
+def settle_key(design: CompiledDesign, patch: Patch) -> int:
+    """Settle passes a batch holding only ``patch`` auto-detects.
+
+    A batch whose machines all share this key auto-detects exactly it,
+    so fault models hand it to the engine as their settle key and no
+    verdict depends on its batchmates.
+    """
+    return 1 + min(SETTLE_CAP, max_schedule_violations(design, [patch]))
 
 
 @dataclass

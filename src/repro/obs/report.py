@@ -181,7 +181,7 @@ def _span_label(span: Span) -> str:
     interesting = {
         k: v
         for k, v in span.fields.items()
-        if k in ("index", "batches", "bits", "n_batches", "salt", "aborted")
+        if k in ("index", "batches", "bits", "n_batches", "aborted")
     }
     if interesting:
         detail = " " + " ".join(f"{k}={v}" for k, v in sorted(interesting.items()))

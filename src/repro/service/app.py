@@ -10,7 +10,7 @@ health.  The split of responsibilities is strict:
   (:meth:`~repro.service.schemas.JobSpec.to_argv`), with a
   service-owned ``--checkpoint`` and ``--trace``.  Isolation for free:
   cancel is a signal, restart-resume is the engine's own
-  batch-aligned checkpoint contract, and the golden byte-identity
+  checkpoint contract, and the golden byte-identity
   pinned on the CLI transfers to HTTP jobs verbatim.  Specs may carry
   ``jobs``/``executor`` flags, so a single job can still fan out over
   the local pool or TCP workers.
@@ -639,33 +639,49 @@ _STATUS_TEXT = {
     409: "Conflict",
     413: "Content Too Large",
     429: "Too Many Requests",
+    414: "URI Too Long",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
 
 
 async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
-    line = await reader.readline()
-    if not line:
-        return None
+    # ``readline`` raises ValueError on a line longer than the reader's
+    # limit (64 KiB); ``None`` marks such a line.
     try:
-        method, target, _version = line.decode("latin-1").split()
+        line = await reader.readline()
     except ValueError:
+        line = None
+    if line == b"":
         return None
+    if line is not None:
+        try:
+            method, target, _version = line.decode("latin-1").split()
+        except ValueError:
+            return None
     headers: dict[str, str] = {}
     n_lines = 0
+    long_header = False
     while True:
-        raw = await reader.readline()
+        try:
+            raw = await reader.readline()
+        except ValueError:
+            long_header = True
+            continue
         if raw in (b"\r\n", b"\n", b""):
             break
         n_lines += 1
-        if n_lines > _MAX_HEADERS:
+        if line is None or long_header or n_lines > _MAX_HEADERS:
             # Keep consuming to the blank line (still under the request
             # deadline): closing on unread input would reset the
-            # connection and lose the 431 before the client reads it.
+            # connection and lose the 4xx before the client reads it.
             continue
         name, _, value = raw.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+    if line is None:
+        raise BadRequest(414, "request line longer than 64 KiB")
+    if long_header:
+        raise BadRequest(431, "header line longer than 64 KiB")
     if n_lines > _MAX_HEADERS:
         raise BadRequest(
             431, f"too many header lines ({n_lines} > {_MAX_HEADERS})"

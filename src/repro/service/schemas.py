@@ -17,9 +17,10 @@ HTTP jobs for free.
 
 The **result key** (:meth:`JobSpec.result_key`) hashes only the fields
 that determine verdict bytes: design, device, and the model parameters.
-``jobs``, ``backend``, ``no_collapse``/``no_retire`` are excluded — the
-engine pins byte-identity across all of them — so a duplicate sweep
-hits the cache even when asked to run with different execution knobs.
+``jobs``, ``backend``, ``batch_size`` and ``no_collapse``/``no_retire``
+are excluded — the engine pins byte-identity across all of them — so a
+duplicate sweep hits the cache even when asked to run with different
+execution knobs.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ _COMMON_FLAGS: dict[str, _Flag] = {
     "backend": _Flag(str, keyed=False),
     "no_collapse": _Flag(bool, keyed=False, store_true=True),
     "no_retire": _Flag(bool, keyed=False, store_true=True),
-    "batch_size": _Flag(int, keyed=True),
+    "batch_size": _Flag(int, keyed=False),
     "detect_cycles": _Flag(int, keyed=True),
 }
 

@@ -74,10 +74,9 @@ from repro.netlist.backends import make_simulator, resolve_backend, simulator_cl
 from repro.netlist.compiled import CompiledDesign, FFField, Patch
 from repro.netlist.simulator import (
     KERNEL_COUNTERS,
-    SETTLE_CAP,
     BatchSimulator,
     GoldenTrace,
-    max_schedule_violations,
+    settle_key,
 )
 from repro.place.flow import HardwareDesign
 
@@ -326,27 +325,20 @@ def simulate_batch(
     config: CampaignConfig,
     ctx: CampaignContext,
     pending: list[tuple[int, Patch]],
-    settle_passes: int | None = None,
     retire: bool = True,
 ) -> list[int]:
     """Simulate one batch of pre-filter survivors to per-bit verdicts.
 
     ``pending`` is the ordered ``(bit, patch)`` list of one batch; the
-    returned verdict codes align with it.  Both the serial loop and the
-    parallel shards call this, so batch composition alone determines the
-    verdicts — the determinism contract sharding relies on.
-
-    ``settle_passes`` forces the settle count instead of auto-detecting
-    it from this batch — the collapse driver passes each class's salt so
-    regrouped representatives keep their naive batch's behaviour.
-    ``retire`` turns on mid-run fault dropping (verdict-identical; adds
+    returned verdict codes align with it.  The engine batches only bits
+    with equal :func:`~repro.netlist.simulator.settle_key`, so the
+    auto-detected settle count is each bit's own.  ``retire`` turns on mid-run fault dropping (verdict-identical; adds
     a golden companion machine to the batch).
     """
     patches = [p for _, p in pending]
     sim = make_simulator(
         ctx.design,
         patches,
-        settle_passes=settle_passes,
         initial_values=ctx.snapshot,
         active_nodes=batch_active_mask(ctx.design, patches),
         companion=retire,
@@ -597,22 +589,9 @@ class SEUFaultModel(FaultModel):
         _, cctx = ctx
         return simulate_batch(self.config, cctx, pending, retire=self.retire)
 
-    # A bit's verdict is a function of (patch, settle passes), and the
-    # settle count auto-detects *per batch* — so the collapse salt is
-    # the settle count the candidate's naive batch would derive, and
-    # representatives simulate with it forced.
     def collapse_salt_datum(self, candidate: int, ctx, patch: Patch) -> int:
         _, cctx = ctx
-        return max_schedule_violations(cctx.design, [patch])
-
-    def collapse_salt(self, ctx, data: list[int]) -> int:
-        return 1 + min(SETTLE_CAP, max(data) if data else 0)
-
-    def observe_collapsed(self, ctx, pending: list[tuple[int, Patch]], salt: int) -> list[int]:
-        _, cctx = ctx
-        return simulate_batch(
-            self.config, cctx, pending, settle_passes=salt, retire=self.retire
-        )
+        return settle_key(cctx.design, patch)
 
     def classify(self, observation: int) -> int:
         return int(observation)
@@ -734,10 +713,9 @@ def resume_campaign(
 
     Loads the snapshot, skips every bit that already has a verdict, runs
     the remainder (checkpointing to the same file as it goes), and
-    merges.  Every checkpoint holds whole simulator batches only, so
-    the remainder re-groups into the batches the uninterrupted run
-    would have used — the merged result is identical to a never-killed
-    sweep, whatever ``jobs`` either run used.
+    merges.  No verdict depends on which bits share a batch, so the
+    merged result is identical to a never-killed sweep, whatever
+    ``jobs`` either run used.
     """
     part = load_result(checkpoint_path)
     if part.design_name != hw.spec.name or part.device_name != hw.device.name:
@@ -825,9 +803,9 @@ class HalfLatchFaultModel(FaultModel):
     Candidates are node ids; the upset pins the node to 0.  These
     upsets are invisible to readback and unrepaired by partial
     reconfiguration, so the sweep runs detect-only, with no repair
-    phase.  Per-machine outcomes are independent of batch composition
-    here (const patches never violate the evaluation schedule and no
-    active-node mask is applied), so any grouping is sound.
+    phase.  Const patches never violate the evaluation schedule, so
+    every candidate has the default settle key and any grouping is
+    sound.
     """
 
     spec: Any

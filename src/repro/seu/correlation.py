@@ -35,6 +35,7 @@ from repro.engine.telemetry import CampaignTelemetry
 from repro.errors import CampaignError
 from repro.netlist.compiled import Patch
 from repro.netlist.backends import make_simulator
+from repro.netlist.simulator import settle_key
 from repro.place.flow import HardwareDesign
 from repro.seu.campaign import (
     CampaignConfig,
@@ -153,6 +154,10 @@ class CorrelationFaultModel(FaultModel):
         )
         return [disturbed[i] for i in range(len(pending))]
 
+    def collapse_salt_datum(self, candidate: int, ctx, patch: Patch) -> int:
+        _, cctx = ctx
+        return settle_key(cctx.design, patch)
+
     def classify(self, observation: np.ndarray) -> int:
         return CODE_FAIL if observation.any() else CODE_NO_EFFECT
 
@@ -174,7 +179,7 @@ def build_correlation_table(
     ``max_bits`` truncates the sweep for quick looks; the default
     processes every sensitive bit of the campaign.  Runs on the shared
     campaign engine: ``jobs=N`` shards bits over processes
-    (batch-aligned, so the table is identical to ``jobs=1``), and
+    (the table is identical to ``jobs=1``), and
     ``checkpoint_path`` snapshots engine-native archives a killed sweep
     restarts from (``resume=True``).
     """

@@ -36,7 +36,7 @@ from repro.engine.telemetry import CampaignTelemetry
 from repro.errors import CampaignError
 from repro.netlist.compiled import Patch
 from repro.netlist.backends import make_simulator
-from repro.netlist.simulator import SETTLE_CAP, max_schedule_violations
+from repro.netlist.simulator import settle_key
 from repro.place.flow import HardwareDesign
 from repro.seu.campaign import (
     CampaignConfig,
@@ -157,17 +157,11 @@ class MBUFaultModel(FaultModel):
         return merged
 
     def observe_batch(self, ctx, pending: list[tuple[int, Patch]]) -> list[bool]:
-        return self._observe(ctx, pending, settle_passes=None)
-
-    def _observe(
-        self, ctx, pending: list[tuple[int, Patch]], settle_passes: int | None
-    ) -> list[bool]:
         _, cctx, _ = ctx
         patches = [p for _, p in pending]
         sim = make_simulator(
             cctx.design,
             patches,
-            settle_passes=settle_passes,
             initial_values=cctx.snapshot,
             active_nodes=batch_active_mask(cctx.design, patches),
         )
@@ -181,17 +175,10 @@ class MBUFaultModel(FaultModel):
         return [bool(f) for f in failed]
 
     # Trials whose k bits decode to identical (often empty) merged
-    # patches collapse; the settle count auto-detects per batch, so the
-    # salt is the count the trial's naive batch would derive.
+    # patches collapse.
     def collapse_salt_datum(self, candidate: int, ctx, patch: Patch) -> int:
         _, cctx, _ = ctx
-        return max_schedule_violations(cctx.design, [patch])
-
-    def collapse_salt(self, ctx, data: list[int]) -> int:
-        return 1 + min(SETTLE_CAP, max(data) if data else 0)
-
-    def observe_collapsed(self, ctx, pending: list[tuple[int, Patch]], salt: int) -> list[bool]:
-        return self._observe(ctx, pending, settle_passes=salt)
+        return settle_key(cctx.design, patch)
 
     def classify(self, observation: bool) -> int:
         return CODE_FAIL if observation else CODE_NO_EFFECT
@@ -213,8 +200,8 @@ def run_multibit_campaign(
     """Inject ``n_trials`` random k-bit upset sets; count output failures.
 
     Runs on the shared campaign engine: ``jobs=N`` shards trials over
-    processes (batch-aligned, so the failure count is identical to
-    ``jobs=1``), and ``checkpoint_path`` snapshots engine-native
+    processes (the failure count is identical to ``jobs=1``), and
+    ``checkpoint_path`` snapshots engine-native
     archives a killed sweep restarts from (``resume=True``).
     ``collapse``/``retire`` toggle the verdict-identical campaign
     shrinkers (identical-patch trials share one simulation; latched

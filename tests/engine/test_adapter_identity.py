@@ -55,28 +55,26 @@ class Killed(Exception):
 class DyingCheckpoint:
     """Arm the engine's checkpoint writer to raise after N writes.
 
-    The kill tests below run their dying sweep pooled but with
-    ``collapse=False``: a naive shard folds on its own, so a run with S
-    observe shards writes exactly S - 1 snapshots before the final save
-    in any shard completion order.  Under collapse the snapshot count
-    depends on which shard finishes first (the resolved prefix may jump
-    straight to the end), so "die after N" could land on the final save
-    or never fire.  The resume runs with the default ``collapse=True``;
-    collapsed kill/resume paths are pinned order-deterministically in
-    ``tests/engine/test_collapse.py``.
+    Every write is recorded in :attr:`sizes` (the snapshot's candidate
+    count).  The kill tests run pooled under the default collapse: a
+    finished shard folds its representatives and their followers on its
+    own, so a run with S observe shards writes exactly S - 1 snapshots
+    before the final save, in any shard completion order.
     """
 
     def __init__(self, monkeypatch):
         self._monkeypatch = monkeypatch
         self._real_save = sweepmod.save_sweep
+        self.sizes: list[int] = []
 
-    def arm(self, die_after: int) -> None:
-        calls = {"n": 0}
+    def arm(self, die_after: int | None = None) -> None:
+        """Record every write; raise on write ``die_after + 1``."""
+        self.sizes = []
         real_save = self._real_save
 
         def dying_save(sweep, path):
-            calls["n"] += 1
-            if calls["n"] > die_after:
+            self.sizes.append(sweep.n_candidates)
+            if die_after is not None and len(self.sizes) > die_after:
                 raise Killed()
             real_save(sweep, path)
 
@@ -84,6 +82,14 @@ class DyingCheckpoint:
 
     def disarm(self) -> None:
         self._monkeypatch.setattr(sweepmod, "save_sweep", self._real_save)
+
+    def assert_one_snapshot_per_shard(self, telemetry, n_candidates: int) -> None:
+        """S shards wrote S - 1 snapshots, then the complete result once
+        (after the pooled pre-filter snapshot, when it settled any)."""
+        n_shards = sum(telemetry.shard_seconds_hist)
+        assert n_shards > 1
+        assert len(self.sizes) == int(telemetry.n_skipped > 0) + (n_shards - 1) + 1
+        assert self.sizes[-1] == n_candidates and self.sizes == sorted(self.sizes)
 
 
 @pytest.fixture()
@@ -147,12 +153,16 @@ class TestHalfLatchAdapter:
         assert sum(critical.values()) == serial.count(5)
 
     def test_kill_and_resume(self, mult_hw, serial, tmp_path, dying_checkpoint):
+        dying_checkpoint.arm()
+        full = run_halflatch_sweep(
+            mult_hw, HL_CFG, jobs=3, checkpoint_path=str(tmp_path / "full.npz")
+        )
+        dying_checkpoint.assert_one_snapshot_per_shard(full.telemetry, serial.n_candidates)
+
         path = str(tmp_path / "hl.npz")
         dying_checkpoint.arm(die_after=2)
         with pytest.raises(Killed):
-            run_halflatch_sweep(
-                mult_hw, HL_CFG, jobs=3, checkpoint_path=path, collapse=False
-            )
+            run_halflatch_sweep(mult_hw, HL_CFG, jobs=3, checkpoint_path=path)
         dying_checkpoint.disarm()
         part = sweepmod.load_sweep(path)
         assert 0 < part.n_candidates < serial.n_candidates
@@ -161,6 +171,7 @@ class TestHalfLatchAdapter:
             mult_hw, HL_CFG, jobs=2, checkpoint_path=path, resume=True
         )
         assert_sweeps_identical(resumed, serial)
+        assert_golden_verdicts("halflatch_verdicts", resumed.verdicts)
 
 
 class TestMultiBitAdapter:
@@ -184,21 +195,24 @@ class TestMultiBitAdapter:
         assert result.telemetry.n_simulated == 128  # no pre-filter for MBU
 
     def test_kill_and_resume(self, mult_hw, serial, tmp_path, dying_checkpoint):
+        kw = dict(k=2, n_trials=128, config=CFG, seed=3, jobs=2)
+        full_path = str(tmp_path / "full.npz")
+        dying_checkpoint.arm()
+        full = run_multibit_campaign(mult_hw, 0.05, checkpoint_path=full_path, **kw)
+        dying_checkpoint.assert_one_snapshot_per_shard(full.telemetry, serial.n_trials)
+
         path = str(tmp_path / "mbu.npz")
         dying_checkpoint.arm(die_after=1)
         with pytest.raises(Killed):
-            run_multibit_campaign(
-                mult_hw, 0.05, k=2, n_trials=128, config=CFG, seed=3,
-                jobs=2, checkpoint_path=path, collapse=False,
-            )
+            run_multibit_campaign(mult_hw, 0.05, checkpoint_path=path, **kw)
         dying_checkpoint.disarm()
         part = sweepmod.load_sweep(path)
         assert 0 < part.n_candidates < serial.n_trials
         resumed = run_multibit_campaign(
-            mult_hw, 0.05, k=2, n_trials=128, config=CFG, seed=3,
-            jobs=2, checkpoint_path=path, resume=True,
+            mult_hw, 0.05, checkpoint_path=path, resume=True, **kw
         )
         assert resumed.n_failures == serial.n_failures
+        assert_sweeps_identical(sweepmod.load_sweep(path), sweepmod.load_sweep(full_path))
 
 
 class TestBistCoverageAdapter:
@@ -228,19 +242,20 @@ class TestBistCoverageAdapter:
         assert report.telemetry.jobs == jobs
 
     def test_kill_and_resume(self, s8, faults, serial, tmp_path, dying_checkpoint):
+        kw = dict(cycles=96, jobs=2, batch_size=8)
+        full_path = str(tmp_path / "full.npz")
+        dying_checkpoint.arm()
+        full = run_coverage(s8, faults, checkpoint_path=full_path, **kw)
+        dying_checkpoint.assert_one_snapshot_per_shard(full.telemetry, len(faults))
+
         path = str(tmp_path / "bist.npz")
         dying_checkpoint.arm(die_after=1)
         with pytest.raises(Killed):
-            run_coverage(
-                s8, faults, cycles=96, jobs=2, batch_size=8, checkpoint_path=path,
-                collapse=False,
-            )
+            run_coverage(s8, faults, checkpoint_path=path, **kw)
         dying_checkpoint.disarm()
         part = sweepmod.load_sweep(path)
         assert 0 < part.n_candidates < len(faults)
-        resumed = run_coverage(
-            s8, faults, cycles=96, jobs=2, batch_size=8,
-            checkpoint_path=path, resume=True,
-        )
+        resumed = run_coverage(s8, faults, checkpoint_path=path, resume=True, **kw)
         assert resumed.detected_by == serial.detected_by
         assert resumed.undetected == serial.undetected
+        assert_sweeps_identical(sweepmod.load_sweep(path), sweepmod.load_sweep(full_path))

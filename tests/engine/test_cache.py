@@ -109,7 +109,10 @@ class TestBlobStore:
     def test_raw_bytes_pass_through(self):
         assert resolve_blob(b"raw") == b"raw"
 
-    def test_missing_blob_carries_digest_for_rerequest(self):
+    def test_missing_blob_carries_digest_for_rerequest(self, monkeypatch):
+        # A private store: the blob installed below must not leak into
+        # later tests that expect the same digest to be missing.
+        monkeypatch.setattr(cache, "_BLOB_STORE", dict(cache._BLOB_STORE))
         missing = blob_digest(b"never-installed-blob")
         with pytest.raises(BlobMissing) as exc:
             resolve_blob(missing)

@@ -1,10 +1,11 @@
 """Fault collapsing in the engine: fewer simulations, identical verdicts.
 
-A toy model whose observation is a pure function of (patch, salt) probes
-the collapse drivers directly: duplicate-patch candidates must share one
-simulation, the per-class salt must be forced (not re-derived from the
-regrouped representative batch), and every flag/jobs/kill-resume
-combination must produce the byte-identical sweep of the naive path.
+A toy model whose batch parameter is derived from its batch's settle
+keys probes the collapse driver directly: duplicate-patch candidates
+must share one simulation, every batch must hold a single settle key
+(so each verdict is its batch-of-one verdict), and every flag/jobs/
+kill-resume combination must produce the byte-identical sweep of the
+naive path.
 """
 
 from __future__ import annotations
@@ -32,26 +33,28 @@ from repro.netlist.compiled import Patch
 
 # In-process call accounting (works for serial runs and InlineExecutor
 # sharded runs; reset per test via the `calls` fixture).
-CALLS = {"naive_entries": 0, "collapsed_entries": 0, "salts": []}
+CALLS: dict[str, Any] = {"entries": 0, "batch_keys": []}
 
 
 @dataclass(frozen=True)
 class CollapsingToyModel(FaultModel):
-    """Observation = f(patch, salt); patches repeat heavily (c % n_classes).
+    """Observation = f(patch, batch parameter); patches repeat (c % n_classes).
 
-    Mirrors the real kernels' settle-pass hazard: the naive path derives
-    ``salt`` from its own batch composition, so collapse is sound only
-    because the engine regroups representatives per salt and forces it.
+    Mirrors the real kernels' settle-pass hazard: ``observe_batch``
+    derives its parameter from the whole batch (one plus the largest
+    settle key in it), so a verdict equals its batch-of-one verdict only
+    because the engine never batches different keys together.  As for
+    the real models, the key is a function of the patch.
     """
 
     n: int = 200
     n_classes: int = 6
-    salted: bool = False
+    keyed: bool = False
 
     name: ClassVar[str] = "toy-collapse"
 
     def key(self) -> str:
-        return f"toy-collapse:{self.n}:{self.n_classes}:{self.salted}"
+        return f"toy-collapse:{self.n}:{self.n_classes}:{self.keyed}"
 
     def space_size(self) -> int:
         return self.n
@@ -70,29 +73,14 @@ class CollapsingToyModel(FaultModel):
     def patch_for(self, candidate: int, ctx) -> int:
         return candidate % self.n_classes
 
-    def _salt_of(self, data: list[int]) -> int:
-        return 1 + max(data) if (self.salted and data) else 1
-
-    def _observe(self, pending, salt: int) -> list[int]:
-        return [(p * 7 + salt) % 5 for _, p in pending]
+    def collapse_salt_datum(self, candidate: int, ctx, patch: int) -> int:
+        return patch % 3 if self.keyed else 0
 
     def observe_batch(self, ctx, pending) -> list[int]:
-        CALLS["naive_entries"] += len(pending)
-        salt = self._salt_of([self.collapse_salt_datum(c, ctx, p) for c, p in pending])
-        return self._observe(pending, salt)
-
-    def collapse_salt_datum(self, candidate: int, ctx, patch: int) -> int:
-        # Range-based so different naive batches really derive different
-        # salts (a modulus would saturate every batch to the same max).
-        return candidate // 100 if self.salted else 0
-
-    def collapse_salt(self, ctx, data) -> int:
-        return self._salt_of(list(data))
-
-    def observe_collapsed(self, ctx, pending, salt: int) -> list[int]:
-        CALLS["collapsed_entries"] += len(pending)
-        CALLS["salts"].append(salt)
-        return self._observe(pending, salt)
+        keys = {self.collapse_salt_datum(c, ctx, p) for c, p in pending}
+        CALLS["entries"] += len(pending)
+        CALLS["batch_keys"].append(keys)
+        return [(p * 7 + 1 + max(keys)) % 5 for _, p in pending]
 
     def classify(self, observation: int) -> int:
         return 4 + observation
@@ -149,7 +137,7 @@ class Killed(Exception):
 
 @pytest.fixture()
 def calls():
-    CALLS.update(naive_entries=0, collapsed_entries=0, salts=[])
+    CALLS.update(entries=0, batch_keys=[])
     return CALLS
 
 
@@ -175,40 +163,38 @@ class TestDefaultSignature:
 class TestSerialCollapse:
     def test_identity_and_fewer_simulations(self, calls):
         naive = run_serial(CollapsingToyModel(), batch_size=16, collapse=False)
-        n_naive = calls["naive_entries"]
-        calls.update(naive_entries=0)
+        n_naive = calls["entries"]
+        calls.update(entries=0)
         collapsed = run_serial(CollapsingToyModel(), batch_size=16, collapse=True)
         assert_identical(collapsed, naive)
-        # Only ~n_classes distinct patches exist per salt: nearly every
-        # survivor rides along as a follower.
-        assert calls["collapsed_entries"] + calls["naive_entries"] < n_naive / 4
+        # Only n_classes distinct patches exist: nearly every survivor
+        # rides along as a follower.
+        assert calls["entries"] < n_naive / 4
         assert collapsed.telemetry.n_collapsed > 0
         assert collapsed.telemetry.collapse_rate > 0.5
         assert naive.telemetry.n_collapsed == 0
 
-    def test_salted_identity_and_forced_salt(self, calls):
-        naive = run_serial(CollapsingToyModel(salted=True), batch_size=16, collapse=False)
-        calls.update(naive_entries=0, salts=[])
-        collapsed = run_serial(
-            CollapsingToyModel(salted=True), batch_size=16, collapse=True
-        )
-        assert_identical(collapsed, naive)
-        # Representatives were simulated through the salt-forcing hook,
-        # and more than one distinct salt class actually occurred.
-        assert calls["salts"] and len(set(calls["salts"])) > 1
+    @pytest.mark.parametrize("collapse", [True, False])
+    def test_batches_hold_one_settle_key(self, calls, collapse):
+        model = CollapsingToyModel(keyed=True)
+        alone = run_serial(model, batch_size=1, collapse=False)
+        calls.update(batch_keys=[])
+        batched = run_serial(model, batch_size=16, collapse=collapse)
+        assert_identical(batched, alone)
+        assert all(len(keys) == 1 for keys in calls["batch_keys"])
+        assert len(set().union(*calls["batch_keys"])) == 3
 
     def test_opaque_candidates_simulate_naively(self, calls):
         naive = run_serial(OpaqueToyModel(), batch_size=16, collapse=False)
-        calls.update(naive_entries=0, collapsed_entries=0)
+        calls.update(entries=0)
         collapsed = run_serial(OpaqueToyModel(), batch_size=16, collapse=True)
         assert_identical(collapsed, naive)
         # The signature-less half still went through a real simulation.
-        assert calls["collapsed_entries"] >= naive.n_simulated // 2
+        assert calls["entries"] >= naive.n_simulated // 2
 
     def test_uncollapsible_model_ignores_flag(self, calls):
         result = run_serial(UncollapsibleModel(), batch_size=16, collapse=True)
-        assert calls["collapsed_entries"] == 0
-        assert calls["naive_entries"] == result.n_simulated
+        assert calls["entries"] == result.n_simulated
         assert result.telemetry.n_collapsed == 0
 
     def test_payload_fanned_out_to_followers(self):
@@ -233,10 +219,10 @@ class TestSerialCollapse:
 
 
 class TestShardedCollapse:
-    @pytest.mark.parametrize("salted", [False, True])
+    @pytest.mark.parametrize("keyed", [False, True])
     @pytest.mark.parametrize("jobs", [2, 3])
-    def test_jobs_identity(self, jobs, salted, calls):
-        model = CollapsingToyModel(salted=salted)
+    def test_jobs_identity(self, jobs, keyed, calls):
+        model = CollapsingToyModel(keyed=keyed)
         serial = run_serial(model, batch_size=16, collapse=True)
         sharded = run_sharded(
             model, jobs=jobs, batch_size=16, executor=InlineExecutor(),
@@ -271,18 +257,18 @@ class TestResumeUnderCollapse:
 
         monkeypatch.setattr(sweepmod, "save_sweep", dying_save)
         with pytest.raises(Killed):
-            run_sweep(CollapsingToyModel(salted=True), checkpoint_path=path, **kw)
+            run_sweep(CollapsingToyModel(keyed=True), checkpoint_path=path, **kw)
         monkeypatch.setattr(sweepmod, "save_sweep", real_save)
 
     def test_serial_kill_and_resume(self, tmp_path, monkeypatch):
-        serial = run_serial(CollapsingToyModel(salted=True), batch_size=16)
+        serial = run_serial(CollapsingToyModel(keyed=True), batch_size=16)
         path = str(tmp_path / "collapse.npz")
         self._killed_run(
             monkeypatch, path, die_after=2, batch_size=16, checkpoint_every=32
         )
         part = load_sweep(path)
         assert 0 < part.n_candidates < serial.n_candidates
-        resumed = resume_sweep(CollapsingToyModel(salted=True), path, batch_size=16)
+        resumed = resume_sweep(CollapsingToyModel(keyed=True), path, batch_size=16)
         assert_identical(resumed, serial)
 
     @pytest.mark.parametrize("resume_collapse", [True, False])
@@ -290,7 +276,7 @@ class TestResumeUnderCollapse:
         self, tmp_path, monkeypatch, resume_collapse
     ):
         """A collapsed checkpoint resumes under either flag setting."""
-        serial = run_serial(CollapsingToyModel(salted=True), batch_size=16)
+        serial = run_serial(CollapsingToyModel(keyed=True), batch_size=16)
         path = str(tmp_path / f"collapse-{resume_collapse}.npz")
         self._killed_run(
             monkeypatch, path, die_after=1, jobs=3,
@@ -299,7 +285,7 @@ class TestResumeUnderCollapse:
         part = load_sweep(path)
         assert 0 < part.n_candidates < serial.n_candidates
         resumed = resume_sweep(
-            CollapsingToyModel(salted=True), path, jobs=2, batch_size=16,
+            CollapsingToyModel(keyed=True), path, jobs=2, batch_size=16,
             executor=InlineExecutor(), collapse=resume_collapse,
         )
         assert_identical(resumed, serial)

@@ -156,24 +156,37 @@ class TestElasticMembership:
         ex = ShardExecutor(4, _tcp_policy(min_workers=1))
         telem = CampaignTelemetry()
         addr = ex.backend.address
-        joiner: list[subprocess.Popen] = []
+        joined, drained = threading.Event(), threading.Event()
 
-        def join_late():
-            joiner.append(_spawn_worker(addr, "late"))
-            kill_leftovers.extend(joiner)
+        def join_once_w0_is_busy():
+            # Join while w0 holds a shard, so every task is already
+            # stamped for w0.  A fixed timer can fire before a
+            # slow-starting w0 has joined, and the joiner then takes
+            # work that was never w0's.
+            while not drained.is_set():
+                if ex.backend.census_detail().get("w0", {}).get("busy"):
+                    kill_leftovers.append(_spawn_worker(addr, "late"))
+                    joined.set()
+                    return
+                time.sleep(0.005)
 
-        timer = threading.Timer(0.8, join_late)
         try:
             first = _spawn_worker(addr, "w0")
             kill_leftovers.append(first)
             # 16 x 0.25s of sleep: one worker needs ~4s, so the joiner
-            # (up ~1.5s in) lands with plenty of queue left to steal.
+            # (up ~1.5s after w0 starts its first shard) lands with plenty
+            # of queue left to steal.
             tasks = [TaskSpec(f"t:{i}", time.sleep, (0.25,)) for i in range(16)]
-            timer.start()
-            out = dict(ex.run(tasks, phase="drain", telemetry=telem))
+            watcher = threading.Thread(target=join_once_w0_is_busy, daemon=True)
+            watcher.start()
+            try:
+                out = dict(ex.run(tasks, phase="drain", telemetry=telem))
+            finally:
+                drained.set()
+                watcher.join(timeout=10.0)
         finally:
-            timer.cancel()
             ex.close()
+        assert joined.is_set(), "w0 never held a shard"
         assert set(out) == {f"t:{i}" for i in range(16)}
         assert telem.workers_joined == 2
         # Every shard was stamped with owner "w0" (the only worker at

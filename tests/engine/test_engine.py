@@ -202,16 +202,15 @@ class TestShardedIdentity:
 
 
 class TestShardInvariants:
-    def test_whole_batches_except_tail(self):
+    def test_equal_contiguous_cuts(self):
         survivors = np.arange(10 * 32 + 7)
-        shards = shard_survivors(survivors, 32, 4)
+        shards = shard_survivors(survivors, 4)
         assert np.array_equal(np.concatenate(shards), survivors)
-        for shard in shards[:-1]:
-            assert shard.size % 32 == 0
-        assert all(s.size for s in shards)
+        sizes = [s.size for s in shards]
+        assert len(shards) == 4 and max(sizes) - min(sizes) <= 1
 
     def test_empty(self):
-        assert shard_survivors(np.empty(0, np.int64), 32, 4) == []
+        assert shard_survivors(np.empty(0, np.int64), 4) == []
 
 
 class TestMerge:

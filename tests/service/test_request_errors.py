@@ -94,6 +94,28 @@ class TestHeaderCount:
         assert status == 200 and body["ok"] is True
 
 
+class TestLineLength:
+    """Lines past the reader's 64 KiB line limit get a named 4xx."""
+
+    PAD = "a" * (1 << 17)
+
+    def test_oversize_request_line_is_414(self, server):
+        head = f"GET /healthz?pad={self.PAD} HTTP/1.1\r\nHost: localhost\r\n\r\n"
+        status, body = _raw_request(server.address, head)
+        assert status == 414
+        assert "request line" in body["error"]
+        status, body = server.client.json("GET", "/healthz")
+        assert status == 200 and body["ok"] is True
+
+    def test_oversize_header_is_431(self, server):
+        head = f"GET /healthz HTTP/1.1\r\nHost: localhost\r\nX-Pad: {self.PAD}\r\n\r\n"
+        status, body = _raw_request(server.address, head)
+        assert status == 431
+        assert "header line" in body["error"]
+        status, body = server.client.json("GET", "/healthz")
+        assert status == 200 and body["ok"] is True
+
+
 class TestRequestDeadline:
     def test_stalled_request_line_is_dropped(self, server):
         with _connect(server.address, timeout=0.5) as sock:

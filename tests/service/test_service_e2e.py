@@ -211,7 +211,7 @@ class TestGoldenBytesOverHTTP:
         rec = server.client.wait(first["job"]["id"])
         assert rec["state"] == "done"
         # Execution knobs differ; verdict bytes cannot, so it must hit.
-        dup_spec = dict(SEU_SPEC, flags=dict(SEU_SPEC["flags"], jobs=2))
+        dup_spec = dict(SEU_SPEC, flags=dict(SEU_SPEC["flags"], jobs=2, batch_size=64))
         t0 = time.monotonic()
         dup = server.client.submit(dup_spec)
         elapsed = time.monotonic() - t0

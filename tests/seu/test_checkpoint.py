@@ -1,5 +1,8 @@
 """Campaign checkpoint/resume: atomic snapshots, kill-and-resume identity."""
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,11 +15,14 @@ from repro.seu import (
     save_result,
 )
 import repro.netlist.simulator as simmod
+from tests.utils.goldens import assert_golden_verdicts
 
 
 # Small batches so the test design (~120 simulated bits) spans several
 # simulator batches — the kill must land mid-sweep, between checkpoints.
 CFG = CampaignConfig(detect_cycles=48, persist_cycles=32, stride=13, batch_size=32)
+#: the campaign pinned by the ``seu_verdicts`` golden
+GOLDEN_CFG = CampaignConfig(detect_cycles=48, persist_cycles=32, stride=7, batch_size=32)
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +153,30 @@ class TestResumeValidation:
     def test_missing_checkpoint_rejected(self, lfsr_hw, tmp_path):
         with pytest.raises(CampaignError):
             resume_campaign(lfsr_hw, str(tmp_path / "absent.npz"))
+
+
+class TestPrefixCutCheckpoint:
+    """A checkpoint from the earlier prefix-cut collapse driver resumes.
+
+    ``tests/data/seu_prefix_cut_checkpoint.npz`` was written by the
+    driver that batched survivors in candidate order and, under collapse,
+    folded only the resolved survivor prefix cut at a batch boundary: the
+    golden MULT4/S8 campaign (``stride=7``, ``batch_size=32``) run with
+    ``jobs=2`` and ``checkpoint_every=64`` and killed on its fourth
+    checkpoint write.  It holds every pre-filter skip and the first 128
+    survivors.  Verdicts do not depend on batching, so today's driver
+    resumes it to the golden bytes.
+    """
+
+    FIXTURE = Path(__file__).resolve().parents[1] / "data" / "seu_prefix_cut_checkpoint.npz"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_resumes_to_golden(self, mult_hw, tmp_path, jobs):
+        path = str(tmp_path / "ck.npz")
+        shutil.copyfile(self.FIXTURE, path)
+        part = load_result(path)
+        assert part.config == GOLDEN_CFG
+        assert 0 < part.n_simulated < 555 and part.n_candidates < 23246
+        resumed = resume_campaign(mult_hw, path, jobs=jobs)
+        assert resumed.n_candidates == 23246 and resumed.n_simulated == 555
+        assert_golden_verdicts("seu_verdicts", resumed.verdicts)

@@ -101,21 +101,21 @@ class TestParallelIdentity:
 
 
 class TestShardInvariants:
-    def test_whole_batches_except_tail(self):
+    def test_equal_contiguous_cuts(self):
         survivors = np.arange(10 * 32 + 7)
-        shards = shard_survivors(survivors, 32, 4)
+        shards = shard_survivors(survivors, 4)
         assert np.array_equal(np.concatenate(shards), survivors)
-        for shard in shards[:-1]:
-            assert shard.size % 32 == 0
-        assert all(s.size for s in shards)
+        sizes = [s.size for s in shards]
+        assert len(shards) == 4 and max(sizes) - min(sizes) <= 1
 
-    def test_more_shards_than_batches(self):
-        survivors = np.arange(40)
-        shards = shard_survivors(survivors, 32, 16)
+    def test_more_shards_than_survivors(self):
+        survivors = np.arange(5)
+        shards = shard_survivors(survivors, 16)
         assert np.array_equal(np.concatenate(shards), survivors)
+        assert [s.size for s in shards] == [1] * 5
 
     def test_empty_survivors(self):
-        assert shard_survivors(np.empty(0, np.int64), 32, 4) == []
+        assert shard_survivors(np.empty(0, np.int64), 4) == []
 
 
 class TestMergeOrderIndependence:
