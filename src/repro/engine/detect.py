@@ -3,11 +3,12 @@
 The detect phase of every non-repairing sweep — MBU trials, half-latch
 upsets, BIST configurations — is the same loop: step the batch in
 lock-step with a reference output trace and remember who deviated.
-These kernels share the tricks of
-:meth:`~repro.netlist.simulator.BatchSimulator.run_verdicts`: outputs
-are packed into uint64 words so the per-cycle health check is a handful
-of word compares per machine, and the loop exits early once every
-machine has failed.
+The compiled reference kernel runs :func:`detect_failures` machine-major,
+like :meth:`~repro.netlist.simulator.BatchSimulator.run_verdicts`; the
+lock-step loop below (the numpy body and ``bitplane``) shares that
+method's other tricks: outputs are packed into uint64 words so the
+per-cycle health check is a handful of word compares per machine, and
+the loop exits early once every machine has failed.
 """
 
 from __future__ import annotations
@@ -42,12 +43,23 @@ def detect_failures(
     aligned with ``stimulus``.  The failure flag latches on the first
     mismatch; the loop exits early once every machine has failed.
 
-    With ``retire=True``, machines whose flag has latched are compacted
-    out of the batch mid-run (their remaining trajectory cannot change
-    the result), so per-cycle cost tracks still-healthy machines.  The
-    returned array is always indexed by *original* batch slot and is
-    byte-identical to the ``retire=False`` result.
+    A simulator with the compiled kernel runs machine-major: each
+    machine stops at its own first mismatch in one foreign call
+    (:meth:`~repro.netlist.simulator.BatchSimulator._run_machine_major`),
+    and ``retire`` only turns on the kernel counters.  Otherwise, with
+    ``retire=True``, machines whose flag has latched are compacted out
+    of the lock-step batch mid-run (their remaining trajectory cannot
+    change the result), so per-cycle cost tracks still-healthy machines.
+    The returned array is always indexed by *original* batch slot and is
+    byte-identical to the ``retire=False`` result on every path.
     """
+    if sim._native is not None:
+        first_error = sim._run_machine_major(
+            stimulus, ref_outputs, cycles, retire=retire, detect_only=True
+        )[0]
+        failed = np.zeros(sim.B, dtype=bool)
+        failed[sim.batch_slots] = first_error >= 0
+        return failed
     n_out = sim.design.n_outputs
     ref_words, n_bytes, n_words = _packed_reference(ref_outputs, cycles, n_out)
     out_padded = np.zeros((sim.B, n_words * 8), dtype=np.uint8)

@@ -44,8 +44,11 @@ class CampaignTelemetry:
     representative (they count in ``n_simulated`` but cost no batch
     slot); ``machines_retired`` / ``batch_compactions`` /
     ``machine_cycles_saved`` aggregate the kernel's fault-dropping
-    statistics (machines sealed mid-run, compaction events, and
-    machine-cycles never simulated because of them).
+    statistics (see :class:`~repro.netlist.simulator.KernelCounters`):
+    machines that stopped before their batch's last cycle, compaction
+    events (lock-step loop only; the compiled machine-major loop never
+    compacts) and machine-cycles never simulated.  All three stay 0
+    when retirement is off.
     """
 
     n_candidates: int = 0

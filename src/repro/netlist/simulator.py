@@ -72,6 +72,18 @@ class KernelCounters:
     Campaign drivers snapshot/diff these around observation calls (and
     collect the diffs from worker processes) to report retirement rates
     in :class:`~repro.engine.telemetry.CampaignTelemetry`.
+
+    With retirement on, the lock-step loop (numpy body, ``bitplane``)
+    counts the machines it compacts out of a batch, each compaction,
+    and the cycles the compacted machines did not run up to the batch's
+    exit.  The compiled machine-major loop never compacts
+    (``batch_compactions`` stays 0): ``machines_retired`` counts the
+    machines that stopped before the batch's last cycle (the latest
+    stop cycle of any of its machines) and ``machine_cycles_saved`` sums
+    the batch's last cycle minus each machine's stop cycle.  With
+    retirement off every counter stays 0 on both paths.
+    ``ff_cycles_skipped`` counts golden-prefix cycles fast-forward did
+    not replay.
     """
 
     machines_retired: int = 0
@@ -464,19 +476,24 @@ class BatchSimulator:
         self._caches_built = True
         # The compiled step reads and writes the arrays above in place,
         # so only a rebuild of them (here, after compaction) rebinds it.
-        fn = native.step_function()
-        self._native = None if fn is None else native.StepPlan(
-            fn,
+        k = native.kernel()
+        self._verdicts_fn = None if k is None else k.verdicts
+        self._native = None if k is None else native.StepPlan(k.step, **self._step_fields())
+
+    def _step_fields(self) -> dict:
+        """The compiled step's arguments: the gather caches, bound in place."""
+        d = self.design
+        return dict(
             v=self._values_flat,
             tables=self._lut_tables_flat,
             stim=self._stim_buf,
             in_scatter=self._in_scatter,
-            B=B,
+            B=self.B,
             v_stride=d.n_nodes,
             tab_stride=d.n_luts * 16,
             n_in=d.n_inputs,
             settle=self.settle_passes,
-            n_levels=len(counts),
+            n_levels=self._lvl_len.size,
             level_len=self._lvl_len,
             gather=self._lvl_gather_flat,
             tab_base=self._lvl_tab_flat,
@@ -485,7 +502,7 @@ class BatchSimulator:
             n_out=d.n_outputs,
             out_idx=self._out_idx,
             out=self._out_buf,
-            R=R,
+            R=self._ff_rows.size,
             ff_gather=self._ff_gather,
             ff_unclocked=self._ff_unclocked,
             ff_scatter=self._ff_scatter,
@@ -576,6 +593,16 @@ class BatchSimulator:
         Models a configuration scrub: the corrupted frame is rewritten,
         but flip-flop contents — and half-latch keepers — are untouched.
         """
+        const_only = self._restore_hardware(m)
+        self._restore_const_state(m, const_only)
+        self._refresh_machine_caches(m)
+
+    def _restore_hardware(self, m) -> np.ndarray:
+        """Golden hardware arrays for machine(s) ``m``; returns the CONST mask.
+
+        Constants: CONST nodes are configuration (repaired); HALF_LATCH
+        keepers are hidden state and deliberately NOT restored.
+        """
         d = self.design
         self.lut_inputs[m] = d.lut_inputs
         self.lut_tables[m] = d.lut_tables
@@ -585,13 +612,10 @@ class BatchSimulator:
         self.ff_init[m] = d.ff_init
         self.ff_clocked[m] = d.ff_clocked
         self.output_nodes[m] = d.output_nodes
-        # Constants: CONST nodes are configuration (repaired); HALF_LATCH
-        # keepers are hidden state and deliberately NOT restored.
         const_only = d.node_kind == int(NodeKind.CONST)
-        self.const_values[m, const_only] = d.const_values[const_only]
-        self._restore_const_state(m, const_only)
+        self.const_values[np.ix_(np.atleast_1d(m), const_only)] = d.const_values[const_only]
         self._broken[m] = False
-        self._refresh_machine_caches(m)
+        return const_only
 
     def _restore_const_state(self, m: int, const_only: np.ndarray) -> None:
         """Reassert golden CONST node *values* for machine ``m`` (hook)."""
@@ -655,10 +679,10 @@ class BatchSimulator:
         d = self.design
         if self._initial_values is not None:
             self.values[:] = self._initial_values[None, :]
-            self.values[:, self._const_mask] = self.const_values[:, self._const_mask]
+            np.copyto(self.values, self.const_values, where=self._const_mask)
             return
         self.values[:] = 0
-        self.values[:, self._const_mask] = self.const_values[:, self._const_mask]
+        np.copyto(self.values, self.const_values, where=self._const_mask)
         if d.n_ffs:
             self.values[
                 np.arange(self.B)[:, None], d.ff_nodes[None, :]
@@ -945,6 +969,20 @@ class BatchSimulator:
             raise NetlistError("golden trace shorter than the verdict run")
         if retire and not self.companion:
             raise NetlistError("retire=True needs a batch built with companion=True")
+        if retire and addr_suffix is not None and addr_suffix.shape[0] < total_needed + 1:
+            raise NetlistError("addr_suffix shorter than the verdict run")
+        if self._native is not None:
+            self.reset()
+            first_error, recovered, persistent, _ = self._run_machine_major(
+                stimulus,
+                golden.outputs,
+                total_needed,
+                detect_cycles=detect_cycles,
+                converge_run=converge_run,
+                retire=retire,
+                addr_suffix=addr_suffix,
+            )
+            return _verdict_list(first_error, persistent, recovered)
 
         # Verdict bookkeeping is indexed by *original* slot and covers
         # the logical machines only (the companion, always the last
@@ -974,8 +1012,6 @@ class BatchSimulator:
         out_words = out_padded.view(np.uint64)  # (B, W)
 
         if retire and addr_suffix is not None:
-            if addr_suffix.shape[0] < total_needed + 1:
-                raise NetlistError("addr_suffix shorter than the verdict run")
             quiet_ok, flip_masks = self._tables_only_flip_masks(n_logical)
         else:
             addr_suffix = None
@@ -1065,12 +1101,144 @@ class BatchSimulator:
 
         # Anything still in phase 1 never re-converged: persistent error.
         persistent[phase == 1] = True
-        return [
-            MachineVerdict(
-                failed=first_error[m] >= 0,
-                first_error_cycle=int(first_error[m]),
-                persistent=bool(persistent[m]),
-                recovered_cycle=int(recovered[m]),
+        return _verdict_list(first_error, persistent, recovered)
+
+    def _run_machine_major(
+        self,
+        stimulus: np.ndarray,
+        ref_outputs: np.ndarray,
+        cycles: int,
+        retire: bool = False,
+        detect_only: bool = False,
+        **rules,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The compiled verdict loop over ``cycles`` (needs :attr:`_native`).
+
+        Each machine runs from the current state through its own cycles
+        to its own verdict before the next one starts, under exactly the
+        per-cycle rules of :meth:`run_verdicts`' lock-step loop, which
+        stays the numpy body's path and the test reference.  With
+        ``detect_only`` every machine (a companion included) stops at
+        its first mismatch and nothing is repaired.  ``rules`` are
+        :meth:`_verdict_fields`' ``detect_cycles``, ``converge_run`` and
+        ``addr_suffix``.
+
+        Returns per-machine ``(first_error, recovered, persistent,
+        stop)``; ``stop`` is the last cycle a machine ran.  With
+        ``retire`` the kernel counters record machines that stopped
+        before the batch's last cycle and the cycles they did not run;
+        nothing is compacted.  Afterwards each machine's state is its
+        own stop cycle's, and repaired machines carry golden hardware.
+        """
+        fields = self._verdict_fields(
+            stimulus, ref_outputs, cycles, retire=retire, detect_only=detect_only, **rules
+        )
+        native.VerdictPlan(self._verdicts_fn, self._native, **fields)()
+        first_error, stop = fields["first_error"], fields["stop"]
+        if not detect_only:
+            repaired = np.flatnonzero(first_error >= 0)
+            if repaired.size:
+                self._restore_hardware(repaired)
+        if retire:
+            t_exit = int(stop.max(initial=-1))
+            early = stop < t_exit
+            KERNEL_COUNTERS.machines_retired += int(np.count_nonzero(early))
+            KERNEL_COUNTERS.machine_cycles_saved += int(np.sum(t_exit - stop[early]))
+        return first_error, fields["recovered"], fields["persistent"].astype(bool), stop
+
+    def _verdict_fields(
+        self,
+        stimulus: np.ndarray,
+        ref_outputs: np.ndarray,
+        cycles: int,
+        detect_cycles: int = 0,
+        converge_run: int = 0,
+        retire: bool = False,
+        addr_suffix: np.ndarray | None = None,
+        detect_only: bool = False,
+    ) -> dict:
+        """Arguments of the compiled verdict loop, result arrays included.
+
+        Raises :class:`NetlistError` for a stimulus window of the wrong
+        shape or with non-0/1 entries: the check :meth:`step` makes per
+        cycle, made once for the whole window.
+        """
+        d = self.design
+        stimulus = np.asarray(stimulus)
+        if stimulus.ndim != 2 or stimulus.shape[0] < cycles or stimulus.shape[1] != d.n_inputs:
+            raise NetlistError(
+                f"stimulus must hold {cycles} rows of {d.n_inputs} entries, "
+                f"got {stimulus.shape}"
             )
-            for m in range(n_logical)
-        ]
+        require_binary(stimulus[:cycles], "stimulus")
+        n = self.B if detect_only or not self.companion else self.B - 1
+        seal = retire and not detect_only
+        rule3 = seal and addr_suffix is not None
+        no_i, no_u8 = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.uint8)
+        fields = dict(
+            # Outputs are 0/1; the lock-step compare reads golden as 0/1 too.
+            stim=np.ascontiguousarray(stimulus[:cycles], dtype=np.uint8),
+            ref=np.ascontiguousarray(ref_outputs[:cycles] != 0, dtype=np.uint8),
+            T=cycles,
+            detect=detect_cycles,
+            converge=converge_run,
+            n_machines=n,
+            companion=self.B - 1,
+            detect_only=int(detect_only),
+            retire=int(seal),
+            rule3=int(rule3),
+            comp_state=np.empty(cycles * d.n_nodes if seal else 0, dtype=np.uint8),
+            gold_gather=no_i, gold_tables=no_u8, gold_ff=no_i,
+            gold_unclocked=np.zeros(0, dtype=bool), gold_out=no_i,
+            n_const=0, const_nodes=no_i, const_vals=no_u8,
+            suffix=np.zeros(0, dtype=np.uint16), quiet=np.zeros(0, dtype=bool),
+            flip_ptr=no_i, flip_row=no_i, flip_mask=np.zeros(0, dtype=np.uint16),
+            first_error=np.empty(n, dtype=np.int64),
+            recovered=np.empty(n, dtype=np.int64),
+            stop=np.empty(n, dtype=np.int64),
+            persistent=np.empty(n, dtype=np.uint8),
+        )
+        if not detect_only:
+            rows = self._ff_rows
+            const_nodes = np.flatnonzero(d.node_kind == int(NodeKind.CONST))
+            fields.update(
+                gold_gather=np.concatenate(
+                    [no_i, *(d.lut_inputs[lv].reshape(-1) for lv in self._levels)]
+                ).astype(np.intp),
+                gold_tables=np.ascontiguousarray(d.lut_tables, dtype=np.uint8).reshape(-1),
+                gold_ff=np.concatenate(
+                    [d.ff_d[rows], d.ff_ce[rows], d.ff_sr[rows]]
+                ).astype(np.intp),
+                gold_unclocked=np.not_equal(d.ff_clocked[rows], 1),
+                gold_out=d.output_nodes.astype(np.intp),
+                n_const=const_nodes.size,
+                const_nodes=const_nodes,
+                const_vals=d.const_values[const_nodes].astype(np.uint8),
+            )
+        if rule3:
+            quiet, flips = self._tables_only_flip_masks(n)
+            machine, row = np.nonzero(flips)
+            flip_ptr = np.zeros(n + 1, dtype=np.intp)
+            np.cumsum(np.bincount(machine, minlength=n), out=flip_ptr[1:])
+            fields.update(
+                suffix=np.ascontiguousarray(addr_suffix[: cycles + 1], dtype=np.uint16),
+                quiet=quiet,
+                flip_ptr=flip_ptr,
+                flip_row=row.astype(np.intp),
+                flip_mask=flips[machine, row],
+            )
+        return fields
+
+
+def _verdict_list(
+    first_error: np.ndarray, persistent: np.ndarray, recovered: np.ndarray
+) -> list[MachineVerdict]:
+    return [
+        MachineVerdict(
+            failed=bool(f >= 0),
+            first_error_cycle=int(f),
+            persistent=bool(p),
+            recovered_cycle=int(r),
+        )
+        for f, p, r in zip(first_error.tolist(), persistent.tolist(), recovered.tolist())
+    ]

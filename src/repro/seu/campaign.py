@@ -144,6 +144,16 @@ class CampaignConfig:
     def total_cycles(self) -> int:
         return self.warmup_cycles + self.detect_cycles + self.persist_cycles
 
+    def key(self) -> str:
+        """JSON of the fields a verdict depends on, for fault-model keys.
+
+        ``batch_size`` is left out: no verdict depends on batching, so a
+        checkpoint written at one batch size resumes at any other.
+        """
+        fields = dataclasses.asdict(self)
+        del fields["batch_size"]
+        return json.dumps(fields, sort_keys=True)
+
 
 @dataclass
 class CampaignResult:
@@ -553,8 +563,7 @@ class SEUFaultModel(FaultModel):
 
     def key(self) -> str:
         return (
-            f"seu:{self.spec.name}:{self.device_name}:"
-            f"{json.dumps(dataclasses.asdict(self.config), sort_keys=True)}"
+            f"seu:{self.spec.name}:{self.device_name}:{self.config.key()}"
         )
 
     def space_size(self) -> int:
@@ -822,7 +831,7 @@ class HalfLatchFaultModel(FaultModel):
         )
         return (
             f"halflatch:{self.spec.name}:{self.device_name}:{nodes_part}:"
-            f"{json.dumps(dataclasses.asdict(self.config), sort_keys=True)}"
+            f"{self.config.key()}"
         )
 
     def _hw(self) -> HardwareDesign:

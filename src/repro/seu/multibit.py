@@ -21,8 +21,6 @@ any worker count.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
@@ -108,8 +106,7 @@ class MBUFaultModel(FaultModel):
     def key(self) -> str:
         return (
             f"mbu:{self.spec.name}:{self.device_name}:k={self.k}:"
-            f"n={self.n_trials}:seed={self.seed}:"
-            f"{json.dumps(dataclasses.asdict(self.config), sort_keys=True)}"
+            f"n={self.n_trials}:seed={self.seed}:{self.config.key()}"
         )
 
     def space_size(self) -> int:

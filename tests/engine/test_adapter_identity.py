@@ -12,6 +12,7 @@ Two layers of protection for the big refactor:
 
 from __future__ import annotations
 
+import dataclasses
 from concurrent.futures import Executor, Future
 
 import numpy as np
@@ -213,6 +214,47 @@ class TestMultiBitAdapter:
         )
         assert resumed.n_failures == serial.n_failures
         assert_sweeps_identical(sweepmod.load_sweep(path), sweepmod.load_sweep(full_path))
+
+
+class TestResumeAtAnotherBatchSize:
+    """A checkpoint written at one batch size resumes at another.
+
+    No verdict depends on batching, so the fault-model keys a checkpoint
+    is matched by leave ``batch_size`` out.
+    """
+
+    def _kill_then_resume(self, run, path, dying_checkpoint, config, **kw):
+        dying_checkpoint.arm(die_after=1)
+        with pytest.raises(Killed):
+            run(config=config, checkpoint_path=path, **kw)
+        dying_checkpoint.disarm()
+        part = sweepmod.load_sweep(path)
+        small = dataclasses.replace(config, batch_size=config.batch_size // 2)
+        run(config=small, checkpoint_path=path, resume=True, **kw)
+        return part
+
+    def test_multibit(self, mult_hw, tmp_path, dying_checkpoint):
+        def run(**kw):
+            return run_multibit_campaign(mult_hw, 0.05, k=2, n_trials=128, seed=3, jobs=2, **kw)
+
+        full_path, path = str(tmp_path / "full.npz"), str(tmp_path / "mbu.npz")
+        run(config=CFG, checkpoint_path=full_path)
+        part = self._kill_then_resume(run, path, dying_checkpoint, CFG)
+        assert 0 < part.n_candidates < 128
+        assert_sweeps_identical(sweepmod.load_sweep(path), sweepmod.load_sweep(full_path))
+
+    def test_halflatch(self, mult_hw, tmp_path, dying_checkpoint):
+        def run(**kw):
+            return run_halflatch_sweep(mult_hw, jobs=3, **kw)
+
+        full_path, path = str(tmp_path / "full.npz"), str(tmp_path / "hl.npz")
+        full = run(config=HL_CFG, checkpoint_path=full_path)
+        part = self._kill_then_resume(run, path, dying_checkpoint, HL_CFG)
+        assert 0 < part.n_candidates < full.n_candidates
+        resumed = sweepmod.load_sweep(path)
+        assert_sweeps_identical(resumed, sweepmod.load_sweep(full_path))
+        assert resumed.verdicts.tobytes() == full.verdicts.tobytes()
+        assert_golden_verdicts("halflatch_verdicts", resumed.verdicts)
 
 
 class TestBistCoverageAdapter:

@@ -26,7 +26,7 @@ def use_reference_path(name: str, monkeypatch) -> None:
     if name == "reference-numpy":
         monkeypatch.setattr(native, "_step", None)
     elif shutil.which("cc") is not None:
-        assert native.step_function() is not None, "cc is on PATH but the native step failed"
+        assert native.kernel() is not None, "cc is on PATH but the native kernel failed"
 
 
 @pytest.fixture(params=REFERENCE_PATHS)
