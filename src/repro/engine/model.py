@@ -2,7 +2,8 @@
 
 A fault model answers four questions — *what* could break
 (:meth:`FaultModel.enumerate_candidates`), *which* candidates provably
-cannot matter (:meth:`FaultModel.prefilter`), *how* a candidate perturbs
+cannot matter (:meth:`FaultModel.prefilter`, applied chunk by chunk
+through :meth:`FaultModel.prefilter_chunk`), *how* a candidate perturbs
 the hardware (:meth:`FaultModel.patch_for`), and *what* an observation
 means (:meth:`FaultModel.classify`).  Everything else — batching,
 process sharding, checkpoint/resume, merging, telemetry — is the
@@ -146,6 +147,35 @@ class FaultModel(abc.ABC):
         :meth:`patch_for` — payloads never cross processes.
         """
         return CODE_NOT_TESTED, None
+
+    def prefilter_chunk(
+        self, cands: np.ndarray, ctx: Any
+    ) -> tuple[np.ndarray, list[tuple[int, Any | None]]]:
+        """Structural pre-filter for one contiguous chunk of candidates.
+
+        Returns one uint8 code per candidate, aligned with ``cands``,
+        and the survivors as ``(candidate, payload)`` pairs: exactly the
+        ``CODE_NOT_TESTED`` candidates, in chunk order, each with the
+        payload :meth:`prefilter` would give it.  The engine calls this,
+        never :meth:`prefilter` directly, and raises
+        :class:`~repro.errors.CampaignError` on a result that breaks
+        these rules.
+
+        The default runs :meth:`prefilter` once per candidate.  Override
+        it when most candidates can be settled by one array operation
+        over the chunk (the SEU model skips every dead configuration bit
+        with one gather of the golden live-bit mask) so the per-candidate
+        cost follows the survivors.  An override must give the codes and
+        payloads of the default loop, for any chunk.
+        """
+        codes = np.empty(cands.size, dtype=np.uint8)
+        survivors: list[tuple[int, Any | None]] = []
+        for i, cand in enumerate(cands.tolist()):
+            code, payload = self.prefilter(cand, ctx)
+            codes[i] = code
+            if code == CODE_NOT_TESTED:
+                survivors.append((cand, payload))
+        return codes, survivors
 
     @abc.abstractmethod
     def patch_for(self, candidate: int, ctx: Any) -> Any:

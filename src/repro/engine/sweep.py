@@ -17,10 +17,10 @@ shard cuts and the candidate order cannot change a byte.  The driver
 runs in two phases:
 
 1. **Pre-filter** — candidates are split into contiguous chunks and
-   classified (in parallel under a pool; :meth:`FaultModel.prefilter`
-   is a pure per-candidate function, so any split is safe).  Each
-   survivor comes back with its ``(signature, settle key)`` pair, in
-   candidate order.
+   each chunk is classified by :meth:`FaultModel.prefilter_chunk` (in
+   parallel under a pool; the pre-filter is a pure per-candidate
+   function, so any split is safe).  Each survivor comes back with its
+   ``(signature, settle key)`` pair, in candidate order.
 2. **Observe** — survivors are stable-sorted by settle key and cut into
    equal contiguous shards; each shard runs batches of at most
    ``batch_size`` survivors of one key.
@@ -29,7 +29,9 @@ runs in two phases:
 (under a pool) and then as observe shards complete, in any order;
 ``checkpoint_every`` (survivors per snapshot) sets the shard count,
 raised to ``jobs * shards_per_job`` when a pool exists, and the
-complete result is written once at the end.  Since no verdict depends
+complete result is written once at the end.  Archives store the done
+candidates as a packed bitmask over the verdict space
+(:func:`encode_done`).  Since no verdict depends
 on which candidates share a batch, any resolved subset is a valid
 snapshot and a killed sweep resumes to the byte-identical result under
 any worker count.
@@ -206,19 +208,70 @@ def merge_sweeps(parts: list[SweepResult]) -> SweepResult:
     )
 
 
+def encode_done(ids: np.ndarray, n_space: int) -> np.ndarray:
+    """Archive form of a done-candidate set: a packed bitmask.
+
+    One bit per id of the verdict space ``[0, n_space)``
+    (:func:`numpy.packbits`, ``ceil(n_space / 8)`` bytes), so a
+    checkpoint's size no longer grows with 8 bytes per done id.  An id
+    outside the space or listed twice raises :class:`CampaignError`:
+    the mask cannot hold either, and folding them would change the set.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    outside = ids[(ids < 0) | (ids >= n_space)]
+    if outside.size:
+        raise CampaignError(
+            f"cannot archive candidate id {int(outside[0])}: outside the "
+            f"verdict space [0, {n_space})"
+        )
+    mask = np.zeros(n_space, dtype=bool)
+    mask[ids] = True
+    if int(np.count_nonzero(mask)) != ids.size:
+        uniq, counts = np.unique(ids, return_counts=True)
+        raise CampaignError(
+            f"cannot archive candidate id {int(uniq[counts > 1][0])}: listed "
+            f"more than once"
+        )
+    return np.packbits(mask)
+
+
+def decode_done(data: Any, n_space: int, legacy_key: str, path: str) -> np.ndarray:
+    """The sorted int64 done ids of an archive written by :func:`encode_done`.
+
+    ``data`` is the loaded ``.npz``.  Archives from before the packed
+    mask store the ids themselves under ``legacy_key``; they are
+    returned as stored.
+    """
+    if "done_bits" not in data:
+        return np.asarray(data[legacy_key], dtype=np.int64)
+    packed = data["done_bits"]
+    n_bytes = -(-n_space // 8)
+    if packed.dtype != np.uint8 or packed.shape != (n_bytes,):
+        raise CampaignError(
+            f"checkpoint {path!r}: done_bits must be {n_bytes} uint8 bytes for "
+            f"a verdict space of {n_space}, got {packed.dtype} of shape {packed.shape}"
+        )
+    bits = np.unpackbits(packed)
+    if bits[n_space:].any():
+        raise CampaignError(f"checkpoint {path!r}: done_bits marks ids past {n_space}")
+    return np.flatnonzero(bits[:n_space]).astype(np.int64, copy=False)
+
+
 def save_sweep(sweep: SweepResult, path: str) -> None:
     """Persist a (possibly partial) sweep to ``path`` (.npz), atomically.
 
-    Payloads must be equal-shape arrays (they are stacked into one
-    block).  The write is tmp-file + rename, so a sweep killed while
-    checkpointing never leaves a truncated snapshot behind.
+    The done candidates are stored as a packed mask
+    (:func:`encode_done`).  Payloads must be equal-shape arrays (they
+    are stacked into one block).  The write is tmp-file + rename, so a
+    sweep killed while checkpointing never leaves a truncated snapshot
+    behind.
     """
     payload = dict(
         model_name=np.str_(sweep.model_name),
         model_key=np.str_(sweep.model_key),
         n_space=np.int64(sweep.n_space),
         verdicts=sweep.verdicts,
-        candidate_ids=sweep.candidate_ids,
+        done_bits=encode_done(sweep.candidate_ids, sweep.n_space),
         n_simulated=np.int64(sweep.n_simulated),
         host_seconds=np.float64(sweep.host_seconds),
     )
@@ -235,7 +288,8 @@ def save_sweep(sweep: SweepResult, path: str) -> None:
 
 
 def load_sweep(path: str) -> SweepResult:
-    """Load a sweep / checkpoint written by :func:`save_sweep`."""
+    """Load a sweep / checkpoint written by :func:`save_sweep` (also the
+    older archives that list the ids under ``candidate_ids``)."""
     try:
         data = np.load(path, allow_pickle=False)
     except (OSError, ValueError) as err:
@@ -249,12 +303,13 @@ def load_sweep(path: str) -> SweepResult:
     if "payload_ids" in data:
         values = data["payload_values"]
         payloads = {int(i): values[k] for k, i in enumerate(data["payload_ids"])}
+    n_space = int(data["n_space"])
     return SweepResult(
         model_name=str(data["model_name"]),
         model_key=str(data["model_key"]),
-        n_space=int(data["n_space"]),
+        n_space=n_space,
         verdicts=data["verdicts"],
-        candidate_ids=data["candidate_ids"],
+        candidate_ids=decode_done(data, n_space, "candidate_ids", path),
         n_simulated=int(data["n_simulated"]),
         host_seconds=float(data["host_seconds"]),
         telemetry=telemetry,
@@ -357,10 +412,38 @@ def _shard_cache(cache_key: str | None):
     return result_cache() if cache_key else None
 
 
+def _check_prefilter_chunk(
+    model: FaultModel, cands: np.ndarray, codes: Any, survivors: Any
+) -> None:
+    """Hold a :meth:`FaultModel.prefilter_chunk` result to its contract."""
+    where = f"{type(model).__name__}.prefilter_chunk"
+    if not (
+        isinstance(codes, np.ndarray) and codes.dtype == np.uint8 and codes.shape == cands.shape
+    ):
+        shape = getattr(codes, "shape", None)
+        dtype = getattr(codes, "dtype", type(codes).__name__)
+        raise CampaignError(
+            f"{where} must return one uint8 code per candidate "
+            f"({cands.size}), got {dtype} of shape {shape}"
+        )
+    expected = cands[codes == CODE_NOT_TESTED]
+    try:
+        got = np.array([int(c) for c, _ in survivors], dtype=np.int64)
+    except (TypeError, ValueError):
+        got = None
+    if got is None or not np.array_equal(got, expected):
+        raise CampaignError(
+            f"{where} survivors must be the {expected.size} CODE_NOT_TESTED "
+            f"candidates as (candidate, payload) pairs in chunk order, got "
+            f"{'malformed pairs' if got is None else got.tolist()[:8]}"
+        )
+
+
 def _worker_prefilter(
     model_ref, cands: np.ndarray, cache_key: str | None = None
 ) -> tuple[np.ndarray, list[tuple[Any, Any]], float]:
-    """Classify one contiguous candidate chunk.
+    """Classify one contiguous candidate chunk with the model's
+    :meth:`~repro.engine.model.FaultModel.prefilter_chunk`.
 
     Returns per-candidate verdict codes aligned with ``cands``
     (``CODE_NOT_TESTED`` marks a pre-filter survivor that must be
@@ -377,14 +460,11 @@ def _worker_prefilter(
             return hit
     t0 = time.perf_counter()
     model, ctx, patches = _model_state(model_ref)
-    codes = np.empty(cands.size, dtype=np.uint8)
+    codes, survivors = model.prefilter_chunk(cands, ctx)
+    _check_prefilter_chunk(model, cands, codes, survivors)
     info: list[tuple[Any, Any]] = []
-    for i, cand in enumerate(cands):
+    for cand, patch in survivors:
         cand = int(cand)
-        code, patch = model.prefilter(cand, ctx)
-        codes[i] = code
-        if code != CODE_NOT_TESTED:
-            continue
         if patch is None:
             patch = model.patch_for(cand, ctx)
         info.append(

@@ -21,7 +21,9 @@ merging, telemetry — lives in the fault-model-agnostic engine
 trace, warm-state snapshot), :func:`classify_candidate` is the
 structural pre-filter for one bit, and :func:`simulate_batch` runs one
 batch of survivors to verdicts.  Results and checkpoints remain
-:class:`CampaignResult` archives in the original ``.npz`` schema.
+:class:`CampaignResult` ``.npz`` archives; the tested bits are stored
+as a packed mask (:func:`save_result`), and archives that list them
+under ``candidate_bits`` also load.
 
 A separate campaign (:func:`run_halflatch_campaign`) sweeps the *hidden*
 half-latch state — the cross-section readback cannot see, which drives
@@ -63,6 +65,8 @@ from repro.engine.model import (
 )
 from repro.engine.sweep import (
     SweepResult,
+    decode_done,
+    encode_done,
     resume_sweep,
     run_sharded,
     run_sweep,
@@ -153,6 +157,15 @@ class CampaignConfig:
         fields = dataclasses.asdict(self)
         del fields["batch_size"]
         return json.dumps(fields, sort_keys=True)
+
+    def unbatched(self) -> CampaignConfig:
+        """This config with ``batch_size`` at its default.
+
+        Fault models hold this form: batching is the driver's argument,
+        and a model's pickle keys the whole-sweep result cache, so a
+        repeat at another batch size is served from it.
+        """
+        return dataclasses.replace(self, batch_size=CampaignConfig.batch_size)
 
 
 @dataclass
@@ -481,8 +494,10 @@ def _by_kind(hw: HardwareDesign, sensitive_bits: np.ndarray) -> dict[ResourceKin
 def save_result(result: CampaignResult, path: str) -> None:
     """Persist a (possibly partial) campaign result to ``path`` (.npz).
 
-    The write is atomic (tmp file + rename) so a campaign killed while
-    checkpointing never leaves a truncated snapshot behind.
+    The tested bits are stored as a packed mask over the verdict array
+    (:func:`~repro.engine.sweep.encode_done`).  The write is atomic
+    (tmp file + rename) so a campaign killed while checkpointing never
+    leaves a truncated snapshot behind.
     """
     payload = dict(
         design_name=np.str_(result.design_name),
@@ -490,7 +505,7 @@ def save_result(result: CampaignResult, path: str) -> None:
         config_json=np.str_(json.dumps(dataclasses.asdict(result.config))),
         n_candidates=np.int64(result.n_candidates),
         verdicts=result.verdicts,
-        candidate_bits=result.candidate_bits,
+        done_bits=encode_done(result.candidate_bits, result.verdicts.size),
         by_kind_names=np.array([k.name for k in result.by_kind], dtype=np.str_),
         by_kind_counts=np.array(list(result.by_kind.values()), dtype=np.int64),
         host_seconds=np.float64(result.host_seconds),
@@ -505,7 +520,8 @@ def save_result(result: CampaignResult, path: str) -> None:
 
 
 def load_result(path: str) -> CampaignResult:
-    """Load a campaign result / checkpoint written by :func:`save_result`."""
+    """Load a campaign result / checkpoint written by :func:`save_result`
+    (also the older archives that list the bits under ``candidate_bits``)."""
     try:
         data = np.load(path, allow_pickle=False)
     except (OSError, ValueError) as err:
@@ -520,13 +536,14 @@ def load_result(path: str) -> CampaignResult:
         fields = {f.name for f in dataclasses.fields(CampaignTelemetry)}
         raw = json.loads(str(data["telemetry_json"]))
         telemetry = CampaignTelemetry(**{k: v for k, v in raw.items() if k in fields})
+    verdicts = data["verdicts"]
     return CampaignResult(
         design_name=str(data["design_name"]),
         device_name=str(data["device_name"]),
         config=config,
         n_candidates=int(data["n_candidates"]),
-        verdicts=data["verdicts"],
-        candidate_bits=data["candidate_bits"],
+        verdicts=verdicts,
+        candidate_bits=decode_done(data, verdicts.size, "candidate_bits", path),
         by_kind=by_kind,
         host_seconds=float(data["host_seconds"]),
         n_simulated=int(data["n_simulated"]),
@@ -542,7 +559,9 @@ class SEUFaultModel(FaultModel):
     """Single-bit configuration upsets, as seen by the campaign engine.
 
     Candidates are linear block-0 bitstream indices; the pre-filter is
-    :func:`classify_candidate`, the observation is
+    :func:`classify_candidate`, run by :meth:`prefilter_chunk` on live
+    bits only (dead bits are settled by one gather of
+    :attr:`~repro.place.decoder.DecodedDesign.live_bits`); the observation is
     :func:`simulate_batch`'s inject/observe/repair/classify verdict.
     Picklable by construction: heavy state (the implemented design, the
     golden trace, the warm snapshot) is derived per process in
@@ -560,6 +579,9 @@ class SEUFaultModel(FaultModel):
     retire: bool = True
 
     name: ClassVar[str] = "seu"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "config", self.config.unbatched())
 
     def key(self) -> str:
         return (
@@ -589,6 +611,21 @@ class SEUFaultModel(FaultModel):
     def prefilter(self, candidate: int, ctx) -> tuple[int, Patch | None]:
         hw, cctx = ctx
         return classify_candidate(hw, cctx, candidate)
+
+    def prefilter_chunk(
+        self, cands: np.ndarray, ctx
+    ) -> tuple[np.ndarray, list[tuple[int, Patch | None]]]:
+        # Most bits are dead (``live_bits`` False): their flips decode to
+        # nothing, which is what classify_candidate would find one bit at
+        # a time.  Settle them with one gather; only live bits, and
+        # out-of-range ids (which raise there), take the per-bit loop.
+        live = ctx[0].decoded.live_bits
+        in_range = (cands >= 0) & (cands < live.size)
+        per_bit = ~in_range
+        per_bit[in_range] = live[cands[in_range]]
+        codes = np.full(cands.size, BitVerdict.SKIP_STRUCTURAL, dtype=np.uint8)
+        codes[per_bit], survivors = super().prefilter_chunk(cands[per_bit], ctx)
+        return codes, survivors
 
     def patch_for(self, candidate: int, ctx) -> Patch:
         hw, _ = ctx
@@ -824,6 +861,9 @@ class HalfLatchFaultModel(FaultModel):
     retire: bool = True
 
     name: ClassVar[str] = "halflatch"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "config", self.config.unbatched())
 
     def key(self) -> str:
         nodes_part = (

@@ -103,6 +103,9 @@ class MBUFaultModel(FaultModel):
 
     name: ClassVar[str] = "mbu"
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "config", self.config.unbatched())
+
     def key(self) -> str:
         return (
             f"mbu:{self.spec.name}:{self.device_name}:k={self.k}:"

@@ -378,3 +378,63 @@ class TestAmbientScopes:
         assert snapshot_stride() == 1
         monkeypatch.setenv("REPRO_SNAPSHOT_STRIDE", "128")
         assert snapshot_stride() == 128
+
+
+class TestSweepCacheAcrossBatchSizes:
+    """Batch size cannot change a verdict byte, so the whole-sweep cache
+    serves a repeat at another batch size; every other ``CampaignConfig``
+    field still keys the sweep."""
+
+    CFG = {
+        "seu": dict(detect_cycles=48, persist_cycles=32, stride=7),
+        "mbu": dict(detect_cycles=48, persist_cycles=0, classify_persistence=False),
+        "halflatch": dict(detect_cycles=48, persist_cycles=0, classify_persistence=False),
+    }
+
+    @staticmethod
+    def _model(kind: str, hw, **cfg):
+        from repro.seu import CampaignConfig
+        from repro.seu.campaign import HalfLatchFaultModel, SEUFaultModel
+        from repro.seu.multibit import MBUFaultModel
+
+        config = CampaignConfig(**cfg)
+        if kind == "seu":
+            return SEUFaultModel(hw.spec, hw.device.name, config)
+        if kind == "mbu":
+            return MBUFaultModel(hw.spec, hw.device.name, config, 2, 64, 3)
+        return HalfLatchFaultModel(hw.spec, hw.device.name, config)
+
+    @pytest.mark.parametrize("kind", ["seu", "mbu", "halflatch"])
+    def test_repeat_at_another_batch_size_is_a_sweep_hit(self, mult_hw, tmp_path, kind):
+        from repro.engine import run_serial
+
+        with result_cache_scope(str(tmp_path / "cache")):
+            cold_model = self._model(kind, mult_hw, batch_size=32, **self.CFG[kind])
+            cold = run_serial(cold_model, batch_size=32)
+            warm_model = self._model(kind, mult_hw, batch_size=16, **self.CFG[kind])
+            warm = run_serial(warm_model, batch_size=16)
+        assert cold.telemetry.cache_hits == 0
+        # One lookup, served: the whole sweep came from the store.
+        assert (warm.telemetry.cache_hits, warm.telemetry.cache_misses) == (1, 0)
+        assert warm.verdicts.tobytes() == cold.verdicts.tobytes()
+        assert np.array_equal(warm.candidate_ids, cold.candidate_ids)
+
+    @pytest.mark.parametrize("kind", ["seu", "mbu", "halflatch"])
+    def test_every_other_field_keys_the_sweep(self, mult_hw, kind):
+        import dataclasses
+
+        from repro.engine.sweep import _sweep_cache_key
+        from repro.seu import CampaignConfig
+
+        def key(**cfg):
+            model = self._model(kind, mult_hw, **cfg)
+            return _sweep_cache_key(model, pickle.dumps(model), np.arange(8))
+
+        base = dict(self.CFG[kind], batch_size=32)
+        assert key(**dict(base, batch_size=7)) == key(**base)
+        for f in dataclasses.fields(CampaignConfig):
+            if f.name == "batch_size":
+                continue
+            value = base.get(f.name, f.default)
+            other = (not value) if isinstance(value, bool) else value + 1
+            assert key(**dict(base, **{f.name: other})) != key(**base), f.name
