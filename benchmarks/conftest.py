@@ -23,7 +23,6 @@ import pytest
 
 from repro.designs import scaled_suite_table1, scaled_suite_table2
 from repro.fpga import get_device
-from repro.netlist.backends import resolve_backend
 from repro.place import implement
 from repro.seu import CampaignConfig, run_campaign
 
@@ -46,7 +45,6 @@ def bench_envelope() -> dict:
     """Provenance stamped into every ``BENCH_*.json`` record."""
     return {
         "git_rev": _git_rev(),
-        "backend": resolve_backend(),
         "python": platform.python_version(),
         "hostname": socket.gethostname(),
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -34,8 +34,7 @@ from repro.engine.telemetry import CampaignTelemetry
 from repro.errors import CampaignError
 from repro.fpga.device import VirtexDevice
 from repro.netlist.compiled import Patch
-from repro.netlist.backends import make_simulator, simulator_class
-from repro.netlist.simulator import settle_key
+from repro.netlist.simulator import BatchSimulator, settle_key
 
 __all__ = ["CoverageReport", "BistCoverageModel", "run_coverage"]
 
@@ -119,7 +118,7 @@ class BistCoverageModel(FaultModel):
         for spec in self.variant_specs():
             hw = implemented_design(spec, self.device_name)
             stim = hw.spec.stimulus(self.cycles, 0)
-            golden = simulator_class().golden_trace(hw.decoded.design, stim)
+            golden = BatchSimulator.golden_trace(hw.decoded.design, stim)
             variants.append((hw, stim, golden))
         return tuple(variants)
 
@@ -139,7 +138,7 @@ class BistCoverageModel(FaultModel):
     def observe_batch(self, ctx, pending) -> list[tuple[bool, bool]]:
         hits = []
         for v, (hw, stim, golden) in enumerate(ctx):
-            sim = make_simulator(hw.decoded.design, [pair[v] for _, pair in pending])
+            sim = BatchSimulator(hw.decoded.design, [pair[v] for _, pair in pending])
             hits.append(
                 detect_failures(sim, stim, golden.outputs, self.cycles, retire=self.retire)
             )

@@ -31,7 +31,7 @@ from repro.fpga.device import VirtexDevice
 from repro.fpga.resources import Direction, WIRES_PER_DIRECTION, imux_candidates, WireSource
 from repro.netlist.cells import lut_table
 from repro.netlist.netlist import Netlist
-from repro.netlist.backends import make_simulator, simulator_class
+from repro.netlist.simulator import BatchSimulator
 from repro.place.configgen import generate_bitstream
 from repro.place.decoder import decode_bitstream
 from repro.place.placer import Placement, Site
@@ -216,12 +216,12 @@ def run_wire_test(
             bits, io, expected = build_wire_chain(device, travel, w)
             decoded = decode_bitstream(device, bits, io, n_spare=8)
             patches = [fault_patch(decoded, f) for f in faults]
-            sim = make_simulator(decoded.design, [p for p in patches])
+            sim = BatchSimulator(decoded.design, [p for p in patches])
             result.n_configs_run += 1
             # Three cycles so both post-edge captures (the two paper
             # readbacks) are visible at the FF probes.
             stim = np.zeros((3, 0), dtype=np.uint8)
-            golden = simulator_class().golden_trace(decoded.design, stim)
+            golden = BatchSimulator.golden_trace(decoded.design, stim)
             outs = sim.run(stim)
             result.n_readbacks_run += 2
             for m, fault in enumerate(faults):

@@ -67,16 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="live progress line on stderr (verdict-invariant)",
         )
 
-    def add_backend_flag(p: argparse.ArgumentParser) -> None:
-        from repro.netlist.backends import BACKENDS
-
-        p.add_argument(
-            "--backend", choices=BACKENDS, default=None,
-            help="kernel backend for the netlist simulator (default: the "
-            "REPRO_KERNEL_BACKEND env var, else 'reference'; verdicts are "
-            "byte-identical for every choice)",
-        )
-
     def add_resilience_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--shard-attempts", type=int, default=None, metavar="N",
@@ -173,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_obs_flags(p)
     add_resilience_flags(p)
     add_transport_flags(p)
-    add_backend_flag(p)
 
     p = sub.add_parser(
         "multibit", help="k-bit simultaneous-upset (MBU) campaign on one design"
@@ -210,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_obs_flags(p)
     add_resilience_flags(p)
     add_transport_flags(p)
-    add_backend_flag(p)
 
     p = sub.add_parser(
         "bist-coverage", help="hard-fault coverage of the CLB BIST configurations"
@@ -238,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_obs_flags(p)
     add_resilience_flags(p)
     add_transport_flags(p)
-    add_backend_flag(p)
 
     p = sub.add_parser("table1", help="reproduce Table I on scaled designs")
     p.add_argument("--device", default="S12")
@@ -280,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     add_obs_flags(p)
-    add_backend_flag(p)
 
     p = sub.add_parser(
         "report", help="render a --trace JSONL file (span tree, critical path)"
@@ -324,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         "announce file has not named a coordinator within this window "
         "(default: keep polling until --connect-timeout expires)",
     )
-    add_backend_flag(p)
 
     p = sub.add_parser(
         "serve",
@@ -698,20 +683,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    from contextlib import nullcontext
-
     from repro.engine.chaos import ChaosPolicy
     from repro.engine.executor import executor_policy
     from repro.errors import ReproError
-    from repro.netlist.backends import kernel_backend
     from repro.obs import observe
 
     args = build_parser().parse_args(argv)
-    backend_scope = (
-        kernel_backend(args.backend)
-        if getattr(args, "backend", None)
-        else nullcontext()
-    )
     overrides: dict = {}
     if getattr(args, "chaos", None):
         try:
@@ -750,7 +727,7 @@ def main(argv: list[str] | None = None) -> int:
             getattr(args, "progress", False),
             label=args.command,
             resumed=bool(getattr(args, "resume", False)),
-        ), executor_policy(**overrides), backend_scope:
+        ), executor_policy(**overrides):
             return _COMMANDS[args.command](args)
     except ReproError as err:
         print(f"repro: error: {err}", file=sys.stderr)

@@ -27,9 +27,9 @@ Four caches live here:
 * The **content-addressed result cache** (:class:`ResultCache`): a
   disk-backed store of finished sweep verdicts and per-shard worker
   results, keyed by SHA-256 over everything that determines the bytes
-  (model blob digest, candidate ids, batch size, engine flags, kernel
-  backend — see :func:`content_key`).  A corrupted or truncated entry
-  is indistinguishable from a miss — the reader unpickles inside a
+  (model blob digest, candidate ids, engine flags — see
+  :func:`content_key`).  A corrupted or truncated entry is
+  indistinguishable from a miss — the reader unpickles inside a
   blanket except and recomputes — so the cache can accelerate but
   never change a verdict.  A write that fails (a full disk) removes its
   temp file, leaves the entry a miss and notes it once per process on

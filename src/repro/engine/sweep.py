@@ -88,7 +88,6 @@ from repro.engine.executor import (
     get_executor_policy,
 )
 from repro.engine.telemetry import CampaignTelemetry
-from repro.netlist.backends import resolve_backend
 from repro.netlist.simulator import KERNEL_COUNTERS
 from repro.obs import get_observer
 
@@ -328,12 +327,12 @@ def _sweep_cache_key(
     """Content address of one whole sweep's verdicts.
 
     Keyed on the fault model's own key *and* its pickled blob (the key
-    is human-oriented and may under-describe), the exact candidate range
-    and the resolved kernel backend.  Batch size and collapse cannot
-    change a byte (see the determinism contract).  The schema tag
-    versions the :class:`SweepResult` layout itself.
+    is human-oriented and may under-describe) and the exact candidate
+    range.  Batch size and collapse cannot change a byte (see the
+    determinism contract).  The schema tag versions the
+    :class:`SweepResult` layout itself.
     """
-    return content_key("sweep-v2", model.key(), model_blob, candidates, resolve_backend())
+    return content_key("sweep-v2", model.key(), model_blob, candidates)
 
 
 def _serve_cached_sweep(
@@ -484,7 +483,7 @@ def _worker_prefilter(
 def _worker_observe(
     model_ref, cands: np.ndarray, cuts: np.ndarray, cache_key: str | None = None
 ) -> tuple[
-    np.ndarray, dict[int, np.ndarray], list[float], float, tuple[int, int, int, int]
+    np.ndarray, dict[int, np.ndarray], list[float], float, tuple[int, int, int]
 ]:
     """Simulate one shard, one batch per ``np.split(cands, cuts)`` piece.
 
@@ -730,9 +729,7 @@ def run_sharded(
         if cached is not None:
             return _serve_cached_sweep(cached, cache0, jobs, checkpoint_save)
     fold = _Fold(model, candidates, merge_with)
-    telem = CampaignTelemetry(
-        n_candidates=int(candidates.size), jobs=jobs, backend=resolve_backend()
-    )
+    telem = CampaignTelemetry(n_candidates=int(candidates.size), jobs=jobs)
 
     # Observability hooks.  Every emission below only *reads* campaign
     # state — the verdict-invariance contract (see repro.obs) — and the
@@ -747,14 +744,12 @@ def run_sharded(
         jobs=jobs,
         candidates=int(candidates.size),
         collapse=do_collapse,
-        backend=telem.backend,
     )
 
-    def add_kernel_delta(kd: tuple[int, int, int, int]) -> None:
+    def add_kernel_delta(kd: tuple[int, int, int]) -> None:
         telem.machines_retired += kd[0]
-        telem.batch_compactions += kd[1]
-        telem.machine_cycles_saved += kd[2]
-        telem.ff_cycles_skipped += kd[3]
+        telem.machine_cycles_saved += kd[1]
+        telem.ff_cycles_skipped += kd[2]
 
     shard_exec = ShardExecutor(jobs, policy, pool=executor, backend=backend) if pooled else None
     if shard_exec is not None:
@@ -773,7 +768,7 @@ def run_sharded(
     def shard_key(kind: str, *parts: Any) -> str | None:
         if model_digest is None:
             return None
-        return content_key("shard-v3", model_digest, telem.backend, kind, *parts)
+        return content_key("shard-v3", model_digest, kind, *parts)
 
     # Pre-populate the worker cache under the same ref the tasks carry:
     # under fork the children inherit the model context copy-on-write;

@@ -42,13 +42,11 @@ class CampaignTelemetry:
     The campaign-shrinker counters: ``n_collapsed`` is how many
     simulation survivors rode along as *followers* of a collapse-class
     representative (they count in ``n_simulated`` but cost no batch
-    slot); ``machines_retired`` / ``batch_compactions`` /
-    ``machine_cycles_saved`` aggregate the kernel's fault-dropping
-    statistics (see :class:`~repro.netlist.simulator.KernelCounters`):
-    machines that stopped before their batch's last cycle, compaction
-    events (lock-step loop only; the compiled machine-major loop never
-    compacts) and machine-cycles never simulated.  All three stay 0
-    when retirement is off.
+    slot); ``machines_retired`` / ``machine_cycles_saved`` aggregate the
+    kernel's fault-dropping statistics (see
+    :class:`~repro.netlist.simulator.KernelCounters`): machines that
+    stopped before their batch's last cycle and machine-cycles never
+    simulated.  Both stay 0 when retirement is off.
     """
 
     n_candidates: int = 0
@@ -59,7 +57,6 @@ class CampaignTelemetry:
     skip_unaddressed: int = 0
     n_collapsed: int = 0
     machines_retired: int = 0
-    batch_compactions: int = 0
     machine_cycles_saved: int = 0
     # Golden-prefix fast-forward: machine-cycles never replayed because
     # a context build restored a golden snapshot (or served the whole
@@ -78,12 +75,6 @@ class CampaignTelemetry:
     checkpoint_seconds: float = 0.0
     wall_seconds: float = 0.0
     jobs: int = 1
-    # Kernel backend the run resolved to (reference / bitplane);
-    # verdict-invariant, recorded so BENCH_*.json rows and trace spans
-    # say which engine produced the throughput numbers.  ``reference``
-    # covers both its compiled step and its numpy fallback: the bytes
-    # are identical.
-    backend: str = "reference"
     # Recovery counters (sharded runs; see repro.engine.executor): how
     # often the executor retried a failed shard, launched a speculative
     # duplicate of a stalled one (and how often the duplicate won),
@@ -195,5 +186,5 @@ class CampaignTelemetry:
             f"{self.n_simulated} simulated in {self.n_batches} batches "
             f"({100 * self.collapse_rate:.1f}% collapsed, "
             f"{100 * self.retire_rate:.1f}% retired), "
-            f"jobs={self.jobs}, backend={self.backend}"
+            f"jobs={self.jobs}"
         )

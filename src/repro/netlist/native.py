@@ -12,8 +12,7 @@ flat index arrays the numpy body uses:
   machine steps, compares its outputs to the golden trace, is repaired
   on its first mismatch and is classified, all before the next machine
   starts — the paper's per-bit inject / run / compare / repair loop.
-  A machine stops at its own verdict, so there is no per-cycle Python
-  and no compaction.
+  A machine stops at its own verdict, so there is no per-cycle Python.
 
 The source is compiled on first use with the system C compiler (``cc``)
 into ``__pycache__/`` beside this module, the way CPython caches
@@ -341,8 +340,7 @@ class StepPlan:
     pointer reaches C.  The native code writes ``v``, the outputs and
     its scratch buffers (and, in a verdict run, a repaired machine's
     index rows and tables); the caller keeps the index arrays up to date
-    in place (patch, repair) and builds a new plan when it reallocates
-    them (compaction).
+    in place (patch, repair).
     """
 
     def __init__(self, fn, **fields):

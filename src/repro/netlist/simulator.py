@@ -50,6 +50,7 @@ __all__ = [
     "SETTLE_CAP",
     "ADDR_IDIOMS",
     "max_schedule_violations",
+    "packed_outputs",
     "require_binary",
     "settle_key",
 ]
@@ -73,52 +74,39 @@ class KernelCounters:
     collect the diffs from worker processes) to report retirement rates
     in :class:`~repro.engine.telemetry.CampaignTelemetry`.
 
-    With retirement on, the lock-step loop (numpy body, ``bitplane``)
-    counts the machines it compacts out of a batch, each compaction,
-    and the cycles the compacted machines did not run up to the batch's
-    exit.  The compiled machine-major loop never compacts
-    (``batch_compactions`` stays 0): ``machines_retired`` counts the
-    machines that stopped before the batch's last cycle (the latest
-    stop cycle of any of its machines) and ``machine_cycles_saved`` sums
-    the batch's last cycle minus each machine's stop cycle.  With
-    retirement off every counter stays 0 on both paths.
+    With retirement on, every verdict loop — the compiled machine-major
+    one and the numpy lock-step one alike — records each machine's stop
+    cycle and hands it to :meth:`count_stops`: ``machines_retired``
+    counts the machines that stopped before the batch's last cycle (the
+    latest stop cycle of any of its machines) and
+    ``machine_cycles_saved`` sums the batch's last cycle minus each
+    machine's stop cycle.  With retirement off both stay 0.
     ``ff_cycles_skipped`` counts golden-prefix cycles fast-forward did
     not replay.
     """
 
     machines_retired: int = 0
-    batch_compactions: int = 0
     machine_cycles_saved: int = 0
     ff_cycles_skipped: int = 0
 
-    def snapshot(self) -> tuple[int, int, int, int]:
-        return (
-            self.machines_retired,
-            self.batch_compactions,
-            self.machine_cycles_saved,
-            self.ff_cycles_skipped,
-        )
+    def snapshot(self) -> tuple[int, int, int]:
+        return (self.machines_retired, self.machine_cycles_saved, self.ff_cycles_skipped)
 
-    def delta(self, since: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    def delta(self, since: tuple[int, int, int]) -> tuple[int, int, int]:
         now = self.snapshot()
-        return (
-            now[0] - since[0],
-            now[1] - since[1],
-            now[2] - since[2],
-            now[3] - since[3],
-        )
+        return (now[0] - since[0], now[1] - since[1], now[2] - since[2])
 
-    def add(self, delta: tuple[int, int, int, int]) -> None:
-        self.machines_retired += int(delta[0])
-        self.batch_compactions += int(delta[1])
-        self.machine_cycles_saved += int(delta[2])
-        self.ff_cycles_skipped += int(delta[3])
+    def count_stops(self, stop: np.ndarray) -> None:
+        """Count one batch's early stops from its per-machine stop cycles."""
+        t_exit = int(stop.max(initial=-1))
+        early = stop < t_exit
+        self.machines_retired += int(np.count_nonzero(early))
+        self.machine_cycles_saved += int(np.sum(t_exit - stop[early]))
 
     def to_dict(self) -> dict[str, int]:
         """JSON-ready sample (the trace ``counters`` event payload)."""
         return {
             "machines_retired": int(self.machines_retired),
-            "batch_compactions": int(self.batch_compactions),
             "machine_cycles_saved": int(self.machine_cycles_saved),
             "ff_cycles_skipped": int(self.ff_cycles_skipped),
         }
@@ -144,9 +132,8 @@ ADDR_BYTE = ADDR_IDIOMS[sys.byteorder][1]
 def require_binary(values: np.ndarray, what: str) -> None:
     """Raise :class:`NetlistError` unless every entry of ``values`` is 0/1.
 
-    Node values are 0/1 by invariant.  The reference kernel would read
-    a larger operand as an entry of another LUT's truth table, and the
-    bit-plane packing cannot represent one, so every backend rejects
+    Node values are 0/1 by invariant.  The kernel would read a larger
+    operand as an entry of another LUT's truth table, so it rejects
     non-binary stimulus and ``initial_values`` by name instead.
     """
     if values.size and (values.max() > 1 or values.min() < 0):
@@ -268,7 +255,7 @@ class BatchSimulator:
     """Simulates ``B`` patched variants of one compiled design in lock-step."""
 
     #: the compiled step bound to this batch's arrays; ``None`` runs the
-    #: numpy body (no C compiler, or a backend with its own kernel)
+    #: numpy body (no C compiler)
     _native: native.StepPlan | None = None
 
     def __init__(
@@ -323,8 +310,6 @@ class BatchSimulator:
         self.B = len(self.patches)
         if self.B < 1:
             raise NetlistError("batch must contain at least one machine")
-        #: original slot of each current machine (compaction bookkeeping)
-        self.batch_slots = np.arange(self.B, dtype=np.int64)
         self._addr_capture: list[np.ndarray] | None = None
 
         d = design
@@ -374,17 +359,9 @@ class BatchSimulator:
         self._const_mask = np.isin(
             d.node_kind, (int(NodeKind.CONST), int(NodeKind.HALF_LATCH))
         )
-        self._alloc_state()
+        self.values = np.zeros((B, d.n_nodes), dtype=np.uint8)
         self._build_gather_caches()
         self.reset()
-
-    def _alloc_state(self) -> None:
-        """Allocate the node-state storage (backend hook).
-
-        The reference backend keeps a dense ``(B, n_nodes)`` uint8
-        matrix; bit-plane backends override this with packed planes.
-        """
-        self.values = np.zeros((self.B, self.design.n_nodes), dtype=np.uint8)
 
     # -- gather-index caches --------------------------------------------------
     #
@@ -474,8 +451,7 @@ class BatchSimulator:
         self._stim_buf = np.empty(d.n_inputs, dtype=np.uint8)
         self._refresh_machine_caches()
         self._caches_built = True
-        # The compiled step reads and writes the arrays above in place,
-        # so only a rebuild of them (here, after compaction) rebinds it.
+        # The compiled step reads and writes the arrays above in place.
         k = native.kernel()
         self._verdicts_fn = None if k is None else k.verdicts
         self._native = None if k is None else native.StepPlan(k.step, **self._step_fields())
@@ -594,7 +570,7 @@ class BatchSimulator:
         but flip-flop contents — and half-latch keepers — are untouched.
         """
         const_only = self._restore_hardware(m)
-        self._restore_const_state(m, const_only)
+        self.values[m, const_only] = self.design.const_values[const_only]
         self._refresh_machine_caches(m)
 
     def _restore_hardware(self, m) -> np.ndarray:
@@ -616,55 +592,6 @@ class BatchSimulator:
         self.const_values[np.ix_(np.atleast_1d(m), const_only)] = d.const_values[const_only]
         self._broken[m] = False
         return const_only
-
-    def _restore_const_state(self, m: int, const_only: np.ndarray) -> None:
-        """Reassert golden CONST node *values* for machine ``m`` (hook)."""
-        self.values[m, const_only] = self.design.const_values[const_only]
-
-    def compact(self, keep: np.ndarray) -> None:
-        """Drop retired machines: shrink the batch to ``keep`` in place.
-
-        ``keep`` lists *current* machine indices (order-preserving).
-        All per-machine arrays, node values and patches are re-indexed
-        and the gather caches are rebuilt over the survivors, so from
-        here on the per-cycle ``np.take`` cost scales with live machines
-        instead of the original batch size.  :attr:`batch_slots` keeps
-        each survivor's original slot so callers can map results back.
-
-        Sound for any subset: machines never interact during evaluation
-        (lock-step batching is pure data parallelism), so each
-        survivor's future trajectory is unchanged by its companions
-        leaving.  The settle-pass count is frozen at construction and
-        deliberately *not* re-derived from the surviving patches — a
-        smaller settle count could change a survivor's fixpoint.
-        """
-        keep = np.asarray(keep, dtype=np.int64)
-        if keep.size == self.B:
-            return
-        if keep.size < 1:
-            raise NetlistError("cannot compact a batch to zero machines")
-        n_dropped = self.B - int(keep.size)
-        self.lut_inputs = self.lut_inputs[keep]
-        self.lut_tables = self.lut_tables[keep]
-        self.ff_d = self.ff_d[keep]
-        self.ff_ce = self.ff_ce[keep]
-        self.ff_sr = self.ff_sr[keep]
-        self.ff_init = self.ff_init[keep]
-        self.ff_clocked = self.ff_clocked[keep]
-        self.const_values = self.const_values[keep]
-        self.output_nodes = self.output_nodes[keep]
-        self._compact_state(keep)
-        self._broken = self._broken[keep]
-        self.batch_slots = self.batch_slots[keep]
-        self.patches = [self.patches[int(i)] for i in keep]
-        self.B = int(keep.size)
-        self._build_gather_caches()
-        KERNEL_COUNTERS.machines_retired += n_dropped
-        KERNEL_COUNTERS.batch_compactions += 1
-
-    def _compact_state(self, keep: np.ndarray) -> None:
-        """Re-index the node state over the surviving machines (hook)."""
-        self.values = np.ascontiguousarray(self.values[keep])
 
     # -- execution ---------------------------------------------------------
 
@@ -690,14 +617,7 @@ class BatchSimulator:
 
     def state_snapshot(self) -> np.ndarray:
         """Copy of machine 0's node values (for mid-run injection starts)."""
-        return self._machine0_values().copy()
-
-    def _machine0_values(self) -> np.ndarray:
-        """Machine 0's ``(n_nodes,)`` uint8 node values (backend hook).
-
-        May return a view; callers that keep the array must copy.
-        """
-        return self.values[0]
+        return self.values[0].copy()
 
     def _evaluate(self, stimulus_row: np.ndarray) -> None:
         """Drive the inputs, settle every level and gather the outputs."""
@@ -754,7 +674,10 @@ class BatchSimulator:
         preallocated buffer reused by the next step — callers that keep
         a cycle's outputs must copy them.
         """
-        self._check_stimulus(stimulus_row)
+        n = self.design.n_inputs
+        if stimulus_row.shape != (n,):
+            raise NetlistError(f"stimulus row must have {n} entries, got {stimulus_row.shape}")
+        require_binary(stimulus_row, "stimulus")
         if self._native is not None and self._addr_capture is None:
             # The whole cycle in one compiled call.
             self._stim_buf[:] = stimulus_row
@@ -770,16 +693,9 @@ class BatchSimulator:
         self._clock_ffs()
         return self._out_buf
 
-    def _check_stimulus(self, stimulus_row: np.ndarray) -> None:
-        """Validate one cycle's stimulus row (shared by every backend's step)."""
-        n = self.design.n_inputs
-        if stimulus_row.shape != (n,):
-            raise NetlistError(f"stimulus row must have {n} entries, got {stimulus_row.shape}")
-        require_binary(stimulus_row, "stimulus")
-
     def _machine0_addr_row(self) -> np.ndarray:
         """One-hot uint16 per LUT: machine 0's current address mask."""
-        ops = self._machine0_values().take(self._m0_flat_idx)
+        ops = self.values[0].take(self._m0_flat_idx)
         addr = (ops.view(np.uint32) * ADDR_MULTIPLIER).view(np.uint8)[ADDR_BYTE::4]
         return np.left_shift(np.uint16(1), addr, dtype=np.uint16)
 
@@ -850,8 +766,7 @@ class BatchSimulator:
         """Run the fault-free design once, recording the reference trace.
 
         With ``snapshot_stride`` the trace additionally carries full
-        node-state checkpoints every ``stride`` cycles (all backends —
-        the capture lives in the shared :meth:`run` loop), which
+        node-state checkpoints every ``stride`` cycles, which
         fast-forwarding campaigns restore through ``initial_values``.
         """
         sim = cls(design, settle_passes=settle_passes)
@@ -906,16 +821,6 @@ class BatchSimulator:
                     )
         return eligible, flips
 
-    def _machines_equal_companion(self, n_live: int) -> np.ndarray:
-        """Per-machine bool: node state equals the golden companion's.
-
-        Backend hook for the retire state-equality rule; the companion
-        occupies the last batch slot.
-        """
-        return ~np.any(
-            self.values[:n_live] != self.values[self.B - 1][None, :], axis=1
-        )
-
     def run_verdicts(
         self,
         stimulus: np.ndarray,
@@ -939,8 +844,8 @@ class BatchSimulator:
 
         ``retire=True`` (requires ``companion=True`` at construction)
         turns on *fault dropping*: machines whose remaining trajectory
-        is provably decided are sealed early and compacted out of the
-        batch, so the per-cycle cost tracks live machines.  Three exact
+        is provably decided are sealed early and stop there, and the
+        kernel counters record the cycles they did not run.  Three exact
         rules seal a machine:
 
         * its verdict phase already completed (done machines only cost
@@ -958,6 +863,10 @@ class BatchSimulator:
         ``stimulus``: row ``t`` must cover every address golden
         exercises from cycle ``t`` on.  All three rules reproduce the
         byte-identical verdicts of ``retire=False``.
+
+        With the compiled kernel each machine runs to its own verdict
+        (:meth:`_run_machine_major`); the numpy body runs the lock-step
+        loop (:meth:`_run_lockstep`), the test reference.
         """
         stimulus = np.asarray(stimulus, dtype=np.uint8)
         total_needed = detect_cycles + persist_cycles
@@ -971,137 +880,111 @@ class BatchSimulator:
             raise NetlistError("retire=True needs a batch built with companion=True")
         if retire and addr_suffix is not None and addr_suffix.shape[0] < total_needed + 1:
             raise NetlistError("addr_suffix shorter than the verdict run")
-        if self._native is not None:
-            self.reset()
-            first_error, recovered, persistent, _ = self._run_machine_major(
-                stimulus,
-                golden.outputs,
-                total_needed,
-                detect_cycles=detect_cycles,
-                converge_run=converge_run,
-                retire=retire,
-                addr_suffix=addr_suffix,
-            )
-            return _verdict_list(first_error, persistent, recovered)
-
-        # Verdict bookkeeping is indexed by *original* slot and covers
-        # the logical machines only (the companion, always the last
-        # slot, is excluded from verdicts and from the exit condition).
-        n_logical = self.B - 1 if self.companion else self.B
-        phase = np.zeros(n_logical, dtype=np.int8)  # 0 watch, 1 converge, 2 done
-        first_error = np.full(n_logical, -1, dtype=np.int64)
-        recovered = np.full(n_logical, -1, dtype=np.int64)
-        run_len = np.zeros(n_logical, dtype=np.int64)
-        persistent = np.zeros(n_logical, dtype=bool)
-        retired_at = np.full(n_logical, -1, dtype=np.int64)
-
-        # Pack the output-vs-golden comparison into uint64 words: both
-        # sides become (·, W) word vectors, so the per-cycle health check
-        # is W word compares per machine instead of n_outputs byte
-        # compares.  Golden is packed once for the whole run.
-        n_out = self.design.n_outputs
-        n_bytes = (n_out + 7) // 8
-        n_words = max(1, (n_bytes + 7) // 8)
-        golden_padded = np.zeros((total_needed, n_words * 8), dtype=np.uint8)
-        if n_out:
-            golden_padded[:, :n_bytes] = np.packbits(
-                golden.outputs[:total_needed], axis=1
-            )
-        golden_words = golden_padded.view(np.uint64)  # (total_needed, W)
-        out_padded = np.zeros((self.B, n_words * 8), dtype=np.uint8)
-        out_words = out_padded.view(np.uint64)  # (B, W)
-
-        if retire and addr_suffix is not None:
-            quiet_ok, flip_masks = self._tables_only_flip_masks(n_logical)
-        else:
-            addr_suffix = None
-            quiet_ok = flip_masks = None
-
         self.reset()
-        t_exit = total_needed - 1
-        for t in range(total_needed):
-            out = self.step(stimulus[t])
-            if n_out:
-                out_padded[:, :n_bytes] = np.packbits(out, axis=1)
-            mismatch = np.any(out_words != golden_words[t][None, :], axis=1)
+        run = self._run_lockstep if self._native is None else self._run_machine_major
+        first_error, recovered, persistent, stop = run(
+            stimulus,
+            golden.outputs,
+            total_needed,
+            detect_cycles=detect_cycles,
+            converge_run=converge_run,
+            retire=retire,
+            addr_suffix=addr_suffix if retire else None,
+        )
+        if retire:
+            KERNEL_COUNTERS.count_stops(stop)
+        return _verdict_list(first_error, persistent, recovered)
 
-            n_live = self.B - 1 if self.companion else self.B
-            live = self.batch_slots[:n_live]  # original slots, batch order
+    def _run_lockstep(
+        self,
+        stimulus: np.ndarray,
+        ref_outputs: np.ndarray,
+        cycles: int,
+        detect_cycles: int,
+        converge_run: int,
+        retire: bool,
+        addr_suffix: np.ndarray | None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`run_verdicts`' per-cycle rules, every machine per step.
+
+        Same results as :meth:`_run_machine_major`.  A sealed machine
+        stays in the batch but its verdict no longer changes; its stop
+        cycle is the cycle it was sealed in.  The loop exits once every
+        machine is sealed.
+        """
+        # Verdicts cover the logical machines only (the companion,
+        # always the last slot, is excluded from verdicts and from the
+        # exit condition).
+        n = self.B - 1 if self.companion else self.B
+        phase = np.zeros(n, dtype=np.int8)  # 0 watch, 1 converge, 2 done
+        first_error = np.full(n, -1, dtype=np.int64)
+        recovered = np.full(n, -1, dtype=np.int64)
+        run_len = np.zeros(n, dtype=np.int64)
+        persistent = np.zeros(n, dtype=bool)
+        stop = np.full(n, cycles - 1, dtype=np.int64)
+        ref_words, n_bytes, n_words = packed_outputs(ref_outputs, cycles)
+        out_padded = np.zeros((self.B, n_words * 8), dtype=np.uint8)
+        out_words = out_padded.view(np.uint64)[:n]
+        if addr_suffix is not None:
+            quiet_ok, flip_masks = self._tables_only_flip_masks(n)
+
+        for t in range(cycles):
+            out = self.step(stimulus[t])
+            if n_bytes:
+                out_padded[:, :n_bytes] = np.packbits(out, axis=1)
+            mismatch = np.any(out_words != ref_words[t][None, :], axis=1)
+            running = phase != 2
 
             # Phase 0: first mismatch -> repair, enter phase 1.
-            hits = np.flatnonzero((phase[live] == 0) & mismatch[:n_live])
-            for c in hits:
-                m = int(live[c])
+            for m in np.flatnonzero((phase == 0) & mismatch):
                 first_error[m] = t
-                self.repair_machine(int(c))
+                self.repair_machine(int(m))
                 phase[m] = 1
                 run_len[m] = 0
             # Machines that never err within the detect window are done.
             if t == detect_cycles - 1:
-                phase[(phase == 0)] = 2
+                phase[phase == 0] = 2
 
             # Phase 1: count consecutive matching cycles.
-            ph = phase[live]
-            watching = ph == 1
-            if np.any(watching):
-                good = live[watching & ~mismatch[:n_live]]
-                run_len[good] += 1
-                run_len[live[watching & mismatch[:n_live]]] = 0
-                conv = good[run_len[good] >= converge_run]
-                if conv.size:
-                    recovered[conv] = t
-                    phase[conv] = 2
+            watching = phase == 1
+            run_len[watching & mismatch] = 0
+            good = watching & ~mismatch
+            run_len[good] += 1
+            conv = good & (run_len >= converge_run)
+            recovered[conv] = t
+            phase[conv] = 2
 
             if retire:
                 # State-equality sealing against the in-batch golden
-                # companion (valid post-repair and post-reset alike).
-                eq = self._machines_equal_companion(n_live)
-                ph = phase[live]
+                # companion (valid post-repair and post-reset alike),
+                # checked only for machines a rule can seal.
+                cand = phase == 1
+                if addr_suffix is not None:
+                    cand |= (phase == 0) & quiet_ok
+                rows = np.flatnonzero(cand)
+                same = rows[~np.any(self.values[rows] != self.values[-1], axis=1)]
                 # Repaired machines whose state re-converged: every
                 # future cycle matches, so the verdict is closed-form.
-                for c in np.flatnonzero((ph == 1) & eq):
-                    m = int(live[c])
-                    u = t + (converge_run - int(run_len[m]))
-                    if u <= total_needed - 1:
-                        recovered[m] = u
-                    else:
-                        persistent[m] = True
-                    phase[m] = 2
+                conv = same[phase[same] == 1]
+                u = t + (converge_run - run_len[conv])
+                late = u > cycles - 1
+                recovered[conv[~late]] = u[~late]
+                persistent[conv[late]] = True
+                phase[conv] = 2
                 # Quiet tables-only machines whose flipped entries are
                 # provably never addressed again stay lock-step forever.
                 if addr_suffix is not None:
-                    cand = np.flatnonzero((phase[live] == 0) & eq & quiet_ok[live])
-                    if cand.size:
-                        suf = addr_suffix[t + 1]
-                        safe = ~np.any(flip_masks[live[cand]] & suf[None, :], axis=1)
-                        phase[live[cand[safe]]] = 2
+                    quiet = same[phase[same] == 0]
+                    safe = ~np.any(flip_masks[quiet] & addr_suffix[t + 1][None, :], axis=1)
+                    phase[quiet[safe]] = 2
 
+            stop[running & (phase == 2)] = t
             if np.all(phase == 2):
-                t_exit = t
                 break
-
-            if retire:
-                sealed = phase[live] == 2
-                n_sealed = int(np.count_nonzero(sealed))
-                # Compact with hysteresis: rebuilding the gather caches
-                # costs a few batch-cycles, so only shrink once enough
-                # machines are sealed to pay for it.
-                if n_sealed >= max(8, self.B // 4):
-                    retired_at[live[sealed]] = t
-                    keep = np.flatnonzero(~sealed)
-                    self.compact(np.append(keep, self.B - 1))
-                    out_padded = np.zeros((self.B, n_words * 8), dtype=np.uint8)
-                    out_words = out_padded.view(np.uint64)
-
-        if retire:
-            dropped = retired_at >= 0
-            KERNEL_COUNTERS.machine_cycles_saved += int(
-                np.sum(t_exit - retired_at[dropped])
-            )
 
         # Anything still in phase 1 never re-converged: persistent error.
         persistent[phase == 1] = True
-        return _verdict_list(first_error, persistent, recovered)
+        return first_error, recovered, persistent, stop
 
     def _run_machine_major(
         self,
@@ -1116,35 +999,27 @@ class BatchSimulator:
 
         Each machine runs from the current state through its own cycles
         to its own verdict before the next one starts, under exactly the
-        per-cycle rules of :meth:`run_verdicts`' lock-step loop, which
-        stays the numpy body's path and the test reference.  With
-        ``detect_only`` every machine (a companion included) stops at
-        its first mismatch and nothing is repaired.  ``rules`` are
-        :meth:`_verdict_fields`' ``detect_cycles``, ``converge_run`` and
-        ``addr_suffix``.
+        per-cycle rules of :meth:`_run_lockstep`, which stays the numpy
+        body's path and the test reference.  With ``detect_only`` every
+        machine (a companion included) stops at its first mismatch and
+        nothing is repaired.  ``rules`` are :meth:`_verdict_fields`'
+        ``detect_cycles``, ``converge_run`` and ``addr_suffix``.
 
         Returns per-machine ``(first_error, recovered, persistent,
-        stop)``; ``stop`` is the last cycle a machine ran.  With
-        ``retire`` the kernel counters record machines that stopped
-        before the batch's last cycle and the cycles they did not run;
-        nothing is compacted.  Afterwards each machine's state is its
-        own stop cycle's, and repaired machines carry golden hardware.
+        stop)``; ``stop`` is the last cycle a machine ran.  Afterwards
+        each machine's state is its own stop cycle's, and repaired
+        machines carry golden hardware.
         """
         fields = self._verdict_fields(
             stimulus, ref_outputs, cycles, retire=retire, detect_only=detect_only, **rules
         )
         native.VerdictPlan(self._verdicts_fn, self._native, **fields)()
-        first_error, stop = fields["first_error"], fields["stop"]
+        first_error = fields["first_error"]
         if not detect_only:
             repaired = np.flatnonzero(first_error >= 0)
             if repaired.size:
                 self._restore_hardware(repaired)
-        if retire:
-            t_exit = int(stop.max(initial=-1))
-            early = stop < t_exit
-            KERNEL_COUNTERS.machines_retired += int(np.count_nonzero(early))
-            KERNEL_COUNTERS.machine_cycles_saved += int(np.sum(t_exit - stop[early]))
-        return first_error, fields["recovered"], fields["persistent"].astype(bool), stop
+        return first_error, fields["recovered"], fields["persistent"].astype(bool), fields["stop"]
 
     def _verdict_fields(
         self,
@@ -1228,6 +1103,23 @@ class BatchSimulator:
                 flip_mask=flips[machine, row],
             )
         return fields
+
+
+def packed_outputs(ref_outputs: np.ndarray, cycles: int) -> tuple[np.ndarray, int, int]:
+    """Pack a ``(>= cycles, n_outputs)`` output trace into uint64 words.
+
+    Returns ``(words, n_bytes, n_words)``: ``words`` is ``(cycles,
+    n_words)``, so a per-cycle health check is a handful of word
+    compares per machine instead of ``n_outputs`` byte compares.
+    A machine's outputs pack into its first ``n_bytes`` bytes.
+    """
+    n_out = ref_outputs.shape[1]
+    n_bytes = (n_out + 7) // 8
+    n_words = max(1, (n_bytes + 7) // 8)
+    padded = np.zeros((cycles, n_words * 8), dtype=np.uint8)
+    if n_out:
+        padded[:, :n_bytes] = np.packbits(ref_outputs[:cycles], axis=1)
+    return padded.view(np.uint64), n_bytes, n_words
 
 
 def _verdict_list(

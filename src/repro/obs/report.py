@@ -236,12 +236,9 @@ def _savings_lines(segment: Segment) -> list[str]:
         lines.append("  collapse: off or nothing folded")
     retired = telem.get("machines_retired", 0)
     if retired:
-        # The compiled verdict loop stops each machine at its own
-        # verdict and never compacts; only the lock-step loop compacts.
         lines.append(
             f"  retire:   {retired} machine(s) sealed before their batch's last cycle, "
-            f"{telem.get('machine_cycles_saved', 0)} machine-cycles saved, "
-            f"{telem.get('batch_compactions', 0)} batch compaction(s)"
+            f"{telem.get('machine_cycles_saved', 0)} machine-cycles saved"
         )
     else:
         lines.append("  retire:   off or no machines retired")

@@ -17,10 +17,10 @@ HTTP jobs for free.
 
 The **result key** (:meth:`JobSpec.result_key`) hashes only the fields
 that determine verdict bytes: design, device, and the model parameters.
-``jobs``, ``backend``, ``batch_size`` and ``no_collapse``/``no_retire``
-are excluded — the engine pins byte-identity across all of them — so a
-duplicate sweep hits the cache even when asked to run with different
-execution knobs.
+``jobs``, ``batch_size`` and ``no_collapse``/``no_retire`` are excluded
+— the engine pins byte-identity across all of them — so a duplicate
+sweep hits the cache even when asked to run with different execution
+knobs.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ _COMMON_FLAGS: dict[str, _Flag] = {
     # Execution knobs: verdict bytes are pinned byte-identical across
     # all of these, so they are accepted but excluded from the key.
     "jobs": _Flag(int, keyed=False),
-    "backend": _Flag(str, keyed=False),
     "no_collapse": _Flag(bool, keyed=False, store_true=True),
     "no_retire": _Flag(bool, keyed=False, store_true=True),
     "batch_size": _Flag(int, keyed=False),
@@ -223,8 +222,6 @@ def spec_from_json(payload: Any) -> JobSpec:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise SpecError(f"flag {key!r} must be a number")
             value = float(value)
-        elif not isinstance(value, str):
-            raise SpecError(f"flag {key!r} must be a string")
         flags.append((key, value))
     spec = JobSpec(
         kind=kind,

@@ -74,7 +74,6 @@ from repro.engine.sweep import (
 from repro.engine.telemetry import CampaignTelemetry
 from repro.errors import CampaignError
 from repro.fpga.resources import ResourceKind
-from repro.netlist.backends import make_simulator, resolve_backend, simulator_class
 from repro.netlist.compiled import CompiledDesign, FFField, Patch
 from repro.netlist.simulator import (
     KERNEL_COUNTERS,
@@ -249,14 +248,8 @@ class CampaignContext:
 
 
 def _golden_pack_key(design, stim: np.ndarray, stride: int) -> str:
-    """Content address of one (design, stimulus, backend, stride) golden run."""
-    return content_key(
-        "golden-pack-v1",
-        pickle.dumps(design),
-        stim,
-        resolve_backend(),
-        stride,
-    )
+    """Content address of one (design, stimulus, stride) golden run."""
+    return content_key("golden-pack-v1", pickle.dumps(design), stim, stride)
 
 
 def build_context(
@@ -287,7 +280,7 @@ def build_context(
         key = _golden_pack_key(design, stim, stride)
         golden = cached_golden_pack(key)
         if golden is None:
-            golden = simulator_class().golden_trace(
+            golden = BatchSimulator.golden_trace(
                 design, stim, record_addr_rows=True, snapshot_stride=stride
             )
             store_golden_pack(key, golden)
@@ -298,14 +291,14 @@ def build_context(
         if start == config.warmup_cycles and state is not None:
             snapshot = state.copy()
         else:
-            warm_sim = make_simulator(design, initial_values=state)
+            warm_sim = BatchSimulator(design, initial_values=state)
             warm_sim.run(stim[start : config.warmup_cycles])
             snapshot = warm_sim.state_snapshot()
         KERNEL_COUNTERS.ff_cycles_skipped += start
     else:
-        golden = simulator_class().golden_trace(design, stim, record_addr_rows=True)
+        golden = BatchSimulator.golden_trace(design, stim, record_addr_rows=True)
         # Snapshot the running state at the injection instant.
-        warm_sim = make_simulator(design)
+        warm_sim = BatchSimulator(design)
         warm_sim.run(stim[: config.warmup_cycles])
         snapshot = warm_sim.state_snapshot()
     post_stim = stim[config.warmup_cycles :]
@@ -359,7 +352,7 @@ def simulate_batch(
     a golden companion machine to the batch).
     """
     patches = [p for _, p in pending]
-    sim = make_simulator(
+    sim = BatchSimulator(
         ctx.design,
         patches,
         initial_values=ctx.snapshot,
@@ -907,7 +900,7 @@ class HalfLatchFaultModel(FaultModel):
 
     def observe_batch(self, ctx, pending: list[tuple[int, Patch]]) -> list[bool]:
         _, cctx = ctx
-        sim = make_simulator(
+        sim = BatchSimulator(
             cctx.design, [p for _, p in pending], initial_values=cctx.snapshot
         )
         failed = detect_failures(

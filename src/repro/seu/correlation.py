@@ -20,8 +20,6 @@ process sharding and checkpoint/resume for free.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
@@ -34,8 +32,7 @@ from repro.engine.sweep import resume_sweep, run_sweep
 from repro.engine.telemetry import CampaignTelemetry
 from repro.errors import CampaignError
 from repro.netlist.compiled import Patch
-from repro.netlist.backends import make_simulator
-from repro.netlist.simulator import settle_key
+from repro.netlist.simulator import BatchSimulator, settle_key
 from repro.place.flow import HardwareDesign
 from repro.seu.campaign import (
     CampaignConfig,
@@ -110,11 +107,13 @@ class CorrelationFaultModel(FaultModel):
     #: for no simulation saved — stay on the naive path
     collapsible: ClassVar[bool] = False
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "config", self.config.unbatched())
+
     def key(self) -> str:
         return (
             f"correlation:{self.spec.name}:{self.device_name}:"
-            f"{len(self.bits)}@{hash(self.bits):x}:"
-            f"{json.dumps(dataclasses.asdict(self.config), sort_keys=True)}"
+            f"{len(self.bits)}@{hash(self.bits):x}:{self.config.key()}"
         )
 
     def _hw(self) -> HardwareDesign:
@@ -143,7 +142,7 @@ class CorrelationFaultModel(FaultModel):
     def observe_batch(self, ctx, pending: list[tuple[int, Patch]]) -> list[np.ndarray]:
         _, cctx = ctx
         patches = [p for _, p in pending]
-        sim = make_simulator(
+        sim = BatchSimulator(
             cctx.design,
             patches,
             initial_values=cctx.snapshot,

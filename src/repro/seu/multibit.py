@@ -33,8 +33,7 @@ from repro.engine.sweep import SweepResult, resume_sweep, run_sweep
 from repro.engine.telemetry import CampaignTelemetry
 from repro.errors import CampaignError
 from repro.netlist.compiled import Patch
-from repro.netlist.backends import make_simulator
-from repro.netlist.simulator import settle_key
+from repro.netlist.simulator import BatchSimulator, settle_key
 from repro.place.flow import HardwareDesign
 from repro.seu.campaign import (
     CampaignConfig,
@@ -159,7 +158,7 @@ class MBUFaultModel(FaultModel):
     def observe_batch(self, ctx, pending: list[tuple[int, Patch]]) -> list[bool]:
         _, cctx, _ = ctx
         patches = [p for _, p in pending]
-        sim = make_simulator(
+        sim = BatchSimulator(
             cctx.design,
             patches,
             initial_values=cctx.snapshot,

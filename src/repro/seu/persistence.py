@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import CampaignError
-from repro.netlist.backends import make_simulator, simulator_class
+from repro.netlist.simulator import BatchSimulator
 from repro.place.flow import HardwareDesign
 
 __all__ = ["PersistenceTrace", "persistent_error_trace"]
@@ -62,10 +62,10 @@ def persistent_error_trace(
 
     design = hw.decoded.design
     stim = hw.spec.stimulus(total_cycles, seed)
-    golden = simulator_class().golden_trace(design, stim)
+    golden = BatchSimulator.golden_trace(design, stim)
     expected = _words(golden.outputs)
 
-    sim = make_simulator(design)  # starts clean; fault applied mid-run
+    sim = BatchSimulator(design)  # starts clean; fault applied mid-run
     actual = np.zeros(total_cycles, dtype=np.uint64)
     injected = False
     repaired = False

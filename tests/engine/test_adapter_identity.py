@@ -23,13 +23,13 @@ from repro.bist.coverage import run_coverage
 from repro.bist.faults import sample_faults
 from repro.bist.patterns import clb_test_design
 from repro.engine.cache import implemented_design
-from repro.netlist.backends import kernel_backend
 from repro.seu import (
     CampaignConfig,
     run_campaign,
     run_halflatch_sweep,
     run_multibit_campaign,
 )
+from tests.netlist.conftest import REFERENCE_PATHS, use_reference_path
 from tests.utils.goldens import assert_golden_verdicts
 
 # Same shape as tests/seu: small batches so sweeps span many batches.
@@ -105,29 +105,22 @@ def assert_sweeps_identical(a, b):
     assert a.n_simulated == b.n_simulated
 
 
-BACKEND_PARAMS = [
-    pytest.param("reference", id="reference"),
-    pytest.param("bitplane", id="bitplane"),
-]
-
-
 class TestSEUGoldenRegression:
-    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
-    def test_verdicts_unchanged_by_engine_port(self, mult_hw, backend):
-        with kernel_backend(backend):
-            result = run_campaign(mult_hw, CFG)
+    @pytest.mark.parametrize("path", REFERENCE_PATHS)
+    def test_verdicts_unchanged_by_engine_port(self, mult_hw, path, monkeypatch):
+        use_reference_path(path, monkeypatch)
+        result = run_campaign(mult_hw, CFG)
         assert_golden_verdicts("seu_verdicts", result.verdicts)
         assert result.n_candidates == 23246
         assert result.n_simulated == 555
         assert int(result.n_failures) == 270
         assert sum(result.by_kind.values()) == 270
-        assert result.telemetry.backend == backend
 
-    @pytest.mark.parametrize("backend", BACKEND_PARAMS[1:])
-    def test_halflatch_golden_per_backend(self, mult_hw, backend):
-        # The reference leg is TestHalfLatchAdapter.test_golden_regression.
-        with kernel_backend(backend):
-            sweep = run_halflatch_sweep(mult_hw, HL_CFG)
+    @pytest.mark.parametrize("path", REFERENCE_PATHS[1:])
+    def test_halflatch_golden_per_path(self, mult_hw, path, monkeypatch):
+        # The compiled leg is TestHalfLatchAdapter.test_golden_regression.
+        use_reference_path(path, monkeypatch)
+        sweep = run_halflatch_sweep(mult_hw, HL_CFG)
         assert_golden_verdicts("halflatch_verdicts", sweep.verdicts)
 
 

@@ -380,6 +380,19 @@ class TestAmbientScopes:
         assert snapshot_stride() == 128
 
 
+def _live_bits(hw, n: int = 24) -> tuple[int, ...]:
+    """The first ``n`` stride-7 configuration bits whose upset decodes
+    to a relevant fault (the correlation model's candidates)."""
+    bits = []
+    for bit in range(0, hw.device.block0_bits, 7):
+        patch = hw.decoded.patch_for_bit(bit)
+        if patch is not None and hw.decoded.patch_is_relevant(patch):
+            bits.append(bit)
+            if len(bits) == n:
+                break
+    return tuple(bits)
+
+
 class TestSweepCacheAcrossBatchSizes:
     """Batch size cannot change a verdict byte, so the whole-sweep cache
     serves a repeat at another batch size; every other ``CampaignConfig``
@@ -389,12 +402,14 @@ class TestSweepCacheAcrossBatchSizes:
         "seu": dict(detect_cycles=48, persist_cycles=32, stride=7),
         "mbu": dict(detect_cycles=48, persist_cycles=0, classify_persistence=False),
         "halflatch": dict(detect_cycles=48, persist_cycles=0, classify_persistence=False),
+        "correlation": dict(detect_cycles=48, persist_cycles=0, classify_persistence=False),
     }
 
     @staticmethod
     def _model(kind: str, hw, **cfg):
         from repro.seu import CampaignConfig
         from repro.seu.campaign import HalfLatchFaultModel, SEUFaultModel
+        from repro.seu.correlation import CorrelationFaultModel
         from repro.seu.multibit import MBUFaultModel
 
         config = CampaignConfig(**cfg)
@@ -402,9 +417,11 @@ class TestSweepCacheAcrossBatchSizes:
             return SEUFaultModel(hw.spec, hw.device.name, config)
         if kind == "mbu":
             return MBUFaultModel(hw.spec, hw.device.name, config, 2, 64, 3)
+        if kind == "correlation":
+            return CorrelationFaultModel(hw.spec, hw.device.name, config, _live_bits(hw))
         return HalfLatchFaultModel(hw.spec, hw.device.name, config)
 
-    @pytest.mark.parametrize("kind", ["seu", "mbu", "halflatch"])
+    @pytest.mark.parametrize("kind", ["seu", "mbu", "halflatch", "correlation"])
     def test_repeat_at_another_batch_size_is_a_sweep_hit(self, mult_hw, tmp_path, kind):
         from repro.engine import run_serial
 
@@ -419,7 +436,7 @@ class TestSweepCacheAcrossBatchSizes:
         assert warm.verdicts.tobytes() == cold.verdicts.tobytes()
         assert np.array_equal(warm.candidate_ids, cold.candidate_ids)
 
-    @pytest.mark.parametrize("kind", ["seu", "mbu", "halflatch"])
+    @pytest.mark.parametrize("kind", ["seu", "mbu", "halflatch", "correlation"])
     def test_every_other_field_keys_the_sweep(self, mult_hw, kind):
         import dataclasses
 

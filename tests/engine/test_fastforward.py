@@ -7,7 +7,8 @@ transport — including kill-and-resume and a warm-cache second run —
 must reproduce the pinned golden verdict bytes exactly.  The snapshot
 tests underneath pin the mechanism itself: a mid-run state checkpoint
 restored through ``initial_values`` continues the golden trace
-cycle-for-cycle on every kernel backend.
+cycle-for-cycle on both kernel paths (the compiled step and its numpy
+body).
 """
 
 from __future__ import annotations
@@ -17,68 +18,61 @@ import pytest
 
 from repro.engine import ExecutorPolicy, executor_policy
 from repro.engine.cache import fast_forward_scope, result_cache_scope
-from repro.netlist.backends import (
-    kernel_backend,
-    make_simulator,
-    simulator_class,
-)
+from repro.netlist.simulator import BatchSimulator
 from repro.seu import (
     CampaignConfig,
     resume_campaign,
     run_campaign,
 )
 from tests.engine.test_distributed import _spawn_worker, _tcp_policy, kill_leftovers  # noqa: F401
+from tests.netlist.conftest import REFERENCE_PATHS, use_reference_path
 from tests.utils.goldens import assert_golden_verdicts
 
 GOLDEN_CFG = CampaignConfig(detect_cycles=48, persist_cycles=32, stride=7, batch_size=32)
 
-_BACKENDS = ["reference", "bitplane"]
 
-
-def _golden_with_snapshots(design, stim, backend, stride=16):
-    with kernel_backend(backend):
-        cls = simulator_class()
-        return cls.golden_trace(design, stim, snapshot_stride=stride)
+def _golden_with_snapshots(design, stim, stride=16):
+    return BatchSimulator.golden_trace(design, stim, snapshot_stride=stride)
 
 
 class TestSnapshotRestore:
     """The mechanism: restore a checkpoint, continue the golden trace."""
 
-    @pytest.mark.parametrize("backend", _BACKENDS)
-    def test_restore_continues_trace_cycle_for_cycle(self, mult_hw, backend):
+    @pytest.mark.parametrize("path", REFERENCE_PATHS)
+    def test_restore_continues_trace_cycle_for_cycle(self, mult_hw, path, monkeypatch):
+        use_reference_path(path, monkeypatch)
         design = mult_hw.decoded.design
         stim = mult_hw.spec.stimulus(96)
-        golden = _golden_with_snapshots(design, stim, backend)
+        golden = _golden_with_snapshots(design, stim)
         assert golden.snapshot_cycles is not None
         start, state = golden.nearest_snapshot(40)
         assert start == 32 and state is not None
 
-        with kernel_backend(backend):
-            sim = make_simulator(design, initial_values=state)
-            outputs = sim.run(stim[start:])
+        sim = BatchSimulator(design, initial_values=state)
+        outputs = sim.run(stim[start:])
         assert np.array_equal(outputs[:, 0, :], golden.outputs[start:])
         if design.n_ffs:
             final = sim.state_snapshot()[design.ff_nodes]
             assert np.array_equal(final, golden.final_state)
 
-    def test_snapshots_identical_across_backends(self, mult_hw):
+    def test_snapshots_identical_on_both_paths(self, mult_hw, monkeypatch):
         design = mult_hw.decoded.design
         stim = mult_hw.spec.stimulus(80)
-        ref = _golden_with_snapshots(design, stim, "reference")
-        for backend in _BACKENDS[1:]:
-            other = _golden_with_snapshots(design, stim, backend)
-            assert np.array_equal(other.snapshot_cycles, ref.snapshot_cycles), backend
-            assert np.array_equal(other.snapshots, ref.snapshots), backend
+        use_reference_path("reference", monkeypatch)
+        ref = _golden_with_snapshots(design, stim)
+        use_reference_path("reference-numpy", monkeypatch)
+        other = _golden_with_snapshots(design, stim)
+        assert np.array_equal(other.snapshot_cycles, ref.snapshot_cycles)
+        assert np.array_equal(other.snapshots, ref.snapshots)
 
     def test_before_first_stride_falls_back_to_cold_start(self, mult_hw):
         design = mult_hw.decoded.design
-        golden = _golden_with_snapshots(design, mult_hw.spec.stimulus(96), "reference")
+        golden = _golden_with_snapshots(design, mult_hw.spec.stimulus(96))
         assert golden.nearest_snapshot(10) == (0, None)
 
     def test_trace_without_snapshots_has_none(self, mult_hw):
         design = mult_hw.decoded.design
-        cls = simulator_class()
-        golden = cls.golden_trace(design, mult_hw.spec.stimulus(48))
+        golden = BatchSimulator.golden_trace(design, mult_hw.spec.stimulus(48))
         assert golden.snapshot_cycles is None
         assert golden.nearest_snapshot(40) == (0, None)
 

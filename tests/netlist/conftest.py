@@ -15,7 +15,6 @@ import shutil
 import pytest
 
 from repro.netlist import native
-from repro.netlist.backends.bitplane import BitplaneBatchSimulator
 from repro.netlist.simulator import BatchSimulator
 
 REFERENCE_PATHS = ["reference", "reference-numpy"]
@@ -36,10 +35,8 @@ def reference_path(request, monkeypatch):
     return request.param
 
 
-@pytest.fixture(params=[*REFERENCE_PATHS, "bitplane"])
+@pytest.fixture(params=REFERENCE_PATHS)
 def sim_class(request, monkeypatch):
     """The simulator class under test, one per kernel path."""
-    if request.param == "bitplane":
-        return BitplaneBatchSimulator
     use_reference_path(request.param, monkeypatch)
     return BatchSimulator

@@ -3,19 +3,18 @@
 Each case builds a small random netlist plus random fault patches, runs
 the optimised batch kernel and the reference simulator
 (:mod:`tests.utils.oracle`) over the same stimulus, and requires
-bit-for-bit identical outputs *and* node state.  Repair, mid-run
-snapshot starts and retire-compaction are exercised the same way, so
-every semantic path a campaign touches is cross-checked against an
-implementation that shares no code with the kernel.
+bit-for-bit identical outputs *and* node state.  Repair and mid-run
+snapshot starts are exercised the same way, so every semantic path a
+campaign touches is cross-checked against an implementation that shares
+no code with the kernel.
 
-The suites total 230 randomized cases and run in a few seconds; any
+The suites total 200 randomized cases and run in a few seconds; any
 kernel "optimisation" that changes semantics fails here with the seed
 that reproduces it.
 
 Every case is parametrized over the kernel paths (``sim_class`` in
-``tests/netlist/conftest.py``): the reference kernel's compiled step,
-its numpy body, and the uint64 bit-plane kernel, pinning all of them to
-the same oracle bytes.
+``tests/netlist/conftest.py``): the compiled step and its numpy body,
+pinning both to the same oracle bytes.
 """
 
 from __future__ import annotations
@@ -29,9 +28,8 @@ from repro.netlist.simulator import BatchSimulator
 from tests.utils.oracle import OracleSimulator, random_compiled_design, random_patch
 
 
-#: seeds of the plain and compaction suites (the coverage guard reads them)
+#: seeds of the plain suite (the coverage guard reads them)
 PLAIN_SEEDS = range(150)
-COMPACT_SEEDS = range(3000, 3030)
 
 
 def _case(seed: int, max_cycles: int = 16):
@@ -53,7 +51,7 @@ def _case(seed: int, max_cycles: int = 16):
 
 def _build_pair(design, patches, companion=False, initial_values=None,
                 sim_class=BatchSimulator):
-    """Backend simulator + oracle with matching settle passes."""
+    """Kernel simulator + oracle with matching settle passes."""
     with warnings.catch_warnings():
         # Schedule-violating rewires past the settle cap warn; the cap
         # itself is deterministic, so the oracle just mirrors it.
@@ -122,30 +120,12 @@ class TestDifferentialRepair:
         _assert_identical(sim, oracle, stimulus[half:] if half < len(stimulus) else stimulus)
 
 
-class TestDifferentialCompact:
-    """Retire-compaction: surviving machines keep exact trajectories."""
-
-    @pytest.mark.parametrize("seed", COMPACT_SEEDS)
-    def test_compact_mid_run_matches(self, seed, sim_class):
-        rng, design, patches, stimulus = _case(seed)
-        sim, oracle = _build_pair(design, patches, sim_class=sim_class)
-        half = max(1, len(stimulus) // 2)
-        _assert_identical(sim, oracle, stimulus[:half])
-        n_keep = int(rng.integers(1, sim.B + 1))
-        keep = np.sort(rng.choice(sim.B, size=n_keep, replace=False))
-        sim.compact(keep)
-        oracle.compact(keep.tolist())
-        assert sim.batch_slots.tolist() == oracle.batch_slots
-        _assert_identical(sim, oracle, stimulus[half:] if half < len(stimulus) else stimulus)
-
-
 class TestOracleCoverage:
     """The random cases above reach the kernel's harder paths.
 
-    Pins that the plain suite runs batches with ``settle_passes > 1``
-    and that the compaction suite really drops machines from such a
-    batch, so a change to the case generators cannot silently stop
-    exercising the settle loop or the rebuilt gather caches.
+    Pins that the plain suite runs batches with ``settle_passes > 1``,
+    so a change to the case generators cannot silently stop exercising
+    the settle loop.
     """
 
     @staticmethod
@@ -157,13 +137,3 @@ class TestOracleCoverage:
     def test_plain_suite_covers_multi_pass_settle(self):
         passes = [self._settle_passes(*_case(seed)[1:3]) for seed in PLAIN_SEEDS]
         assert sum(p > 1 for p in passes) >= 10
-
-    def test_compact_suite_covers_compacted_multi_pass_batches(self):
-        hits = 0
-        for seed in COMPACT_SEEDS:
-            rng, design, patches, _ = _case(seed)
-            # the same draw test_compact_mid_run_matches makes
-            n_keep = int(rng.integers(1, len(patches) + 1))
-            if n_keep < len(patches) and self._settle_passes(design, patches) > 1:
-                hits += 1
-        assert hits >= 2

@@ -12,6 +12,7 @@ from repro.netlist import (
 from repro.netlist.cells import LUT_AND2, LUT_XOR2
 from repro.netlist.compiled import FFField
 from repro.netlist.simulator import ADDR_IDIOMS
+from tests.utils.oracle import random_compiled_design
 
 
 def _xor_ff_design():
@@ -348,16 +349,6 @@ class TestKernelIdioms:
         want = (np.arange(16)[:, None] == np.arange(48)[None, :] % 16).astype(np.uint8)
         np.testing.assert_array_equal(outs[:, 0, :], want)
 
-    def test_wide_level_after_compact(self):
-        d = _decoder_design(40)
-        sim = BatchSimulator(d, [_one_hot_tables(d, m) for m in range(7)])
-        keep = np.array([1, 4, 6])
-        sim.compact(keep)
-        outs = sim.run(_PATTERNS)
-        for i, m in enumerate(keep):
-            want = np.arange(16)[:, None] == (np.arange(40)[None, :] + m) % 16
-            np.testing.assert_array_equal(outs[:, i, :], want.astype(np.uint8))
-
     def test_address_capture_all_patterns(self):
         d = _decoder_design(20)
         g = BatchSimulator.golden_trace(d, _PATTERNS, record_addr_rows=True)
@@ -387,3 +378,28 @@ class TestKernelIdioms:
             dv, ce, sr, cur = ((c >> i) & 1 for i in range(4))
             assert q[0, c] == (0 if sr else dv if ce else cur), c
             assert q[1, c] == cur, c
+
+
+class TestBinaryGuard:
+    """Both kernel paths reject non-binary stimulus and snapshots by name.
+
+    A value above 1 would index another LUT's truth-table entry.
+    """
+
+    @pytest.mark.parametrize("bad", [2, 255, -1])
+    def test_non_binary_stimulus_rejected(self, sim_class, bad):
+        design = random_compiled_design(np.random.default_rng(7))
+        sim = sim_class(design)
+        row = np.zeros(design.n_inputs, dtype=np.int64)
+        sim.step(row)  # 0/1 rows run
+        row[-1] = bad
+        with pytest.raises(NetlistError, match="requires 0/1 stimulus"):
+            sim.step(row)
+
+    def test_non_binary_initial_values_rejected(self, sim_class):
+        design = random_compiled_design(np.random.default_rng(8))
+        snapshot = np.zeros(design.n_nodes, dtype=np.uint8)
+        sim_class(design, initial_values=snapshot)  # 0/1 snapshots load
+        snapshot[int(design.lut_nodes[0])] = 2
+        with pytest.raises(NetlistError, match="requires 0/1 initial_values"):
+            sim_class(design, initial_values=snapshot)

@@ -1,10 +1,10 @@
-"""Fault dropping at the kernel level: retire/compact must not move verdicts.
+"""Fault dropping at the kernel level: retire must not move verdicts.
 
-The batch is pure data parallelism, so dropping machines mid-run cannot
-change any survivor's trajectory — these tests pin that contract
-(`compact` mid-run, `run_verdicts(retire=True)` vs the naive pass), plus
-the settle-cap diagnostics and the repair/addr-capture plumbing the
-retirement rules build on.
+Machines never interact, so sealing a machine early cannot change any
+other machine's trajectory — these tests pin that contract
+(`run_verdicts(retire=True)` vs the naive pass), plus the settle-cap
+diagnostics and the repair/addr-capture plumbing the retirement rules
+build on.
 """
 
 from __future__ import annotations
@@ -72,39 +72,6 @@ def _quiet_table_patch(design, golden):
     return Patch(lut_tables=[(0, table)])
 
 
-class TestCompact:
-    def test_mid_run_compaction_is_trajectory_invariant(self):
-        d = _lfsr4()
-        stim = np.zeros((30, 0), dtype=np.uint8)
-        patches = [
-            Patch(lut_tables=[(0, np.zeros(16, dtype=np.uint8))]),
-            Patch(),
-            Patch(lut_tables=[(0, np.ones(16, dtype=np.uint8))]),
-        ]
-        full = BatchSimulator(d, patches)
-        full_outs = full.run(stim)
-
-        sim = BatchSimulator(d, patches)
-        head = sim.run(stim[:10])
-        assert np.array_equal(head, full_outs[:10])
-        sim.compact(np.array([0, 2]))
-        assert sim.B == 2
-        assert np.array_equal(sim.batch_slots, [0, 2])
-        tail = sim.run(stim[10:])
-        assert np.array_equal(tail[:, 0, :], full_outs[10:, 0, :])
-        assert np.array_equal(tail[:, 1, :], full_outs[10:, 2, :])
-
-    def test_counters_and_zero_machine_guard(self):
-        d = _lfsr4()
-        sim = BatchSimulator(d, [Patch(), Patch()])
-        before = KERNEL_COUNTERS.snapshot()
-        sim.compact(np.array([1]))
-        retired, compactions, _, _ = KERNEL_COUNTERS.delta(before)
-        assert retired == 1 and compactions == 1
-        with pytest.raises(NetlistError):
-            sim.compact(np.empty(0, dtype=np.int64))
-
-
 class TestRetireVerdicts:
     def _verdict_pair(self, d, stim, patches, detect, persist):
         g = BatchSimulator.golden_trace(d, stim, record_addr_rows=True)
@@ -121,14 +88,12 @@ class TestRetireVerdicts:
         d = _lfsr4()
         stim = np.zeros((80, 0), dtype=np.uint8)
         g = BatchSimulator.golden_trace(d, stim)
-        # Enough sealable machines to clear the compaction hysteresis
-        # (compact fires only once >= max(8, B//4) machines are sealed).
         patches = (
             [Patch(lut_tables=[(0, np.zeros(16, dtype=np.uint8))])] * 2  # persistent
             + [Patch()] * 6                                              # clean
             + [_quiet_table_patch(d, g)] * 6                             # quiet forever
         )
-        naive, retired, (n_ret, _, saved, _) = self._verdict_pair(d, stim, patches, 40, 30)
+        naive, retired, (n_ret, saved, _) = self._verdict_pair(d, stim, patches, 40, 30)
         assert retired == naive  # MachineVerdict is a plain dataclass
         # The clean and quiet machines seal via the no-future-deviation
         # rule; cycles actually came off the batch.
@@ -143,7 +108,7 @@ class TestRetireVerdicts:
             + [Patch(lut_tables=[(0, np.ones(16, dtype=np.uint8))])] * 6
             + [Patch()] * 4
         )
-        naive, retired, (n_ret, _, _, _) = self._verdict_pair(d, stim, patches, 40, 30)
+        naive, retired, (n_ret, _, _) = self._verdict_pair(d, stim, patches, 40, 30)
         assert retired == naive
         assert n_ret > 0  # repaired-and-converged machines seal early
 

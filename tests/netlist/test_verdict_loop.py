@@ -5,7 +5,9 @@ With a C compiler, :meth:`BatchSimulator.run_verdicts` and
 verdict in one foreign call (``repro_verdicts``); the numpy body keeps
 the lock-step loop, which is the reference here.  Every differential
 case runs both on the same seeded oracle designs and requires identical
-``MachineVerdict`` lists and detect arrays.
+``MachineVerdict`` lists and detect arrays, and the random cases also
+identical ``KERNEL_COUNTERS`` deltas: retirement counts do not depend
+on which path ran.
 """
 
 from __future__ import annotations
@@ -125,9 +127,9 @@ class TestVerdictsMatchLockstep:
     def test_random_batches(self, both_paths, seed, retire):
         _, design, patches, stim, detect, persist = _random_case(seed)
         got, want = both_paths(
-            lambda: _verdicts(design, patches, stim, detect, persist, retire=retire)[0]
+            lambda: _verdicts(design, patches, stim, detect, persist, retire=retire)[:2]
         )
-        assert got == want
+        assert got == want  # verdicts and counter deltas
 
     def test_random_suite_covers_multi_settle_batches(self):
         settles = {
@@ -245,8 +247,9 @@ class TestDetectMatchesLockstep:
     def test_random_batches(self, both_paths, seed, retire):
         _, design, patches, stim, _, _ = _random_case(200 + seed, n_machines=9)
         cycles = stim.shape[0] - int(seed % 3)
-        got, want = both_paths(lambda: _detect(design, patches, stim, cycles, retire)[0])
-        np.testing.assert_array_equal(got, want)
+        got, want = both_paths(lambda: _detect(design, patches, stim, cycles, retire)[:2])
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]  # counter deltas
 
     def test_early_exit_stops_each_machine_at_its_first_mismatch(self, both_paths):
         d = _buffer_design()
@@ -256,16 +259,17 @@ class TestDetectMatchesLockstep:
         got, want = both_paths(lambda: _detect(d, patches, stim, 20, True)[:2])
         np.testing.assert_array_equal(got[0], want[0])
         assert got[0].tolist() == [True, True, False]
-        # Machine-major: stops at cycles 4, 0 and 19 (the batch's last).
-        retired, compactions, saved, _ = got[1]
-        assert (retired, compactions, saved) == (2, 0, (19 - 4) + (19 - 0))
+        # Stops at cycles 4, 0 and 19 (the batch's last), on both paths.
+        assert got[1] == want[1]
+        retired, saved, _ = got[1]
+        assert (retired, saved) == (2, (19 - 4) + (19 - 0))
 
 
 @needs_cc
 class TestMachineMajorCounters:
     """``machines_retired`` counts machines sealed before the batch's last
-    cycle and ``machine_cycles_saved`` the cycles they did not run; no
-    batch is compacted, and without ``retire`` every counter stays 0."""
+    cycle and ``machine_cycles_saved`` the cycles they did not run, on
+    both paths; without ``retire`` both stay 0."""
 
     def _lfsr_case(self):
         d = _lfsr4()
@@ -277,21 +281,23 @@ class TestMachineMajorCounters:
         ]
         return d, stim, patches
 
-    def test_retire_counts_early_stops(self):
+    def test_retire_counts_early_stops(self, both_paths):
         d, stim, patches = self._lfsr_case()
-        verdicts, delta, sim = _verdicts(d, patches, stim, 30, 20, converge=8)
+        (verdicts, delta, sim), (_, numpy_delta, _) = both_paths(
+            lambda: _verdicts(d, patches, stim, 30, 20, converge=8)
+        )
         assert sim._native is not None
         assert verdicts[0].persistent and not verdicts[1].failed
-        retired, compactions, saved, _ = delta
-        assert (retired, compactions, saved) == (2, 0, 2 * 49)
-        assert sim.B == 4  # nothing compacted
+        retired, saved, _ = delta
+        assert (retired, saved) == (2, 2 * 49)
+        assert numpy_delta == delta
 
     def test_no_retire_counts_nothing(self):
         d, stim, patches = self._lfsr_case()
         _, delta, _ = _verdicts(d, patches, stim, 30, 20, converge=8, retire=False)
-        assert delta[:3] == (0, 0, 0)
+        assert delta[:2] == (0, 0)
         _, delta, _ = _detect(d, patches, stim, 30, retire=False)
-        assert delta[:3] == (0, 0, 0)
+        assert delta[:2] == (0, 0)
 
 
 @pytest.mark.usefixtures("reference_path")

@@ -238,6 +238,7 @@ class TestLifecycle:
             {"kind": "campaign", "design": "MULT4", "device": "NOPE"},
             {"kind": "campaign", "design": "MULT4", "flags": {"bogus": 1}},
             {"kind": "campaign", "design": "MULT4", "flags": {"stride": "x"}},
+            {"kind": "campaign", "design": "MULT4", "flags": {"backend": "reference"}},
             {"kind": "campaign", "design": "MULT4", "priority": "urgent"},
             {"kind": "bist-coverage", "design": "MULT4"},
         ]
@@ -245,6 +246,8 @@ class TestLifecycle:
             status, body = server.client.json("POST", "/v1/jobs", case)
             assert status == 400, (case, body)
             assert "error" in body
+            for flag in case.get("flags", {}):  # a rejected flag is named
+                assert repr(flag) in body["error"], (case, body)
         status, _ = server.client.json("GET", "/v1/jobs/j-999999")
         assert status == 404
 

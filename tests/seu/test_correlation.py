@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,20 @@ class TestCorrelationTable:
         cfg = CampaignConfig(detect_cycles=64, persist_cycles=0, classify_persistence=False)
         small = build_correlation_table(mult_hw, result, cfg, max_bits=5)
         assert len(small.by_bit) == 5
+
+    def test_checkpoint_resumes_at_another_batch_size(self, mult_hw, corr_setup, tmp_path):
+        """Batch size is not part of the model key, so a checkpoint
+        written at one batch size resumes at another."""
+        result, table = corr_setup
+        cfg = CampaignConfig(detect_cycles=64, persist_cycles=0, classify_persistence=False)
+        path = str(tmp_path / "corr.npz")
+        build_correlation_table(
+            mult_hw, result, dataclasses.replace(cfg, batch_size=32), checkpoint_path=path
+        )
+        resumed = build_correlation_table(
+            mult_hw, result, dataclasses.replace(cfg, batch_size=16),
+            checkpoint_path=path, resume=True,
+        )
+        assert resumed.by_bit.keys() == table.by_bit.keys()
+        for bit, mask in table.by_bit.items():
+            np.testing.assert_array_equal(resumed.by_bit[bit], mask)

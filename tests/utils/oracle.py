@@ -22,8 +22,7 @@ The semantics mirrored here, in the order they matter:
   *pre-clock*, then all FFs clock simultaneously from pre-clock values
   (SR overrides CE; an unclocked FF holds);
 * repair: golden hardware restored, CONST nodes re-asserted into the
-  value state, HALF_LATCH keepers deliberately left as they are;
-* compaction: surviving machines keep their exact trajectories.
+  value state, HALF_LATCH keepers deliberately left as they are.
 
 Also here: :func:`random_compiled_design` / :func:`random_patch`, the
 seeded generators the differential suite samples its cases from.
@@ -66,7 +65,6 @@ class OracleSimulator:
         self._initial_values = (
             None if initial_values is None else [int(v) for v in initial_values]
         )
-        self.batch_slots = list(range(self.B))
 
         d = design
         # Per-machine hardware as plain Python structures.
@@ -208,22 +206,6 @@ class OracleSimulator:
             if int(d.node_kind[n]) == int(NodeKind.CONST):
                 self.const_values[m][n] = int(d.const_values[n])
                 self.values[m][n] = int(d.const_values[n])
-
-    def compact(self, keep) -> None:
-        keep = [int(k) for k in keep]
-        self.lut_inputs = [self.lut_inputs[k] for k in keep]
-        self.lut_tables = [self.lut_tables[k] for k in keep]
-        self.ff_d = [self.ff_d[k] for k in keep]
-        self.ff_ce = [self.ff_ce[k] for k in keep]
-        self.ff_sr = [self.ff_sr[k] for k in keep]
-        self.ff_init = [self.ff_init[k] for k in keep]
-        self.ff_clocked = [self.ff_clocked[k] for k in keep]
-        self.const_values = [self.const_values[k] for k in keep]
-        self.output_nodes = [self.output_nodes[k] for k in keep]
-        self.values = [self.values[k] for k in keep]
-        self.patches = [self.patches[k] for k in keep]
-        self.batch_slots = [self.batch_slots[k] for k in keep]
-        self.B = len(keep)
 
     def values_array(self) -> np.ndarray:
         """(B, n_nodes) uint8 node-state snapshot, for direct comparison."""
