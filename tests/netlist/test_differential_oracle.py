@@ -6,9 +6,11 @@ the optimised batch kernel and the reference simulator
 bit-for-bit identical outputs *and* node state.  Repair and mid-run
 snapshot starts are exercised the same way, so every semantic path a
 campaign touches is cross-checked against an implementation that shares
-no code with the kernel.
+no code with the kernel.  The verdict suites run the whole
+detect/repair/persist protocol (:meth:`BatchSimulator.run_verdicts`),
+with and without fault dropping, against the oracle's own protocol.
 
-The suites total 200 randomized cases and run in a few seconds; any
+The suites total 380 randomized cases and run in a few seconds; any
 kernel "optimisation" that changes semantics fails here with the seed
 that reproduces it.
 
@@ -20,16 +22,20 @@ pinning both to the same oracle bytes.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.netlist.simulator import BatchSimulator
+from repro.netlist.compiled import Patch
+from repro.netlist.simulator import KERNEL_COUNTERS, BatchSimulator
 from tests.utils.oracle import OracleSimulator, random_compiled_design, random_patch
 
 
-#: seeds of the plain suite (the coverage guard reads them)
+#: seeds of the plain and verdict suites (the coverage guards read them)
 PLAIN_SEEDS = range(150)
+VERDICT_SEEDS = range(4000, 4150)
+RETIRE_SEEDS = range(5000, 5030)
 
 
 def _case(seed: int, max_cycles: int = 16):
@@ -41,8 +47,6 @@ def _case(seed: int, max_cycles: int = 16):
     for _ in range(n_machines):
         # Some machines stay golden — the kernel special-cases them.
         patches.append(random_patch(rng, design) if rng.random() < 0.8 else None)
-    from repro.netlist.compiled import Patch
-
     patches = [p if p is not None else Patch() for p in patches]
     cycles = int(rng.integers(1, max_cycles + 1))
     stimulus = rng.integers(0, 2, size=(cycles, design.n_inputs)).astype(np.uint8)
@@ -120,6 +124,64 @@ class TestDifferentialRepair:
         _assert_identical(sim, oracle, stimulus[half:] if half < len(stimulus) else stimulus)
 
 
+def _verdict_case(seed: int):
+    """Random (design, patches, stimulus, detect, persist, converge)."""
+    rng = np.random.default_rng(seed)
+    design = random_compiled_design(rng)
+    patches = [
+        random_patch(rng, design) if rng.random() < 0.8 else Patch()
+        for _ in range(int(rng.integers(1, 7)))
+    ]
+    cycles = int(rng.integers(8, 41))
+    stimulus = rng.integers(0, 2, size=(cycles, design.n_inputs)).astype(np.uint8)
+    detect = int(rng.integers(1, cycles + 1))
+    converge = int(rng.integers(1, 5))
+    return design, patches, stimulus, detect, cycles - detect, converge
+
+
+def _verdict_pair(seed: int, sim_class, retire: bool):
+    """(kernel verdicts as tuples, oracle verdicts, counter delta) of one case."""
+    design, patches, stimulus, detect, persist, converge = _verdict_case(seed)
+    golden = BatchSimulator.golden_trace(design, stimulus, record_addr_rows=retire)
+    want_golden = OracleSimulator(design).run(stimulus)[:, 0, :]
+    np.testing.assert_array_equal(golden.outputs, want_golden)
+    sim, oracle = _build_pair(design, patches, companion=retire, sim_class=sim_class)
+    suffix = None
+    if retire:
+        # Row t covers every LUT address golden reads from cycle t on.
+        suffix = np.zeros((len(stimulus) + 1, design.n_luts), dtype=np.uint16)
+        suffix[:-1] = np.bitwise_or.accumulate(golden.addr_rows[::-1], axis=0)[::-1]
+    before = KERNEL_COUNTERS.snapshot()
+    verdicts = sim.run_verdicts(
+        stimulus, golden, detect, persist, converge, retire=retire, addr_suffix=suffix
+    )
+    delta = KERNEL_COUNTERS.delta(before)
+    got = [
+        (v.failed, v.first_error_cycle, v.persistent, v.recovered_cycle)
+        for v in verdicts
+    ]
+    want = oracle.run_verdicts(stimulus, want_golden, detect, persist, converge)
+    return got, want[: len(patches)], delta
+
+
+class TestDifferentialVerdicts:
+    """The detect/repair/persist protocol, verdict for verdict."""
+
+    @pytest.mark.parametrize("seed", VERDICT_SEEDS)
+    def test_verdicts_match(self, seed, sim_class):
+        got, want, _ = _verdict_pair(seed, sim_class, retire=False)
+        assert got == want
+
+
+class TestDifferentialRetire:
+    """Fault dropping seals machines early without changing a verdict."""
+
+    @pytest.mark.parametrize("seed", RETIRE_SEEDS)
+    def test_retired_verdicts_match(self, seed, sim_class):
+        got, want, _ = _verdict_pair(seed, sim_class, retire=True)
+        assert got == want
+
+
 class TestOracleCoverage:
     """The random cases above reach the kernel's harder paths.
 
@@ -137,3 +199,24 @@ class TestOracleCoverage:
     def test_plain_suite_covers_multi_pass_settle(self):
         passes = [self._settle_passes(*_case(seed)[1:3]) for seed in PLAIN_SEEDS]
         assert sum(p > 1 for p in passes) >= 10
+
+    def test_verdict_suite_covers_every_outcome(self):
+        outcomes = Counter()
+        for seed in VERDICT_SEEDS:
+            design, patches, stimulus, detect, persist, converge = _verdict_case(seed)
+            oracle = OracleSimulator(design, patches)
+            golden = OracleSimulator(design).run(stimulus)[:, 0, :]
+            for failed, _, persistent, recovered in oracle.run_verdicts(
+                stimulus, golden, detect, persist, converge
+            ):
+                outcomes["persistent" if persistent else
+                         "recovered" if recovered >= 0 else
+                         "clean" if not failed else "other"] += 1
+        assert min(outcomes[k] for k in ("clean", "recovered", "persistent")) >= 10
+
+    def test_retire_suite_seals_machines_early(self):
+        sealed = 0
+        for seed in RETIRE_SEEDS:
+            *_, (retired, _, _) = _verdict_pair(seed, BatchSimulator, retire=True)
+            sealed += retired > 0
+        assert sealed >= 10

@@ -22,7 +22,11 @@ The semantics mirrored here, in the order they matter:
   *pre-clock*, then all FFs clock simultaneously from pre-clock values
   (SR overrides CE; an unclocked FF holds);
 * repair: golden hardware restored, CONST nodes re-asserted into the
-  value state, HALF_LATCH keepers deliberately left as they are.
+  value state, HALF_LATCH keepers deliberately left as they are;
+* the verdict protocol: a machine that errs inside the detect window is
+  repaired after that cycle and then either re-matches golden for
+  ``converge_run`` cycles in a row (recovered) or runs out of budget
+  (persistent); it runs one machine at a time, with no sealing rules.
 
 Also here: :func:`random_compiled_design` / :func:`random_patch`, the
 seeded generators the differential suite samples its cases from.
@@ -174,18 +178,19 @@ class OracleSimulator:
         for node, value in pending:
             vals[node] = value
 
+    def _step_machine(self, m: int, stimulus_row) -> list[int]:
+        """One clock cycle of machine ``m``; returns its outputs."""
+        vals = self.values[m]
+        for i, node in enumerate(self.design.input_nodes):
+            vals[int(node)] = int(stimulus_row[i])
+        self._eval_combinational(m)
+        out = [vals[n] for n in self.output_nodes[m]]
+        self._clock_ffs(m)
+        return out
+
     def step(self, stimulus_row) -> list[list[int]]:
         """One clock cycle; returns outputs as a (B, n_outputs) list."""
-        d = self.design
-        outs = []
-        for m in range(self.B):
-            vals = self.values[m]
-            for i, node in enumerate(d.input_nodes):
-                vals[int(node)] = int(stimulus_row[i])
-            self._eval_combinational(m)
-            outs.append([vals[n] for n in self.output_nodes[m]])
-            self._clock_ffs(m)
-        return outs
+        return [self._step_machine(m, stimulus_row) for m in range(self.B)]
 
     def run(self, stimulus) -> np.ndarray:
         """(cycles, n_inputs) stimulus -> (cycles, B, n_outputs) outputs."""
@@ -206,6 +211,42 @@ class OracleSimulator:
             if int(d.node_kind[n]) == int(NodeKind.CONST):
                 self.const_values[m][n] = int(d.const_values[n])
                 self.values[m][n] = int(d.const_values[n])
+
+    def run_verdicts(
+        self, stimulus, golden_outputs, detect_cycles: int, persist_cycles: int,
+        converge_run: int,
+    ) -> list[tuple[bool, int, bool, int]]:
+        """The detect/repair/persist protocol, one machine at a time.
+
+        Starts from :meth:`reset`.  Returns one ``(failed,
+        first_error_cycle, persistent, recovered_cycle)`` tuple per
+        machine, the fields of ``MachineVerdict`` (-1 for a cycle that
+        never happened).
+        """
+        golden = [[int(x) for x in row] for row in golden_outputs]
+        self.reset()
+        verdicts = []
+        for m in range(self.B):
+            first_error = recovered = -1
+            persistent = False
+            streak = 0
+            for t in range(detect_cycles + persist_cycles):
+                ok = self._step_machine(m, stimulus[t]) == golden[t]
+                if first_error < 0:
+                    if not ok:
+                        first_error = t
+                        self.repair_machine(m)
+                    elif t == detect_cycles - 1:
+                        break  # clean through the detect window
+                    continue
+                streak = streak + 1 if ok else 0
+                if ok and streak >= converge_run:
+                    recovered = t
+                    break
+            else:
+                persistent = first_error >= 0
+            verdicts.append((first_error >= 0, first_error, persistent, recovered))
+        return verdicts
 
     def values_array(self) -> np.ndarray:
         """(B, n_nodes) uint8 node-state snapshot, for direct comparison."""
