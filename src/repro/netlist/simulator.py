@@ -531,6 +531,7 @@ class BatchSimulator:
         if patch.is_empty():
             return
         d = self.design
+        self._at_reset = False
         _check_patch(d, patch)
         self._broken[m] = True
         for row, table in patch.lut_tables:
@@ -569,6 +570,7 @@ class BatchSimulator:
         Models a configuration scrub: the corrupted frame is rewritten,
         but flip-flop contents — and half-latch keepers — are untouched.
         """
+        self._at_reset = False
         const_only = self._restore_hardware(m)
         self.values[m, const_only] = self.design.const_values[const_only]
         self._refresh_machine_caches(m)
@@ -604,6 +606,7 @@ class BatchSimulator:
         applied on top.
         """
         d = self.design
+        self._at_reset = True
         if self._initial_values is not None:
             self.values[:] = self._initial_values[None, :]
             np.copyto(self.values, self.const_values, where=self._const_mask)
@@ -678,6 +681,7 @@ class BatchSimulator:
         if stimulus_row.shape != (n,):
             raise NetlistError(f"stimulus row must have {n} entries, got {stimulus_row.shape}")
         require_binary(stimulus_row, "stimulus")
+        self._at_reset = False
         if self._native is not None and self._addr_capture is None:
             # The whole cycle in one compiled call.
             self._stim_buf[:] = stimulus_row
@@ -867,6 +871,11 @@ class BatchSimulator:
         With the compiled kernel each machine runs to its own verdict
         (:meth:`_run_machine_major`); the numpy body runs the lock-step
         loop (:meth:`_run_lockstep`), the test reference.
+
+        Every machine starts from the start state: the simulator resets
+        unless nothing has stepped, patched or repaired it since its
+        construction or last :meth:`reset` (direct writes to
+        :attr:`values` are not tracked).
         """
         stimulus = np.asarray(stimulus, dtype=np.uint8)
         total_needed = detect_cycles + persist_cycles
@@ -880,7 +889,9 @@ class BatchSimulator:
             raise NetlistError("retire=True needs a batch built with companion=True")
         if retire and addr_suffix is not None and addr_suffix.shape[0] < total_needed + 1:
             raise NetlistError("addr_suffix shorter than the verdict run")
-        self.reset()
+        if not self._at_reset:
+            self.reset()
+        self._at_reset = False
         run = self._run_lockstep if self._native is None else self._run_machine_major
         first_error, recovered, persistent, stop = run(
             stimulus,

@@ -27,6 +27,7 @@ from repro.fpga.resources import (
 )
 from repro.netlist import BatchSimulator
 from repro.place.decoder import decode_bitstream
+from tests.utils.goldens import assert_golden, patch_case_sha, patch_cases
 
 CYCLES = 48
 
@@ -191,3 +192,13 @@ class TestPatchProperties:
             if p is not None and d.patch_is_relevant(p):
                 hits += 1
         assert hits > 0
+
+
+class TestPatchGoldens:
+    """The patch bytes are pinned: every ``patch_for_bit`` result, entry
+    order and spare-row choice included, over every bit of MULT4/S8 and
+    over the ``seu-serial`` candidate set (MULT6/S12, stride 3)."""
+
+    @pytest.mark.parametrize("name", sorted(patch_cases()))
+    def test_patch_digest_pinned(self, name):
+        assert_golden(name, patch_case_sha(name))

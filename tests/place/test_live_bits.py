@@ -4,9 +4,10 @@
 cone and consumer checks) with one array lookup.  These tests pin it to
 that screen bit for bit, check that what it rejects really cannot reach
 the outputs, check that patch computation leaves the golden state it is
-built from untouched, and count ``classify_bit`` calls so a fall-back
-to per-bit classification fails deterministically rather than only
-showing up as a slower sweep.
+built from untouched, and count per-bit decodes (and ``classify_bit``
+calls, which the decode tables replace) so a fall-back to per-bit
+classification fails deterministically rather than only showing up as
+a slower sweep.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.designs import array_multiplier
 from repro.fpga import VirtexDevice
 from repro.fpga.resources import FF_INIT, FF_RESERVED, ResourceKind, classify_intra
 from repro.place import implement
+from repro.place.decoder import DecodedDesign
 from repro.seu import CampaignConfig, run_campaign
 from repro.seu import campaign as campaign_mod
 from tests.utils.live_bits_reference import PATCHED_KINDS, reference_live_bits
@@ -107,8 +109,10 @@ class TestGoldenStateFrozen:
 
 class TestClassificationCount:
     def test_campaign_classifies_only_live_candidates(self, mult_spec, s8, monkeypatch):
-        """A MULT4/S8 stride-7 campaign calls ``classify_bit`` exactly once
-        per live candidate: every other candidate is settled by the mask."""
+        """A MULT4/S8 stride-7 campaign decodes exactly the live candidates,
+        each once: every other candidate is settled by the mask.  The
+        decode tables locate a live bit, so ``classify_bit`` is never
+        called."""
         hw = implement(mult_spec, s8)
         config = CampaignConfig(detect_cycles=48, persist_cycles=32, stride=7, batch_size=32)
         candidates = np.arange(0, hw.device.block0_bits, config.stride)
@@ -121,15 +125,21 @@ class TestClassificationCount:
             memo[(frame, off)] = hw.device.classify_bit(frame, off).kind
         monkeypatch.setitem(campaign_mod._BIT_KIND_CACHE, s8.name, memo)
 
-        calls = [0]
-        original = VirtexDevice.classify_bit
+        calls = dict(classify=0, decode=0)
+        classify_bit = VirtexDevice.classify_bit
+        patch_clb_bit = DecodedDesign._patch_clb_bit
 
-        def counting(self, frame_index, bit):
-            calls[0] += 1
-            return original(self, frame_index, bit)
+        def counting_classify(self, frame_index, bit):
+            calls["classify"] += 1
+            return classify_bit(self, frame_index, bit)
 
-        monkeypatch.setattr(VirtexDevice, "classify_bit", counting)
+        def counting_decode(self, *args):
+            calls["decode"] += 1
+            return patch_clb_bit(self, *args)
+
+        monkeypatch.setattr(VirtexDevice, "classify_bit", counting_classify)
+        monkeypatch.setattr(DecodedDesign, "_patch_clb_bit", counting_decode)
         result = run_campaign(hw, config)
         assert result.n_candidates == candidates.size
         assert 0 < n_live < candidates.size
-        assert calls[0] == n_live
+        assert calls == dict(classify=0, decode=n_live)

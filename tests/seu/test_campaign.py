@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from repro.fpga.resources import ResourceKind
+from repro.netlist import BatchSimulator
 from repro.seu import CampaignConfig, run_campaign, run_halflatch_campaign
-from repro.seu.campaign import BitVerdict
+from repro.seu.campaign import BitVerdict, build_context, classify_candidate, simulate_batch
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +133,55 @@ class TestHalfLatchCampaign:
     def test_most_halflatches_harmless(self, lfsr_hw, cfg):
         out = run_halflatch_campaign(lfsr_hw, cfg)
         assert sum(out.values()) / len(out) < 0.10
+
+
+def _first_survivors(hw, ctx, n: int = 8) -> list:
+    """The first ``n`` pre-filter survivors as ``(bit, patch)``."""
+    pending = []
+    for bit in np.flatnonzero(hw.decoded.live_bits).tolist():
+        _, patch = classify_candidate(hw, ctx, bit)
+        if patch is not None:
+            pending.append((bit, patch))
+            if len(pending) == n:
+                break
+    return pending
+
+
+class TestOneResetPerBatch:
+    """``simulate_batch`` builds a simulator (which resets it) and runs
+    the verdict protocol on it; the verdict run must not reset again."""
+
+    CONFIG = CampaignConfig(detect_cycles=48, persist_cycles=32, stride=7, batch_size=32)
+
+    def test_simulate_batch_resets_once(self, mult_hw, monkeypatch):
+        ctx = build_context(mult_hw, self.CONFIG)
+        pending = _first_survivors(mult_hw, ctx)
+        resets = [0]
+        reset = BatchSimulator.reset
+
+        def counting(self):
+            resets[0] += 1
+            reset(self)
+
+        monkeypatch.setattr(BatchSimulator, "reset", counting)
+        for retire in (False, True):
+            resets[0] = 0
+            simulate_batch(self.CONFIG, ctx, pending, retire=retire)
+            assert resets[0] == 1
+
+    def test_verdicts_after_stepping_still_start_from_reset(self, mult_hw):
+        """A simulator that already ran resets before its verdict run, so
+        its verdicts equal a fresh simulator's."""
+        ctx = build_context(mult_hw, self.CONFIG)
+        patches = [patch for _, patch in _first_survivors(mult_hw, ctx)]
+        config = self.CONFIG
+        args = (ctx.post_stim, ctx.post_golden, config.detect_cycles, config.persist_cycles)
+
+        def fresh():
+            return BatchSimulator(ctx.design, patches, initial_values=ctx.snapshot)
+
+        want = fresh().run_verdicts(*args)
+        stepped = fresh()
+        for row in ctx.post_stim[:5]:
+            stepped.step(row)
+        assert stepped.run_verdicts(*args) == want
