@@ -44,16 +44,26 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine.cache import fast_forward_scope, result_cache_scope
+from repro.engine import prime_design_cache, run_sweep
+from repro.engine.cache import result_cache_scope
 from repro.seu import CampaignConfig, run_campaign
+from repro.seu.campaign import SEUFaultModel, build_context
 
 
-def _time_campaign(hw, cfg, repeats=2):
+def _cold_campaign(hw, cfg):
+    """The sweep over the cold context: golden run and warmup replay
+    from cycle 0, no golden-pack store."""
+    model = SEUFaultModel(hw.spec, hw.device.name, cfg)
+    context = (hw, build_context(hw, cfg, fast_forward=False))
+    return run_sweep(model, batch_size=cfg.batch_size, context=context)
+
+
+def _time_campaign(run, hw, cfg, repeats=2):
     """Best-of-N wall seconds plus the (byte-checked) last result."""
     best, result = float("inf"), None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        result = run_campaign(hw, cfg)
+        result = run(hw, cfg)
         best = min(best, time.perf_counter() - t0)
     return best, result
 
@@ -69,6 +79,7 @@ def test_fast_forward_speedup(report, bench_record, tmp_path):
     min_cache = float(os.environ.get("REPRO_BENCH_MIN_CACHE_SPEEDUP", "0"))
 
     hw = implement(get_design("MULT4"), get_device("S8"))
+    prime_design_cache(hw)
     cfg = CampaignConfig(
         warmup_cycles=warmup,
         detect_cycles=24,
@@ -78,22 +89,22 @@ def test_fast_forward_speedup(report, bench_record, tmp_path):
         batch_size=64,
     )
 
-    # Cold: no fast-forward, no result cache — golden run plus a full
-    # warmup replay on every campaign.
-    with fast_forward_scope(False), result_cache_scope(None):
-        cold_s, cold = _time_campaign(hw, cfg)
+    # Cold: the cold context, no result cache — golden run plus a full
+    # warmup replay on every campaign (context build timed with it).
+    with result_cache_scope(None):
+        cold_s, cold = _time_campaign(_cold_campaign, hw, cfg)
 
     # Fast-forward, primed: one untimed run stores the golden pack (the
     # sweep steady state), then the timed runs skip the whole golden
     # prefix via pack hit + snapshot restore.
-    with fast_forward_scope(True), result_cache_scope(None):
+    with result_cache_scope(None):
         run_campaign(hw, cfg)  # prime the pack store
-        ff_s, ff = _time_campaign(hw, cfg)
+        ff_s, ff = _time_campaign(run_campaign, hw, cfg)
 
     # Result cache: cold run populates the store, warm repeat is served
     # from the whole-sweep verdict entry.
     cache_dir = tmp_path / "result-cache"
-    with fast_forward_scope(True), result_cache_scope(str(cache_dir)):
+    with result_cache_scope(str(cache_dir)):
         t0 = time.perf_counter()
         cache_cold = run_campaign(hw, cfg)
         cache_cold_s = time.perf_counter() - t0

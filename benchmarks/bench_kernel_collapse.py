@@ -1,8 +1,9 @@
 """Campaign-shrinker harness: collapse+retire vs the naive kernel.
 
-Runs one exhaustive small-device SEU sweep twice — both shrinkers on
-(the default) and both forced off — verifies the byte-identity contract
-on the side, and appends both telemetry records plus the wall-clock
+Runs one exhaustive small-device SEU sweep twice — the product path
+(both shrinkers on) and a naive reference model built here (not
+collapsible, kernel run with ``retire=False``) — verifies the
+byte-identity contract on the side, and appends both telemetry records plus the wall-clock
 speedup to ``BENCH_kernel.json``.  The collapsed row also carries the
 collapse/retire rates, so a regression that silently stops collapsing
 (rates drop to zero) is visible even when the runner is too noisy for
@@ -26,13 +27,26 @@ Environment knobs:
     unloaded machine clears 2x).
 """
 
-import json
 import os
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
+from repro.engine import prime_design_cache, run_sweep
 from repro.seu import CampaignConfig, run_campaign
+from repro.seu.campaign import SEUFaultModel, simulate_batch
+
+
+class NaiveSEUModel(SEUFaultModel):
+    """The SEU model without the shrinkers: every survivor is simulated
+    (no collapsing) and no machine leaves its batch early."""
+
+    collapsible: ClassVar[bool] = False
+
+    def observe_batch(self, ctx, pending):
+        _, cctx = ctx
+        return simulate_batch(self.config, cctx, pending, retire=False)
 
 
 def test_kernel_collapse_speedup(report, bench_record):
@@ -50,7 +64,8 @@ def test_kernel_collapse_speedup(report, bench_record):
         detect_cycles=detect, persist_cycles=persist, stride=1, batch_size=batch
     )
 
-    naive = run_campaign(hw, cfg, collapse=False, retire=False)
+    prime_design_cache(hw)
+    naive = run_sweep(NaiveSEUModel(hw.spec, hw.device.name, cfg), batch_size=batch)
     collapsed = run_campaign(hw, cfg)
 
     # The admissibility contract: shrinking must not move a verdict.

@@ -88,7 +88,6 @@ class BistCoverageModel(FaultModel):
     faults: tuple[StuckAtFault, ...]
     n_register_pairs: int
     cycles: int
-    retire: bool = True
 
     name: ClassVar[str] = "bist-coverage"
 
@@ -140,7 +139,7 @@ class BistCoverageModel(FaultModel):
         for v, (hw, stim, golden) in enumerate(ctx):
             sim = BatchSimulator(hw.decoded.design, [pair[v] for _, pair in pending])
             hits.append(
-                detect_failures(sim, stim, golden.outputs, self.cycles, retire=self.retire)
+                detect_failures(sim, stim, golden.outputs, self.cycles, retire=True)
             )
         return [(bool(h0), bool(h1)) for h0, h1 in zip(*hits)]
 
@@ -191,34 +190,24 @@ def run_coverage(
     batch_size: int = 128,
     checkpoint_path: str | None = None,
     resume: bool = False,
-    collapse: bool = True,
-    retire: bool = True,
 ) -> CoverageReport:
     """Run both complementary CLB test variants over a fault list.
 
     Runs on the shared campaign engine: ``jobs=N`` shards faults over
     processes with a report identical to ``jobs=1``, and
     ``checkpoint_path`` snapshots engine-native archives a killed sweep
-    restarts from (``resume=True``).  ``collapse``/``retire`` toggle the
-    verdict-identical campaign shrinkers (faults decoding to identical
-    patch pairs share one simulation; machines whose error latch already
-    fired drop out of the batch mid-run).
+    restarts from (``resume=True``).
     """
-    model = BistCoverageModel(
-        device.name, tuple(faults), n_register_pairs, cycles, retire=retire
-    )
+    model = BistCoverageModel(device.name, tuple(faults), n_register_pairs, cycles)
     if resume:
         if checkpoint_path is None:
             raise CampaignError("resume requires a checkpoint path")
-        sweep = resume_sweep(
-            model, checkpoint_path, jobs=jobs, batch_size=batch_size, collapse=collapse
-        )
+        sweep = resume_sweep(model, checkpoint_path, jobs=jobs, batch_size=batch_size)
     else:
         sweep = run_sweep(
             model,
             jobs=jobs,
             batch_size=batch_size,
             checkpoint_path=checkpoint_path,
-            collapse=collapse,
         )
     return _report_from_sweep(model, sweep)

@@ -22,7 +22,9 @@ both are verdict-invariant.
 The sweep commands (campaign, multibit, bist-coverage) also accept
 ``--executor tcp --listen HOST:PORT`` to fan shards out to ``repro
 worker`` processes over sockets instead of a local process pool —
-verdicts stay byte-identical to a serial run.
+verdicts stay byte-identical to a serial run.  Fault collapsing,
+machine retirement and golden-prefix fast-forward are not options:
+they cannot change a verdict, so every sweep runs them.
 """
 
 from __future__ import annotations
@@ -42,19 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
         "in FPGAs (paper reproduction).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_shrinker_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--no-collapse", action="store_true",
-            help="disable fault collapsing (simulate every survivor even when "
-            "its patch duplicates an earlier one; verdicts are identical "
-            "either way)",
-        )
-        p.add_argument(
-            "--no-retire", action="store_true",
-            help="disable live machine retirement (keep sealed machines in "
-            "the batch to the last cycle; verdicts are identical either way)",
-        )
 
     def add_obs_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -84,12 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
             "'seed=3,crash=0.2,hang=0.1,hang-s=5,drop=0.1,partition=0.05' — "
             "a recovery test knob; verdicts are identical to an undisturbed "
             "run whenever the executor recovers",
-        )
-        p.add_argument(
-            "--no-fast-forward", action="store_true",
-            help="build campaign contexts from cycle 0 instead of restoring "
-            "a golden-prefix snapshot (verdicts are byte-identical either "
-            "way; also via REPRO_FAST_FORWARD=0)",
         )
         p.add_argument(
             "--result-cache", metavar="DIR|off", default=None,
@@ -159,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated survivors between snapshots (at least one per shard)",
     )
     add_batch_flag(p)
-    add_shrinker_flags(p)
     add_obs_flags(p)
     add_resilience_flags(p)
     add_transport_flags(p)
@@ -195,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume from --checkpoint instead of starting over",
     )
     add_batch_flag(p)
-    add_shrinker_flags(p)
     add_obs_flags(p)
     add_resilience_flags(p)
     add_transport_flags(p)
@@ -222,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume from --checkpoint instead of starting over",
     )
     add_batch_flag(p)
-    add_shrinker_flags(p)
     add_obs_flags(p)
     add_resilience_flags(p)
     add_transport_flags(p)
@@ -398,12 +378,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.errors import CampaignError
     from repro.seu import SensitivityMap, format_table1, resume_campaign, table1_row
 
-    run_opts = dict(
-        jobs=args.jobs,
-        checkpoint_every=args.checkpoint_every,
-        collapse=not args.no_collapse,
-        retire=not args.no_retire,
-    )
+    run_opts = dict(jobs=args.jobs, checkpoint_every=args.checkpoint_every)
     # Through the engine's design cache, so the sweep's context build
     # reuses this implementation instead of redoing it.
     hw = implemented_design(get_design(args.design), args.device)
@@ -464,8 +439,6 @@ def _cmd_multibit(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
-        collapse=not args.no_collapse,
-        retire=not args.no_retire,
     )
     print(result.summary())
     if result.telemetry is not None:
@@ -498,8 +471,6 @@ def _cmd_bist_coverage(args: argparse.Namespace) -> int:
         batch_size=128 if args.batch_size is None else args.batch_size,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
-        collapse=not args.no_collapse,
-        retire=not args.no_retire,
     )
     print(report.summary())
     for config_name, caught in report.detected_by.items():
@@ -708,8 +679,6 @@ def main(argv: list[str] | None = None) -> int:
         overrides["announce"] = args.announce
     if getattr(args, "workers", None):
         overrides["min_workers"] = args.workers
-    if getattr(args, "no_fast_forward", False):
-        overrides["fast_forward"] = False
     if getattr(args, "result_cache", None) is not None:
         overrides["result_cache"] = args.result_cache
     if getattr(args, "transport", None) == "tcp" and getattr(args, "jobs", 0) in (None, 1):

@@ -43,7 +43,7 @@ Four caches live here:
   bounded in-process memo plus, when a result-cache directory is
   ambient, on disk — so every context build after the first skips the
   full-stimulus golden simulation and restores the nearest snapshot
-  instead (``REPRO_FAST_FORWARD`` / ``REPRO_SNAPSHOT_STRIDE``).
+  instead, every :data:`SNAPSHOT_STRIDE` cycles.
 """
 
 from __future__ import annotations
@@ -77,9 +77,6 @@ __all__ = [
     "content_key",
     "result_cache",
     "result_cache_scope",
-    "fast_forward_enabled",
-    "fast_forward_scope",
-    "snapshot_stride",
     "cached_golden_pack",
     "store_golden_pack",
 ]
@@ -154,7 +151,13 @@ def install_blob(blob: bytes) -> str:
 
 
 def install_blobs(blobs: dict[str, bytes]) -> None:
-    """Bulk-install pre-addressed blobs (pool initializer entry point)."""
+    """Bulk-install pre-addressed blobs (pool initializer entry point).
+
+    Room is made for the whole batch first, so installing one member
+    never evicts another.
+    """
+    if len(_BLOB_STORE) + len(blobs) > _MAX_BLOBS:
+        _BLOB_STORE.clear()
     for blob in blobs.values():
         install_blob(blob)
 
@@ -177,12 +180,10 @@ def resolve_blob(ref: str | bytes) -> bytes:
 # -- content-addressed result cache --------------------------------------------
 
 _ENV_CACHE_DIR = "REPRO_RESULT_CACHE"
-_ENV_FAST_FORWARD = "REPRO_FAST_FORWARD"
-_ENV_SNAPSHOT_STRIDE = "REPRO_SNAPSHOT_STRIDE"
 
-#: default golden-snapshot spacing (cycles); the expected residual
-#: replay is stride/2, so this trades snapshot memory against replay
-DEFAULT_SNAPSHOT_STRIDE = 64
+#: golden-snapshot spacing (cycles); the expected residual replay is
+#: stride/2, so this trades snapshot memory against replay
+SNAPSHOT_STRIDE = 64
 
 
 @dataclass
@@ -315,53 +316,19 @@ def result_cache() -> ResultCache | None:
 
 
 @contextlib.contextmanager
-def _env_scope(var: str, value: str) -> Iterator[None]:
+def result_cache_scope(path: str | None) -> Iterator[None]:
+    """Scope the ambient result-cache directory (None/'off' disables)."""
     # Exported via the environment (not a module global) so fork *and*
     # spawn workers — and `repro worker` children — inherit the scope.
-    prev = os.environ.get(var)
-    os.environ[var] = value
+    prev = os.environ.get(_ENV_CACHE_DIR)
+    os.environ[_ENV_CACHE_DIR] = path if path else "off"
     try:
         yield
     finally:
         if prev is None:
-            os.environ.pop(var, None)
+            os.environ.pop(_ENV_CACHE_DIR, None)
         else:
-            os.environ[var] = prev
-
-
-@contextlib.contextmanager
-def result_cache_scope(path: str | None) -> Iterator[None]:
-    """Scope the ambient result-cache directory (None/'off' disables)."""
-    with _env_scope(_ENV_CACHE_DIR, path if path else "off"):
-        yield
-
-
-def fast_forward_enabled() -> bool:
-    """Ambient golden-prefix fast-forward toggle (default: on)."""
-    return os.environ.get(_ENV_FAST_FORWARD, "1").strip().lower() not in (
-        "0",
-        "off",
-        "false",
-    )
-
-
-def snapshot_stride() -> int:
-    """Ambient golden-snapshot stride in cycles (>= 1)."""
-    try:
-        stride = int(os.environ.get(_ENV_SNAPSHOT_STRIDE, DEFAULT_SNAPSHOT_STRIDE))
-    except ValueError:
-        stride = DEFAULT_SNAPSHOT_STRIDE
-    return max(1, stride)
-
-
-@contextlib.contextmanager
-def fast_forward_scope(enabled: bool, stride: int | None = None) -> Iterator[None]:
-    """Scope the fast-forward toggle (and optionally the stride)."""
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(_env_scope(_ENV_FAST_FORWARD, "1" if enabled else "0"))
-        if stride is not None:
-            stack.enter_context(_env_scope(_ENV_SNAPSHOT_STRIDE, str(stride)))
-        yield
+            os.environ[_ENV_CACHE_DIR] = prev
 
 
 # -- golden-pack store ---------------------------------------------------------

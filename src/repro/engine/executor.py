@@ -65,11 +65,11 @@ import itertools
 import random
 import time
 from concurrent.futures import Executor
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.engine.cache import fast_forward_scope, result_cache, result_cache_scope
+from repro.engine.cache import result_cache, result_cache_scope
 from repro.engine.backends import (
     ExecutorBackend,
     TaskDone,
@@ -128,15 +128,12 @@ class ExecutorPolicy:
     in-flight shards requeued; ``join_timeout_s`` how long to wait for
     ``min_workers``.
 
-    The caching block is tri-state: ``fast_forward`` ``None`` inherits
-    the ambient ``REPRO_FAST_FORWARD`` toggle (golden-prefix snapshot
-    starts, default on), ``True``/``False`` force it for the scope;
     ``result_cache`` ``None`` inherits ``REPRO_RESULT_CACHE``, a
     directory enables the content-addressed result store there, and the
     string ``"off"`` disables an inherited one.  :func:`executor_policy`
-    exports both as environment variables so every worker the scope
+    exports it as an environment variable so every worker the scope
     spawns — fork or spawn pools and ``repro worker`` children alike —
-    sees the same configuration.
+    sees the same store.
     """
 
     max_attempts: int = 3
@@ -158,7 +155,6 @@ class ExecutorPolicy:
     min_workers: int = 0
     worker_timeout_s: float = 30.0
     join_timeout_s: float = 60.0
-    fast_forward: bool | None = None
     result_cache: str | None = None
 
 
@@ -176,9 +172,8 @@ def get_executor_policy() -> ExecutorPolicy:
 def executor_policy(policy: ExecutorPolicy | None = None, **overrides: Any):
     """Install ``policy`` (or the default with ``overrides``) for a scope.
 
-    The caching knobs (``fast_forward`` / ``result_cache``) are exported
-    as environment variables for the scope when set, so worker processes
-    launched inside it inherit them.
+    ``result_cache`` is exported as an environment variable for the
+    scope when set, so worker processes launched inside it inherit it.
     """
     global _policy
     new = policy if policy is not None else DEFAULT_POLICY
@@ -187,11 +182,9 @@ def executor_policy(policy: ExecutorPolicy | None = None, **overrides: Any):
     previous = _policy
     _policy = new
     try:
-        with ExitStack() as stack:
-            if new.result_cache is not None:
-                stack.enter_context(result_cache_scope(new.result_cache))
-            if new.fast_forward is not None:
-                stack.enter_context(fast_forward_scope(new.fast_forward))
+        with (
+            nullcontext() if new.result_cache is None else result_cache_scope(new.result_cache)
+        ):
             yield new
     finally:
         _policy = previous

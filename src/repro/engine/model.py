@@ -107,7 +107,7 @@ class FaultModel(abc.ABC):
 
     #: opt out of fault collapsing entirely (e.g. models whose payloads
     #: depend on more than the patch); the engine then simulates every
-    #: survivor itself regardless of the driver's ``collapse`` flag
+    #: survivor itself
     collapsible: ClassVar[bool] = True
 
     @abc.abstractmethod

@@ -37,14 +37,14 @@ snapshot and a killed sweep resumes to the byte-identical result under
 any worker count.
 
 **Fault collapsing.** Candidates whose patches configure identical
-hardware produce identical observations.  With ``collapse=True`` (the
-default, honoured only when the model is
-:attr:`~repro.engine.model.FaultModel.collapsible`) the parent keeps
-the first survivor of every signature class as its *representative*,
-simulates only representatives, and fans each observation out to the
-class's followers; a finished shard folds its representatives and
-their followers together.  Verdicts are byte-identical to
-``collapse=False`` for any ``jobs``.
+hardware produce identical observations.  For a
+:attr:`~repro.engine.model.FaultModel.collapsible` model the parent
+keeps the first survivor of every signature class as its
+*representative*, simulates only representatives, and fans each
+observation out to the class's followers; a finished shard folds its
+representatives and their followers together.  Verdicts are
+byte-identical to simulating every survivor (the path a model that is
+not collapsible takes) for any ``jobs``.
 
 **Patch reuse.** At ``jobs=1`` the pre-filter parks survivor patches
 (its payloads) in the per-process model state and the observe phase
@@ -328,8 +328,8 @@ def _sweep_cache_key(
 
     Keyed on the fault model's own key *and* its pickled blob (the key
     is human-oriented and may under-describe) and the exact candidate
-    range.  Batch size and collapse cannot change a byte (see the
-    determinism contract).  The schema tag versions the
+    range.  Batch size cannot change a byte (see the determinism
+    contract).  The schema tag versions the
     :class:`SweepResult` layout itself.
     """
     return content_key("sweep-v2", model.key(), model_blob, candidates)
@@ -654,7 +654,6 @@ def run_sharded(
     merge_with: SweepResult | None = None,
     executor=None,
     shards_per_job: int = 4,
-    collapse: bool = True,
     policy: ExecutorPolicy | None = None,
     backend=None,
     context: Any | None = None,
@@ -683,9 +682,10 @@ def run_sharded(
     ``merge_with`` folds an earlier partial result into every snapshot
     (used by resume so re-interrupted runs stay whole).
 
-    With ``collapse`` the parent groups survivors into classes by their
-    worker-computed signatures, dispatches only representatives, and
-    fans each verdict out to the representative's followers.
+    For a :attr:`~FaultModel.collapsible` model the parent groups
+    survivors into classes by their worker-computed signatures,
+    dispatches only representatives, and fans each verdict out to the
+    representative's followers.
 
     **Fault tolerance.** With a pool both phases drain through a
     :class:`~repro.engine.executor.ShardExecutor` governed by ``policy``
@@ -712,7 +712,6 @@ def run_sharded(
     pooled = not (
         jobs == 1 and executor is None and backend is None and policy.transport == "local"
     )
-    do_collapse = bool(collapse) and model.collapsible
 
     # Whole-sweep result cache: consulted *before* the context build so
     # a warm repeat skips even the golden simulation.  Resume merges
@@ -743,7 +742,7 @@ def run_sharded(
         key=model.key(),
         jobs=jobs,
         candidates=int(candidates.size),
-        collapse=do_collapse,
+        collapse=model.collapsible,
     )
 
     def add_kernel_delta(kd: tuple[int, int, int]) -> None:
@@ -921,7 +920,7 @@ def run_sharded(
         # key and cut into equal shards of single-key batches.
         followers: dict[int, list[int]] = {}  # rep cand -> follower cands
         rep_idx = list(range(n_surv))
-        if do_collapse:
+        if model.collapsible:
             rep_idx, followers = _collapse_classes(
                 survivors, [sig for sig, _ in surv_info], _MODEL_STATE[model_ref][2]
             )

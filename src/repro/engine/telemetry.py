@@ -46,7 +46,7 @@ class CampaignTelemetry:
     kernel's fault-dropping statistics (see
     :class:`~repro.netlist.simulator.KernelCounters`): machines that
     stopped before their batch's last cycle and machine-cycles never
-    simulated.  Both stay 0 when retirement is off.
+    simulated.
     """
 
     n_candidates: int = 0

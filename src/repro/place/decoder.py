@@ -203,17 +203,23 @@ class _Flip:
 
     ``wires`` overlays re-resolved wire values; ``ands`` holds the AND
     requirements that transient resolution cannot allocate as nodes,
-    referenced by negative tickets ``-1 - k``.  A route-forest wire may
-    stand for its golden value unless it lies in ``[lo, hi)`` (below the
-    flipped PIP) or hangs under ``dirty_port`` (the flipped output mux);
-    ``port`` / ``port_node`` overlay that port's new value.
+    referenced by negative tickets ``-1 - k``; ``made`` maps each
+    materialized ticket to its node and ``rows`` each spare row's inputs
+    to its node.  A route-forest wire may stand for its golden value
+    unless it lies in ``[lo, hi)`` (below the flipped PIP) or hangs
+    under ``dirty_port`` (the flipped output mux); ``port`` /
+    ``port_node`` overlay that port's new value.
     """
 
-    __slots__ = ("wires", "ands", "lo", "hi", "dirty_port", "port", "port_node")
+    __slots__ = (
+        "wires", "ands", "made", "rows", "lo", "hi", "dirty_port", "port", "port_node"
+    )
 
     def __init__(self) -> None:
         self.wires: dict[int, int] = {}
         self.ands: list[list[int]] = []
+        self.made: dict[int, int] = {}
+        self.rows: dict[tuple[int, ...], int] = {}
         self.lo = self.hi = 0
         self.dirty_port = self.port = -2
         self.port_node = 0
@@ -968,27 +974,31 @@ class DecodedDesign:
     def _materialize(self, value: int, flip: _Flip, patch: Patch, spare_cursor: list[int]) -> int:
         """Turn a transient result (maybe an AND ticket) into a real node.
 
-        AND tickets consume spare rows; exhaustion degrades to the first
-        source (logged via DecodeError would abort campaigns, so degrade
-        silently — a single-bit fault never needs more than two spares in
-        practice).
+        An AND takes one spare row per distinct input set: every reader
+        of a ticket, and every ticket with those inputs, shares it
+        (``flip.made`` / ``flip.rows``), so each ticket is walked once.
+        Exhaustion degrades to the first source (logged via DecodeError
+        would abort campaigns, so degrade silently — a single-bit fault
+        never needs more than two spares in practice).
         """
         if value >= 0:
             return value
-        sources = flip.ands[-1 - value]
-        if spare_cursor[0] >= len(self.spare_rows):
-            # Out of spares: nothing below can allocate, and only the
-            # first source is used.  Walking every source here re-walks
-            # shared tickets once per path, exponential on a wide DAG.
-            return self._materialize(sources[0], flip, patch, spare_cursor)
-        real = [self._materialize(s, flip, patch, spare_cursor) for s in sources]
-        if spare_cursor[0] >= len(self.spare_rows):
-            return real[0]
-        k = spare_cursor[0]
-        spare_cursor[0] += 1
-        for pin, src in enumerate(real[:4]):
-            patch.lut_inputs.append((self.spare_rows[k], pin, src))
-        return self.spare_nodes[k]
+        node = flip.made.get(value)
+        if node is None:
+            sources = flip.ands[-1 - value]
+            real = [self._materialize(s, flip, patch, spare_cursor) for s in sources]
+            inputs = tuple(real[:4])
+            node = flip.rows.get(inputs)
+            if node is None and spare_cursor[0] >= len(self.spare_rows):
+                node = real[0]
+            elif node is None:
+                k = spare_cursor[0]
+                spare_cursor[0] += 1
+                for pin, src in enumerate(inputs):
+                    patch.lut_inputs.append((self.spare_rows[k], pin, src))
+                node = flip.rows[inputs] = self.spare_nodes[k]
+            flip.made[value] = node
+        return node
 
     def _pin_patch(
         self, row: int, col: int, pos: int, pin: int, new_value: int,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -147,8 +148,15 @@ class JobStore:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     job = Job.from_dict(json.load(fh))
-            except (OSError, ValueError, KeyError, ReproError):
-                continue  # an unreadable record is dropped, never trusted
+            except (OSError, ValueError, KeyError, TypeError, ReproError) as err:
+                # An unreadable record is dropped, never trusted, but
+                # not silently: the job it held is gone.
+                print(
+                    f"repro serve: dropped job record {name}: "
+                    f"{type(err).__name__}: {err}",
+                    file=sys.stderr,
+                )
+                continue
             self._jobs[job.id] = job
             try:
                 self._serial = max(self._serial, int(job.id.split("-")[-1]))

@@ -17,10 +17,9 @@ HTTP jobs for free.
 
 The **result key** (:meth:`JobSpec.result_key`) hashes only the fields
 that determine verdict bytes: design, device, and the model parameters.
-``jobs``, ``batch_size`` and ``no_collapse``/``no_retire`` are excluded
-— the engine pins byte-identity across all of them — so a duplicate
-sweep hits the cache even when asked to run with different execution
-knobs.
+``jobs``, ``batch_size`` and ``checkpoint_every`` are excluded — the
+engine pins byte-identity across all of them — so a duplicate sweep
+hits the cache even when asked to run with different execution knobs.
 """
 
 from __future__ import annotations
@@ -53,15 +52,12 @@ class _Flag:
 
     type: type
     keyed: bool  # participates in the result key (verdict-determining)
-    store_true: bool = False
 
 
 _COMMON_FLAGS: dict[str, _Flag] = {
     # Execution knobs: verdict bytes are pinned byte-identical across
     # all of these, so they are accepted but excluded from the key.
     "jobs": _Flag(int, keyed=False),
-    "no_collapse": _Flag(bool, keyed=False, store_true=True),
-    "no_retire": _Flag(bool, keyed=False, store_true=True),
     "batch_size": _Flag(int, keyed=False),
     "detect_cycles": _Flag(int, keyed=True),
 }
@@ -126,14 +122,8 @@ class JobSpec:
         if self.kind in _DESIGN_KINDS:
             argv.append(str(self.design))
         argv += ["--device", self.device]
-        table = _KIND_FLAGS[self.kind]
         for key, value in self.flags:
-            spec = table[key]
-            if spec.store_true:
-                if value:
-                    argv.append(_flag_name(key))
-            else:
-                argv += [_flag_name(key), str(value)]
+            argv += [_flag_name(key), str(value)]
         if checkpoint is not None:
             argv += ["--checkpoint", checkpoint]
         if trace is not None:
@@ -212,10 +202,7 @@ def spec_from_json(payload: Any) -> JobSpec:
                 f"{', '.join(sorted(table))})"
             )
         value = raw_flags[key]
-        if spec.store_true:
-            if not isinstance(value, bool):
-                raise SpecError(f"flag {key!r} must be a boolean")
-        elif spec.type is int:
+        if spec.type is int:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise SpecError(f"flag {key!r} must be an integer")
         elif spec.type is float:

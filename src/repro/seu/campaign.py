@@ -39,7 +39,6 @@ import enum
 import json
 import os
 import pickle
-import warnings
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
@@ -47,12 +46,11 @@ from typing import Any, ClassVar
 import numpy as np
 
 from repro.engine.cache import (
+    SNAPSHOT_STRIDE,
     cached_golden_pack,
     content_key,
-    fast_forward_enabled,
     implemented_design,
     prime_design_cache,
-    snapshot_stride,
     store_golden_pack,
 )
 from repro.engine.detect import detect_failures
@@ -247,41 +245,39 @@ class CampaignContext:
     addr_suffix: np.ndarray | None = None
 
 
-def _golden_pack_key(design, stim: np.ndarray, stride: int) -> str:
-    """Content address of one (design, stimulus, stride) golden run."""
-    return content_key("golden-pack-v1", pickle.dumps(design), stim, stride)
+def _golden_pack_key(design, stim: np.ndarray) -> str:
+    """Content address of one (design, stimulus) golden run; the stride
+    stays in the hash so packs stored before it became a constant hit."""
+    return content_key("golden-pack-v1", pickle.dumps(design), stim, SNAPSHOT_STRIDE)
 
 
 def build_context(
     hw: HardwareDesign,
     config: CampaignConfig,
-    fast_forward: bool | None = None,
+    fast_forward: bool = True,
 ) -> CampaignContext:
     """Derive the shared campaign artifacts for one (design, config).
 
-    With fast-forward on (the ambient default, see
-    :func:`repro.engine.cache.fast_forward_enabled`; ``None`` defers to
-    it) the golden run records state snapshots every
-    ``REPRO_SNAPSHOT_STRIDE`` cycles and is kept in the golden-pack
-    store, so the warm-state snapshot at the injection instant is
-    restored from the nearest golden checkpoint (replaying only the
-    residual prefix) and repeat context builds — second sweeps, every
-    worker process after the first on a shared store, resumed runs —
-    skip the full-stimulus golden simulation entirely.  Node values
-    fully determine future evolution given the stimulus, so both
-    shortcuts are byte-identical to the cold path.
+    With ``fast_forward`` (the models' path whenever their faults land
+    at the warmup boundary) the golden run records state snapshots
+    every :data:`~repro.engine.cache.SNAPSHOT_STRIDE` cycles and is kept
+    in the golden-pack store, so the warm-state snapshot at the
+    injection instant is restored from the nearest golden checkpoint
+    (replaying only the residual prefix) and repeat context builds —
+    second sweeps, every worker process after the first on a shared
+    store, resumed runs — skip the full-stimulus golden simulation
+    entirely.  Node values fully determine future evolution given the
+    stimulus, so both shortcuts are byte-identical to the cold path
+    (``fast_forward=False``: golden run and warmup replay from cycle 0).
     """
     design = hw.decoded.design
     stim = hw.spec.stimulus(config.total_cycles, config.seed)
-    if fast_forward is None:
-        fast_forward = fast_forward_enabled()
     if fast_forward:
-        stride = snapshot_stride()
-        key = _golden_pack_key(design, stim, stride)
+        key = _golden_pack_key(design, stim)
         golden = cached_golden_pack(key)
         if golden is None:
             golden = BatchSimulator.golden_trace(
-                design, stim, record_addr_rows=True, snapshot_stride=stride
+                design, stim, record_addr_rows=True, snapshot_stride=SNAPSHOT_STRIDE
             )
             store_golden_pack(key, golden)
         else:
@@ -348,8 +344,10 @@ def simulate_batch(
     ``pending`` is the ordered ``(bit, patch)`` list of one batch; the
     returned verdict codes align with it.  The engine batches only bits
     with equal :func:`~repro.netlist.simulator.settle_key`, so the
-    auto-detected settle count is each bit's own.  ``retire`` turns on mid-run fault dropping (verdict-identical; adds
-    a golden companion machine to the batch).
+    auto-detected settle count is each bit's own.  ``retire`` is the
+    kernel's mid-run fault dropping (adds a golden companion machine to
+    the batch); sweeps always run it, and ``retire=False`` is the
+    verdict-identical reference path.
     """
     patches = [p for _, p in pending]
     sim = BatchSimulator(
@@ -439,16 +437,6 @@ def batch_active_mask(design, patches: list[Patch]) -> np.ndarray:
             if not mask[s]:
                 stack.append(s)
     return mask
-
-
-def _batch_active_mask(design, patches: list[Patch]) -> np.ndarray:
-    """Deprecated alias of :func:`batch_active_mask`."""
-    warnings.warn(
-        "_batch_active_mask is deprecated; use batch_active_mask",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return batch_active_mask(design, patches)
 
 
 #: device name -> {(frame, offset) -> ResourceKind}; bit classification
@@ -559,17 +547,11 @@ class SEUFaultModel(FaultModel):
     Picklable by construction: heavy state (the implemented design, the
     golden trace, the warm snapshot) is derived per process in
     :meth:`build_context` through the shared implemented-design cache.
-
-    ``retire`` enables mid-run fault dropping (verdict-identical, see
-    :meth:`BatchSimulator.run_verdicts`); it is an execution knob, so it
-    is deliberately excluded from :meth:`key` — checkpoints written with
-    either setting resume into each other.
     """
 
     spec: Any
     device_name: str
     config: CampaignConfig
-    retire: bool = True
 
     name: ClassVar[str] = "seu"
 
@@ -597,9 +579,7 @@ class SEUFaultModel(FaultModel):
 
     def build_context(self) -> tuple[HardwareDesign, CampaignContext]:
         hw = self._hw()
-        return hw, build_context(
-            hw, self.config, fast_forward=None if self.fast_forward_cycle() is not None else False
-        )
+        return hw, build_context(hw, self.config, self.fast_forward_cycle() is not None)
 
     def prefilter(self, candidate: int, ctx) -> tuple[int, Patch | None]:
         hw, cctx = ctx
@@ -626,7 +606,7 @@ class SEUFaultModel(FaultModel):
 
     def observe_batch(self, ctx, pending: list[tuple[int, Patch]]) -> list[int]:
         _, cctx = ctx
-        return simulate_batch(self.config, cctx, pending, retire=self.retire)
+        return simulate_batch(self.config, cctx, pending)
 
     def collapse_salt_datum(self, candidate: int, ctx, patch: Patch) -> int:
         _, cctx = ctx
@@ -676,8 +656,6 @@ def run_campaign(
     checkpoint_path: str | None = None,
     checkpoint_every: int = 50_000,
     merge_with: CampaignResult | None = None,
-    collapse: bool = True,
-    retire: bool = True,
     jobs: int | None = 1,
     executor: Executor | None = None,
     shards_per_job: int = 4,
@@ -697,15 +675,10 @@ def run_campaign(
     only at ``config.batch_size`` boundaries; an external ``executor``
     (e.g. a shared pool) is used as-is and not shut down, and
     ``shards_per_job`` sets how many shards each worker gets.
-
-    ``collapse`` (fault collapsing: one simulation per identical-patch
-    class) and ``retire`` (mid-run fault dropping) are verdict-identical
-    accelerations, on by default; the ``--no-collapse`` / ``--no-retire``
-    CLI flags map here.
     """
     config = config or CampaignConfig()
     prime_design_cache(hw)
-    model = SEUFaultModel(hw.spec, hw.device.name, config, retire=retire)
+    model = SEUFaultModel(hw.spec, hw.device.name, config)
     if candidate_bits is None:
         candidate_bits = _candidate_bits(hw, config)
     candidate_bits = np.asarray(candidate_bits, dtype=np.int64)
@@ -732,7 +705,6 @@ def run_campaign(
         merge_with=_to_sweep(model, merge_with) if merge_with is not None else None,
         executor=executor,
         shards_per_job=shards_per_job,
-        collapse=collapse,
     )
     return _from_sweep(hw, config, sweep)
 
@@ -742,8 +714,6 @@ def resume_campaign(
     checkpoint_path: str,
     candidate_bits: np.ndarray | None = None,
     checkpoint_every: int = 50_000,
-    collapse: bool = True,
-    retire: bool = True,
     jobs: int | None = 1,
     executor: Executor | None = None,
     shards_per_job: int = 4,
@@ -776,8 +746,6 @@ def resume_campaign(
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
         merge_with=part,
-        collapse=collapse,
-        retire=retire,
         jobs=jobs,
         executor=executor,
         shards_per_job=shards_per_job,
@@ -851,7 +819,6 @@ class HalfLatchFaultModel(FaultModel):
     device_name: str
     config: CampaignConfig
     nodes: tuple[int, ...] | None = None
-    retire: bool = True
 
     name: ClassVar[str] = "halflatch"
 
@@ -884,9 +851,7 @@ class HalfLatchFaultModel(FaultModel):
 
     def build_context(self) -> tuple[HardwareDesign, CampaignContext]:
         hw = self._hw()
-        return hw, build_context(
-            hw, self.config, fast_forward=None if self.fast_forward_cycle() is not None else False
-        )
+        return hw, build_context(hw, self.config, self.fast_forward_cycle() is not None)
 
     def prefilter(self, candidate: int, ctx) -> tuple[int, None]:
         hw, _ = ctx
@@ -908,7 +873,7 @@ class HalfLatchFaultModel(FaultModel):
             cctx.post_stim,
             cctx.post_golden.outputs,
             self.config.detect_cycles,
-            retire=self.retire,
+            retire=True,
         )
         return [bool(f) for f in failed]
 
@@ -923,8 +888,6 @@ def run_halflatch_sweep(
     jobs: int = 1,
     checkpoint_path: str | None = None,
     resume: bool = False,
-    collapse: bool = True,
-    retire: bool = True,
 ) -> SweepResult:
     """Half-latch sweep as a full engine result (verdicts + telemetry).
 
@@ -940,7 +903,6 @@ def run_halflatch_sweep(
         hw.device.name,
         config,
         None if nodes is None else tuple(int(n) for n in np.asarray(nodes).ravel()),
-        retire=retire,
     )
     if resume:
         if checkpoint_path is None:
@@ -950,14 +912,12 @@ def run_halflatch_sweep(
             checkpoint_path,
             jobs=jobs,
             batch_size=config.batch_size,
-            collapse=collapse,
         )
     return run_sweep(
         model,
         jobs=jobs,
         batch_size=config.batch_size,
         checkpoint_path=checkpoint_path,
-        collapse=collapse,
     )
 
 
@@ -968,8 +928,6 @@ def run_halflatch_campaign(
     jobs: int = 1,
     checkpoint_path: str | None = None,
     resume: bool = False,
-    collapse: bool = True,
-    retire: bool = True,
 ) -> dict[int, bool]:
     """Sweep half-latch (hidden-state) upsets: node -> caused an error?
 
@@ -983,8 +941,6 @@ def run_halflatch_campaign(
         jobs=jobs,
         checkpoint_path=checkpoint_path,
         resume=resume,
-        collapse=collapse,
-        retire=retire,
     )
     if nodes is None:
         nodes = hw.decoded.design.half_latch_nodes

@@ -98,7 +98,6 @@ class MBUFaultModel(FaultModel):
     k: int
     n_trials: int
     seed: int
-    retire: bool = True
 
     name: ClassVar[str] = "mbu"
 
@@ -135,11 +134,7 @@ class MBUFaultModel(FaultModel):
         ) if self.n_trials else np.empty((0, self.k), dtype=np.int64)
         return (
             hw,
-            build_context(
-                hw,
-                self.config,
-                fast_forward=None if self.fast_forward_cycle() is not None else False,
-            ),
+            build_context(hw, self.config, self.fast_forward_cycle() is not None),
             trial_bits,
         )
 
@@ -169,7 +164,7 @@ class MBUFaultModel(FaultModel):
             cctx.post_stim,
             cctx.post_golden.outputs,
             self.config.detect_cycles,
-            retire=self.retire,
+            retire=True,
         )
         return [bool(f) for f in failed]
 
@@ -193,8 +188,6 @@ def run_multibit_campaign(
     jobs: int = 1,
     checkpoint_path: str | None = None,
     resume: bool = False,
-    collapse: bool = True,
-    retire: bool = True,
 ) -> MultiBitResult:
     """Inject ``n_trials`` random k-bit upset sets; count output failures.
 
@@ -202,17 +195,12 @@ def run_multibit_campaign(
     processes (the failure count is identical to ``jobs=1``), and
     ``checkpoint_path`` snapshots engine-native
     archives a killed sweep restarts from (``resume=True``).
-    ``collapse``/``retire`` toggle the verdict-identical campaign
-    shrinkers (identical-patch trials share one simulation; latched
-    machines drop out of the batch mid-run).
     """
     if k < 1:
         raise CampaignError("k must be >= 1")
     config = config or CampaignConfig()
     prime_design_cache(hw)
-    model = MBUFaultModel(
-        hw.spec, hw.device.name, config, k, n_trials, seed, retire=retire
-    )
+    model = MBUFaultModel(hw.spec, hw.device.name, config, k, n_trials, seed)
     if resume:
         if checkpoint_path is None:
             raise CampaignError("resume requires a checkpoint path")
@@ -221,7 +209,6 @@ def run_multibit_campaign(
             checkpoint_path,
             jobs=jobs,
             batch_size=config.batch_size,
-            collapse=collapse,
         )
     else:
         sweep = run_sweep(
@@ -229,7 +216,6 @@ def run_multibit_campaign(
             jobs=jobs,
             batch_size=config.batch_size,
             checkpoint_path=checkpoint_path,
-            collapse=collapse,
         )
     return MultiBitResult(
         k,

@@ -7,13 +7,13 @@ auto-detected simulation parameters are each member's own.  Every sweep
 here runs through :class:`OneKeyPerBatch`, which fails any batch that
 mixes settle keys, and must reproduce the ``batch_size=1`` bytes (the
 pinned goldens, where one exists) under any batch size, candidate
-permutation, ``jobs`` and collapse setting.  Both checks fail if
-batching ever matters again.
+permutation and ``jobs``, with collapsing on and off.  Both checks
+fail if batching ever matters again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -44,9 +44,14 @@ GOLDEN = {"seu": "seu_verdicts", "mbu": "mbu_verdicts", "halflatch": "halflatch_
 
 @dataclass(frozen=True)
 class OneKeyPerBatch(FaultModel):
-    """Delegates to ``inner``; raises on a batch that mixes settle keys."""
+    """Delegates to ``inner``; raises on a batch that mixes settle keys.
+
+    ``collapse=False`` opts out of collapsing: the engine then simulates
+    every survivor itself.
+    """
 
     inner: FaultModel
+    collapse: bool = True
 
     @property
     def name(self) -> str:  # type: ignore[override]
@@ -54,7 +59,7 @@ class OneKeyPerBatch(FaultModel):
 
     @property
     def collapsible(self) -> bool:  # type: ignore[override]
-        return self.inner.collapsible
+        return self.collapse and self.inner.collapsible
 
     def key(self) -> str:
         return self.inner.key()
@@ -113,7 +118,7 @@ def models(mult_spec, s8) -> dict[str, FaultModel]:
 def alone(models, mult_hw) -> dict[str, np.ndarray]:
     """Each model's verdicts with every survivor in a batch of its own."""
     verdicts = {
-        name: run_sharded(model, jobs=1, batch_size=1, collapse=False).verdicts
+        name: run_sharded(replace(model, collapse=False), jobs=1, batch_size=1).verdicts
         for name, model in models.items()
     }
     for name, golden in GOLDEN.items():
@@ -139,6 +144,7 @@ def test_verdicts_equal_batch_of_one(
     if permute:
         candidates = np.random.default_rng(seed).permutation(candidates)
     sweep = run_sharded(
-        model, jobs=jobs, batch_size=batch_size, candidates=candidates, collapse=collapse
+        replace(model, collapse=collapse), jobs=jobs, batch_size=batch_size,
+        candidates=candidates,
     )
     assert sweep.verdicts.tobytes() == alone[name].tobytes()

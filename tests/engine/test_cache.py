@@ -25,15 +25,12 @@ from repro.engine.cache import (
     ResultCache,
     blob_digest,
     content_key,
-    fast_forward_enabled,
-    fast_forward_scope,
     install_blob,
     known_blobs,
     prime_design_cache,
     resolve_blob,
     result_cache,
     result_cache_scope,
-    snapshot_stride,
 )
 
 
@@ -364,20 +361,6 @@ class TestAmbientScopes:
         monkeypatch.setenv("REPRO_RESULT_CACHE", "off")
         assert result_cache() is None
 
-    def test_fast_forward_default_on_scope_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAST_FORWARD", raising=False)
-        assert fast_forward_enabled()
-        with fast_forward_scope(False):
-            assert not fast_forward_enabled()
-        assert fast_forward_enabled()
-
-    def test_snapshot_stride_bad_values_fall_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SNAPSHOT_STRIDE", "not-a-number")
-        assert snapshot_stride() == cache.DEFAULT_SNAPSHOT_STRIDE
-        monkeypatch.setenv("REPRO_SNAPSHOT_STRIDE", "-5")
-        assert snapshot_stride() == 1
-        monkeypatch.setenv("REPRO_SNAPSHOT_STRIDE", "128")
-        assert snapshot_stride() == 128
 
 
 def _live_bits(hw, n: int = 24) -> tuple[int, ...]:

@@ -3,9 +3,10 @@
 A toy model whose batch parameter is derived from its batch's settle
 keys probes the collapse driver directly: duplicate-patch candidates
 must share one simulation, every batch must hold a single settle key
-(so each verdict is its batch-of-one verdict), and every flag/jobs/
+(so each verdict is its batch-of-one verdict), and every jobs/
 kill-resume combination must produce the byte-identical sweep of the
-naive path.
+naive path: the same model with ``collapsible = False``, which
+simulates every survivor.
 """
 
 from __future__ import annotations
@@ -112,13 +113,20 @@ class PayloadCollapseModel(CollapsingToyModel):
         return np.array([observation, observation * 2], dtype=np.uint8)
 
 
-@dataclass(frozen=True)
-class UncollapsibleModel(CollapsingToyModel):
-    name: ClassVar[str] = "toy-uncollapsible"
+# The naive references: the same models (and keys) with collapsing
+# opted out, so the engine simulates every survivor.
+
+
+class NaiveToyModel(CollapsingToyModel):
     collapsible: ClassVar[bool] = False
 
-    def key(self) -> str:
-        return f"toy-uncollapsible:{self.n}"
+
+class NaiveOpaqueToyModel(OpaqueToyModel):
+    collapsible: ClassVar[bool] = False
+
+
+class NaivePayloadModel(PayloadCollapseModel):
+    collapsible: ClassVar[bool] = False
 
 
 class InlineExecutor(Executor):
@@ -162,44 +170,40 @@ class TestDefaultSignature:
 
 class TestSerialCollapse:
     def test_identity_and_fewer_simulations(self, calls):
-        naive = run_serial(CollapsingToyModel(), batch_size=16, collapse=False)
+        naive = run_serial(NaiveToyModel(), batch_size=16)
         n_naive = calls["entries"]
         calls.update(entries=0)
-        collapsed = run_serial(CollapsingToyModel(), batch_size=16, collapse=True)
+        collapsed = run_serial(CollapsingToyModel(), batch_size=16)
         assert_identical(collapsed, naive)
         # Only n_classes distinct patches exist: nearly every survivor
         # rides along as a follower.
         assert calls["entries"] < n_naive / 4
         assert collapsed.telemetry.n_collapsed > 0
         assert collapsed.telemetry.collapse_rate > 0.5
+        # The naive path simulates every survivor itself.
+        assert n_naive == naive.n_simulated
         assert naive.telemetry.n_collapsed == 0
 
-    @pytest.mark.parametrize("collapse", [True, False])
-    def test_batches_hold_one_settle_key(self, calls, collapse):
-        model = CollapsingToyModel(keyed=True)
-        alone = run_serial(model, batch_size=1, collapse=False)
+    @pytest.mark.parametrize("model_cls", [CollapsingToyModel, NaiveToyModel])
+    def test_batches_hold_one_settle_key(self, calls, model_cls):
+        alone = run_serial(NaiveToyModel(keyed=True), batch_size=1)
         calls.update(batch_keys=[])
-        batched = run_serial(model, batch_size=16, collapse=collapse)
+        batched = run_serial(model_cls(keyed=True), batch_size=16)
         assert_identical(batched, alone)
         assert all(len(keys) == 1 for keys in calls["batch_keys"])
         assert len(set().union(*calls["batch_keys"])) == 3
 
     def test_opaque_candidates_simulate_naively(self, calls):
-        naive = run_serial(OpaqueToyModel(), batch_size=16, collapse=False)
+        naive = run_serial(NaiveOpaqueToyModel(), batch_size=16)
         calls.update(entries=0)
-        collapsed = run_serial(OpaqueToyModel(), batch_size=16, collapse=True)
+        collapsed = run_serial(OpaqueToyModel(), batch_size=16)
         assert_identical(collapsed, naive)
         # The signature-less half still went through a real simulation.
         assert calls["entries"] >= naive.n_simulated // 2
 
-    def test_uncollapsible_model_ignores_flag(self, calls):
-        result = run_serial(UncollapsibleModel(), batch_size=16, collapse=True)
-        assert calls["entries"] == result.n_simulated
-        assert result.telemetry.n_collapsed == 0
-
     def test_payload_fanned_out_to_followers(self):
-        naive = run_serial(PayloadCollapseModel(), batch_size=16, collapse=False)
-        collapsed = run_serial(PayloadCollapseModel(), batch_size=16, collapse=True)
+        naive = run_serial(NaivePayloadModel(), batch_size=16)
+        collapsed = run_serial(PayloadCollapseModel(), batch_size=16)
         assert collapsed.payloads.keys() == naive.payloads.keys()
         for cand, val in naive.payloads.items():
             assert np.array_equal(val, collapsed.payloads[cand])
@@ -223,22 +227,19 @@ class TestShardedCollapse:
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_jobs_identity(self, jobs, keyed, calls):
         model = CollapsingToyModel(keyed=keyed)
-        serial = run_serial(model, batch_size=16, collapse=True)
+        serial = run_serial(model, batch_size=16)
         sharded = run_sharded(
-            model, jobs=jobs, batch_size=16, executor=InlineExecutor(),
-            shards_per_job=2, collapse=True,
+            model, jobs=jobs, batch_size=16, executor=InlineExecutor(), shards_per_job=2
         )
         assert_identical(sharded, serial)
         assert sharded.telemetry.n_collapsed == serial.telemetry.n_collapsed
 
     def test_sharded_collapse_vs_naive(self):
         naive = run_sharded(
-            CollapsingToyModel(), jobs=2, batch_size=16,
-            executor=InlineExecutor(), collapse=False,
+            NaiveToyModel(), jobs=2, batch_size=16, executor=InlineExecutor()
         )
         collapsed = run_sharded(
-            CollapsingToyModel(), jobs=2, batch_size=16,
-            executor=InlineExecutor(), collapse=True,
+            CollapsingToyModel(), jobs=2, batch_size=16, executor=InlineExecutor()
         )
         assert_identical(collapsed, naive)
         assert collapsed.telemetry.n_collapsed > 0
@@ -271,13 +272,11 @@ class TestResumeUnderCollapse:
         resumed = resume_sweep(CollapsingToyModel(keyed=True), path, batch_size=16)
         assert_identical(resumed, serial)
 
-    @pytest.mark.parametrize("resume_collapse", [True, False])
-    def test_sharded_kill_and_resume_any_flag(
-        self, tmp_path, monkeypatch, resume_collapse
-    ):
-        """A collapsed checkpoint resumes under either flag setting."""
+    @pytest.mark.parametrize("resume_cls", [CollapsingToyModel, NaiveToyModel])
+    def test_sharded_kill_and_resume_either_path(self, tmp_path, monkeypatch, resume_cls):
+        """A collapsed checkpoint resumes on the collapsing and the naive path."""
         serial = run_serial(CollapsingToyModel(keyed=True), batch_size=16)
-        path = str(tmp_path / f"collapse-{resume_collapse}.npz")
+        path = str(tmp_path / f"collapse-{resume_cls.__name__}.npz")
         self._killed_run(
             monkeypatch, path, die_after=1, jobs=3,
             executor=InlineExecutor(), shards_per_job=2, batch_size=16,
@@ -285,7 +284,6 @@ class TestResumeUnderCollapse:
         part = load_sweep(path)
         assert 0 < part.n_candidates < serial.n_candidates
         resumed = resume_sweep(
-            CollapsingToyModel(keyed=True), path, jobs=2, batch_size=16,
-            executor=InlineExecutor(), collapse=resume_collapse,
+            resume_cls(keyed=True), path, jobs=2, batch_size=16, executor=InlineExecutor()
         )
         assert_identical(resumed, serial)

@@ -54,6 +54,16 @@ class SpyModel(ToyModel):
         return candidate
 
 
+class NaiveSpyModel(SpyModel):
+    collapsible: ClassVar[bool] = False
+
+
+class NaiveToyModel(ToyModel):
+    """ToyModel (same key) on the engine's path that simulates every survivor."""
+
+    collapsible: ClassVar[bool] = False
+
+
 @dataclass(frozen=True)
 class FailingModel(ToyModel):
     """ToyModel whose simulator raises on every batch."""
@@ -84,9 +94,9 @@ def _survivors(model: ToyModel) -> list[int]:
 
 
 class TestInProcess:
-    @pytest.mark.parametrize("collapse", [True, False])
-    def test_prefilter_payload_never_reaches_patch_for(self, spy, serial_result, collapse):
-        result = run_serial(SpyModel(), batch_size=16, collapse=collapse)
+    @pytest.mark.parametrize("model_cls", [SpyModel, NaiveSpyModel])
+    def test_prefilter_payload_never_reaches_patch_for(self, spy, serial_result, model_cls):
+        result = run_serial(model_cls(), batch_size=16)
         assert np.array_equal(result.verdicts, serial_result.verdicts)
         payloadless = [c for c in _survivors(SpyModel()) if c % 2]
         assert sorted(spy["patched"]) == payloadless  # each exactly once
@@ -103,9 +113,7 @@ class TestInProcess:
         assert set(sweepmod._MODEL_STATE) == before
 
     def test_pool_workers_rederive_patches(self, spy, serial_result):
-        result = run_sweep(
-            SpyModel(), jobs=2, batch_size=16, executor=InlineExecutor(), collapse=False
-        )
+        result = run_sweep(NaiveSpyModel(), jobs=2, batch_size=16, executor=InlineExecutor())
         assert np.array_equal(result.verdicts, serial_result.verdicts)
         # The pre-filter derives each payloadless survivor's patch for its
         # settle key; the observe phase re-derives every survivor's.
@@ -118,7 +126,7 @@ class TestInProcess:
         assert spy["observed"] == 1
 
 
-def _snapshot_sizes(monkeypatch, path, **kw) -> list[int]:
+def _snapshot_sizes(monkeypatch, path, model_cls=ToyModel, **kw) -> list[int]:
     """``n_candidates`` of every snapshot one sweep writes."""
     sizes: list[int] = []
     real_save = sweepmod.save_sweep
@@ -128,7 +136,7 @@ def _snapshot_sizes(monkeypatch, path, **kw) -> list[int]:
         real_save(sweep, p)
 
     monkeypatch.setattr(sweepmod, "save_sweep", counting_save)
-    run_sweep(ToyModel(), batch_size=16, checkpoint_path=path, **kw)
+    run_sweep(model_cls(), batch_size=16, checkpoint_path=path, **kw)
     monkeypatch.setattr(sweepmod, "save_sweep", real_save)
     return sizes
 
@@ -141,25 +149,22 @@ class TestSnapshots:
     # so their snapshot count does not depend on it.
     def test_checkpoint_every_honoured_under_a_pool(self, tmp_path, monkeypatch):
         path = str(tmp_path / "ck.npz")
-        default = _snapshot_sizes(monkeypatch, path, collapse=False, **POOL)
-        fine = _snapshot_sizes(
-            monkeypatch, path, collapse=False, checkpoint_every=16, **POOL
-        )
+        default = _snapshot_sizes(monkeypatch, path, NaiveToyModel, **POOL)
+        fine = _snapshot_sizes(monkeypatch, path, NaiveToyModel, checkpoint_every=16, **POOL)
         assert len(fine) > len(default)
 
-    @pytest.mark.parametrize("collapse", [True, False])
-    def test_checkpoint_every_honoured_in_process(self, tmp_path, monkeypatch, collapse):
+    @pytest.mark.parametrize("model_cls", [ToyModel, NaiveToyModel])
+    def test_checkpoint_every_honoured_in_process(self, tmp_path, monkeypatch, model_cls):
         path = str(tmp_path / "ck.npz")
-        default = _snapshot_sizes(monkeypatch, path, collapse=collapse)
-        fine = _snapshot_sizes(monkeypatch, path, collapse=collapse, checkpoint_every=16)
+        default = _snapshot_sizes(monkeypatch, path, model_cls)
+        fine = _snapshot_sizes(monkeypatch, path, model_cls, checkpoint_every=16)
         assert len(fine) > len(default)
 
-    @pytest.mark.parametrize("collapse", [True, False])
+    @pytest.mark.parametrize("model_cls", [ToyModel, NaiveToyModel])
     @pytest.mark.parametrize("kw", [POOL, {}], ids=["pool", "in-process"])
-    def test_complete_result_written_once(self, tmp_path, monkeypatch, collapse, kw):
+    def test_complete_result_written_once(self, tmp_path, monkeypatch, model_cls, kw):
         sizes = _snapshot_sizes(
-            monkeypatch, str(tmp_path / "ck.npz"), collapse=collapse,
-            checkpoint_every=16, **kw,
+            monkeypatch, str(tmp_path / "ck.npz"), model_cls, checkpoint_every=16, **kw
         )
         assert sizes.count(ToyModel().n) == 1 and sizes[-1] == ToyModel().n
         assert sizes == sorted(sizes)
@@ -186,8 +191,8 @@ class TestSnapshots:
         monkeypatch.setattr(sweepmod, "save_sweep", dying_save)
         with pytest.raises(Killed):
             run_sweep(
-                ToyModel(), batch_size=16, checkpoint_path=path, checkpoint_every=16,
-                collapse=False, **POOL,
+                NaiveToyModel(), batch_size=16, checkpoint_path=path, checkpoint_every=16,
+                **POOL,
             )
         monkeypatch.setattr(sweepmod, "save_sweep", real_save)
         part = load_sweep(path)

@@ -16,6 +16,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro.engine.cache as cache
 from repro.engine.cache import (
     BlobMissing,
     blob_digest,
@@ -181,6 +182,10 @@ class TestBlobStore:
         assert isinstance(exc.value, CampaignError)
 
     def test_bulk_install(self):
+        # From one below capacity: a batch must not evict its own members.
+        cache._BLOB_STORE.clear()
+        for i in range(cache._MAX_BLOBS - 1):
+            install_blob(b"filler-%d" % i)
         blobs = {blob_digest(b): b for b in (b"one", b"two")}
         install_blobs(blobs)
         for digest, blob in blobs.items():

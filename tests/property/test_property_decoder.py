@@ -140,12 +140,35 @@ def _random_pair(dev, seed: int, density: float) -> tuple[DecodedDesign, Referen
     return table, ReferencePatcher(ref)
 
 
+def _repeated_spare_rows(dec: DecodedDesign, patch) -> list[tuple[int, int]]:
+    """Pairs of spare rows in ``patch`` with identical inputs and table:
+    one AND materialized twice."""
+    if patch is None:
+        return []
+    spare = set(dec.spare_rows)
+    inputs: dict[int, list] = {}
+    for row, pin, src in patch.lut_inputs:
+        if row in spare:
+            inputs.setdefault(row, []).append((pin, src))
+    tables = {row: table.tobytes() for row, table in patch.lut_tables if row in spare}
+    first: dict[tuple, int] = {}
+    pairs = []
+    for row, ins in inputs.items():
+        key = (tuple(sorted(ins)), tables.get(row))
+        if key in first:
+            pairs.append((first[key], row))
+        first.setdefault(key, row)
+    return pairs
+
+
 def _assert_live_bits_match(table: DecodedDesign, ref: ReferencePatcher) -> int:
     live = np.flatnonzero(table.live_bits)
     for bit in live:
-        got = patch_entries(table.patch_for_bit(int(bit)))
+        patch = table.patch_for_bit(int(bit))
+        got = patch_entries(patch)
         want = patch_entries(ref.patch_for_bit(int(bit)))
         assert repr(got) == repr(want), f"bit {int(bit)}"
+        assert not _repeated_spare_rows(table, patch), f"bit {int(bit)}"
     return live.size
 
 
@@ -154,7 +177,9 @@ class TestTablePathMatchesReference:
     replaced (``tests/utils/patch_reference.py``), patch for patch.
     Random configurations reach what router output never does: wire
     loops, contention (AND tickets), floating wires and spare-row
-    exhaustion; the density sets how much of each."""
+    exhaustion; the density sets how much of each.  Every reader of one
+    AND ticket shares its spare row: no patch holds two spare rows with
+    identical inputs."""
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([0.05, 0.1, 0.2, 0.3]))
     @settings(max_examples=8, deadline=None)

@@ -141,15 +141,13 @@ class TestRequestDeadline:
 
     def test_event_stream_outlives_the_deadline(self, server):
         # A sweep that runs far longer than the deadline: its event
-        # stream must stay open until the job ends.  (With 256 detect
-        # cycles it took about 9 s on a 2-vCPU VM, close enough to the
-        # watch window below to end inside it on a faster run.)
+        # stream must stay open until the job ends.  (With 16384 detect
+        # cycles it takes about 13 s on a 2-vCPU VM, twice the watch
+        # window below; 4096 took about 5 s, which a faster run would
+        # end inside it.)
         job = server.client.submit({
             "kind": "campaign", "design": "MULT6", "device": "S12",
-            "flags": {
-                "stride": 1, "jobs": 1, "detect_cycles": 4096,
-                "no_collapse": True, "no_retire": True,
-            },
+            "flags": {"stride": 1, "jobs": 1, "detect_cycles": 16384},
         })["job"]
         try:
             with _connect(server.address, timeout=0.5) as sock:

@@ -239,6 +239,8 @@ class TestLifecycle:
             {"kind": "campaign", "design": "MULT4", "flags": {"bogus": 1}},
             {"kind": "campaign", "design": "MULT4", "flags": {"stride": "x"}},
             {"kind": "campaign", "design": "MULT4", "flags": {"backend": "reference"}},
+            {"kind": "campaign", "design": "MULT4", "flags": {"no_collapse": True}},
+            {"kind": "campaign", "design": "MULT4", "flags": {"no_retire": True}},
             {"kind": "campaign", "design": "MULT4", "priority": "urgent"},
             {"kind": "bist-coverage", "design": "MULT4"},
         ]
@@ -420,3 +422,26 @@ class TestRestartResume:
                     os.killpg(pid, signal.SIGKILL)
                 except (OSError, ProcessLookupError):
                     pass
+
+
+class TestStateRecords:
+    def test_unreadable_record_is_dropped_with_a_note(self, tmp_path, capsys):
+        """A record the store cannot parse (here: a job from before the
+        shrinker flags were removed) is dropped, and stderr says which
+        file and why."""
+        from repro.service.jobs import JobStore
+        from repro.service.schemas import spec_from_json
+
+        root = tmp_path / "state"
+        kept = JobStore(str(root)).new_job(spec_from_json(SEU_SPEC))
+        record = json.loads(Path(JobStore(str(root)).record_path(kept.id)).read_text())
+        record["id"] = "j-000002"
+        record["spec"]["flags"]["no_retire"] = True
+        (root / "jobs" / "j-000002.json").write_text(json.dumps(record))
+        capsys.readouterr()
+
+        store = JobStore(str(root))
+        assert [job.id for job in store.jobs()] == [kept.id]
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err
+        assert "j-000002.json" in err[0] and "'no_retire'" in err[0]

@@ -11,7 +11,9 @@ the table-driven decode can be checked patch for patch against it
 ``benchmarks/bench_live_bit_decode.py``).
 
 Multi-driver results are negative AND tickets ``-1 - k`` into
-``overlay["_ands"]``; ``_materialize`` turns them into spare rows.  The
+``overlay["_ands"]``; ``_materialize`` turns them into spare rows, one
+per distinct input set (``overlay["_made"]`` maps tickets to nodes,
+``overlay["_rows"]`` spare-row inputs to nodes).  The
 ticket order, the ``CONST1`` cut on wire loops (it depends on the
 resolution stack) and the keeper lookups are what the table path must
 reproduce byte for byte.
@@ -172,17 +174,26 @@ class ReferencePatcher:
         dec = self.dec
         if value >= 0:
             return value
-        sources = overlay["_ands"][-1 - value]
-        if spare_cursor[0] >= len(dec.spare_rows):
-            return self._materialize(sources[0], overlay, patch, spare_cursor)
-        real = [self._materialize(s, overlay, patch, spare_cursor) for s in sources]
-        if spare_cursor[0] >= len(dec.spare_rows):
-            return real[0]
-        srow = dec.spare_rows[spare_cursor[0]]
-        spare_cursor[0] += 1
-        for pin, src in enumerate(real[:4]):
-            patch.lut_inputs.append((srow, pin, src))
-        return dec.spare_nodes[dec.spare_rows.index(srow)]
+        made = overlay.setdefault("_made", {})
+        if value in made:
+            return made[value]
+        real = [
+            self._materialize(s, overlay, patch, spare_cursor)
+            for s in overlay["_ands"][-1 - value]
+        ]
+        rows = overlay.setdefault("_rows", {})
+        inputs = tuple(real[:4])
+        if inputs in rows:
+            made[value] = rows[inputs]
+        elif spare_cursor[0] >= len(dec.spare_rows):
+            made[value] = real[0]
+        else:
+            srow = dec.spare_rows[spare_cursor[0]]
+            spare_cursor[0] += 1
+            for pin, src in enumerate(inputs):
+                patch.lut_inputs.append((srow, pin, src))
+            made[value] = rows[inputs] = dec.spare_nodes[dec.spare_rows.index(srow)]
+        return made[value]
 
     def _pin_patch(self, row, col, pos, pin, new_value, overlay, patch, spare_cursor) -> None:
         dec = self.dec
