@@ -1,13 +1,16 @@
 """Campaign-shrinker harness: collapse+retire vs the naive kernel.
 
-Runs one exhaustive small-device SEU sweep twice — the product path
-(both shrinkers on) and a naive reference model built here (not
-collapsible, kernel run with ``retire=False``) — verifies the
-byte-identity contract on the side, and appends both telemetry records plus the wall-clock
-speedup to ``BENCH_kernel.json``.  The collapsed row also carries the
-collapse/retire rates, so a regression that silently stops collapsing
-(rates drop to zero) is visible even when the runner is too noisy for
-the timing floor.
+Runs one exhaustive small-device SEU sweep on two paths — the product
+path (both shrinkers on) and a naive reference model built here (not
+collapsible, kernel run with ``retire=False``) — for ``ROUNDS`` rounds
+that alternate which path runs first, verifies the byte-identity
+contract in every round, and appends both telemetry records plus the
+wall-clock speedup to ``BENCH_kernel.json``.  Wall clock on a shared
+host drifts more between runs than one pair can resolve, so the speedup
+is best against best: ``min(naive walls) / min(collapsed walls)``.  The
+collapsed row also carries the collapse/retire rates, so a regression
+that silently stops collapsing (rates drop to zero) is visible even when
+the runner is too noisy for the timing floor.
 
 Environment knobs:
 
@@ -34,8 +37,12 @@ from typing import ClassVar
 import numpy as np
 
 from repro.engine import prime_design_cache, run_sweep
+from repro.engine.cache import result_cache_scope
 from repro.seu import CampaignConfig, run_campaign
 from repro.seu.campaign import SEUFaultModel, simulate_batch
+
+#: timed rounds; each runs both paths, alternating which goes first
+ROUNDS = 3
 
 
 class NaiveSEUModel(SEUFaultModel):
@@ -65,16 +72,26 @@ def test_kernel_collapse_speedup(report, bench_record):
     )
 
     prime_design_cache(hw)
-    naive = run_sweep(NaiveSEUModel(hw.spec, hw.device.name, cfg), batch_size=batch)
-    collapsed = run_campaign(hw, cfg)
+    naive_model = NaiveSEUModel(hw.spec, hw.device.name, cfg)
+    naive_walls, collapsed_walls = [], []
+    for i in range(ROUNDS):
+        legs = ("naive", "collapsed") if i % 2 == 0 else ("collapsed", "naive")
+        # A repeat served from an inherited result cache would time nothing.
+        with result_cache_scope(None):
+            for leg in legs:
+                if leg == "naive":
+                    naive = run_sweep(naive_model, batch_size=batch)
+                    naive_walls.append(naive.telemetry.wall_seconds)
+                else:
+                    collapsed = run_campaign(hw, cfg)
+                    collapsed_walls.append(collapsed.telemetry.wall_seconds)
+        # The admissibility contract: shrinking must not move a verdict.
+        assert np.array_equal(collapsed.verdicts, naive.verdicts), f"round {i}"
+        assert collapsed.n_simulated == naive.n_simulated
+        assert collapsed.telemetry.n_collapsed > 0
+        assert collapsed.telemetry.machines_retired > 0
 
-    # The admissibility contract: shrinking must not move a verdict.
-    assert np.array_equal(collapsed.verdicts, naive.verdicts)
-    assert collapsed.n_simulated == naive.n_simulated
-    assert collapsed.telemetry.n_collapsed > 0
-    assert collapsed.telemetry.machines_retired > 0
-
-    speedup = naive.telemetry.wall_seconds / collapsed.telemetry.wall_seconds
+    speedup = min(naive_walls) / min(collapsed_walls)
     rows = []
     for label, result in (("naive", naive), ("collapse+retire", collapsed)):
         row = result.telemetry.to_dict()
@@ -92,6 +109,9 @@ def test_kernel_collapse_speedup(report, bench_record):
             "design": hw.spec.name,
             "device": hw.device.name,
             "kernel_speedup": speedup,
+            "rounds": ROUNDS,
+            "naive_walls": naive_walls,
+            "collapsed_walls": collapsed_walls,
             "collapse_rate": collapsed.telemetry.collapse_rate,
             "retire_rate": collapsed.telemetry.retire_rate,
         }
@@ -106,7 +126,8 @@ def test_kernel_collapse_speedup(report, bench_record):
         f"{naive.n_candidates:,} bits, {detect}+{persist} cycles) ==",
         f"naive     : {naive.telemetry.summary()}",
         f"collapsed : {collapsed.telemetry.summary()}",
-        f"speedup   : {speedup:.2f}x; verdicts byte-identical",
+        f"speedup   : {speedup:.2f}x (best of {ROUNDS} alternating rounds); "
+        "verdicts byte-identical in every round",
         f"record    : {out_path}",
     )
     assert speedup >= min_speedup

@@ -629,7 +629,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             listen=args.listen,
             state=args.state,
             job_workers=args.job_workers,
-            cache=args.result_cache,
             max_running_per_tenant=args.max_running,
             max_queued_per_tenant=args.max_queued,
             announce=args.announce,

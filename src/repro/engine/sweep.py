@@ -234,15 +234,11 @@ def encode_done(ids: np.ndarray, n_space: int) -> np.ndarray:
     return np.packbits(mask)
 
 
-def decode_done(data: Any, n_space: int, legacy_key: str, path: str) -> np.ndarray:
+def decode_done(data: Any, n_space: int, path: str) -> np.ndarray:
     """The sorted int64 done ids of an archive written by :func:`encode_done`.
 
-    ``data`` is the loaded ``.npz``.  Archives from before the packed
-    mask store the ids themselves under ``legacy_key``; they are
-    returned as stored.
+    ``data`` is the loaded ``.npz``.
     """
-    if "done_bits" not in data:
-        return np.asarray(data[legacy_key], dtype=np.int64)
     packed = data["done_bits"]
     n_bytes = -(-n_space // 8)
     if packed.dtype != np.uint8 or packed.shape != (n_bytes,):
@@ -286,34 +282,52 @@ def save_sweep(sweep: SweepResult, path: str) -> None:
     os.replace(tmp, path)
 
 
+#: the arrays every :func:`save_sweep` archive holds
+_SWEEP_FIELDS = (
+    "model_name", "model_key", "n_space", "verdicts", "done_bits", "n_simulated",
+    "host_seconds",
+)
+
+
 def load_sweep(path: str) -> SweepResult:
-    """Load a sweep / checkpoint written by :func:`save_sweep` (also the
-    older archives that list the ids under ``candidate_ids``)."""
+    """Load a sweep / checkpoint written by :func:`save_sweep`.
+
+    An archive of any other layout — one that lacks a field
+    :func:`save_sweep` writes — raises :class:`CampaignError` naming the
+    path and the missing fields.
+    """
     try:
         data = np.load(path, allow_pickle=False)
     except (OSError, ValueError) as err:
         raise CampaignError(f"cannot load sweep checkpoint {path!r}: {err}") from None
-    telemetry = None
-    if "telemetry_json" in data:
-        fields = {f.name for f in dataclasses.fields(CampaignTelemetry)}
-        raw = json.loads(str(data["telemetry_json"]))
-        telemetry = CampaignTelemetry(**{k: v for k, v in raw.items() if k in fields})
-    payloads: dict[int, np.ndarray] = {}
-    if "payload_ids" in data:
-        values = data["payload_values"]
-        payloads = {int(i): values[k] for k, i in enumerate(data["payload_ids"])}
-    n_space = int(data["n_space"])
-    return SweepResult(
-        model_name=str(data["model_name"]),
-        model_key=str(data["model_key"]),
-        n_space=n_space,
-        verdicts=data["verdicts"],
-        candidate_ids=decode_done(data, n_space, "candidate_ids", path),
-        n_simulated=int(data["n_simulated"]),
-        host_seconds=float(data["host_seconds"]),
-        telemetry=telemetry,
-        payloads=payloads,
-    )
+    with data:
+        missing = [name for name in _SWEEP_FIELDS if name not in data.files]
+        if missing:
+            raise CampaignError(
+                f"checkpoint {path!r} is not a sweep archive: it has no "
+                f"{', '.join(missing)}"
+            )
+        telemetry = None
+        if "telemetry_json" in data.files:
+            fields = {f.name for f in dataclasses.fields(CampaignTelemetry)}
+            raw = json.loads(str(data["telemetry_json"]))
+            telemetry = CampaignTelemetry(**{k: v for k, v in raw.items() if k in fields})
+        payloads: dict[int, np.ndarray] = {}
+        if "payload_ids" in data.files:
+            values = data["payload_values"]
+            payloads = {int(i): values[k] for k, i in enumerate(data["payload_ids"])}
+        n_space = int(data["n_space"])
+        return SweepResult(
+            model_name=str(data["model_name"]),
+            model_key=str(data["model_key"]),
+            n_space=n_space,
+            verdicts=data["verdicts"],
+            candidate_ids=decode_done(data, n_space, path),
+            n_simulated=int(data["n_simulated"]),
+            host_seconds=float(data["host_seconds"]),
+            telemetry=telemetry,
+            payloads=payloads,
+        )
 
 
 # -- whole-sweep result cache --------------------------------------------------
@@ -1034,12 +1048,12 @@ def run_sweep(
     checkpoint_path: str | None = None,
     **kwargs: Any,
 ) -> SweepResult:
-    """Run a sweep with the engine's native checkpoint format.
+    """Run a sweep with the engine's checkpoint format.
 
-    The one-stop entry point for adapters without a historical
-    checkpoint format of their own: ``checkpoint_path`` snapshots
-    :func:`save_sweep` archives that :func:`resume_sweep` restarts
-    from; ``jobs`` and every keyword argument are :func:`run_sharded`'s.
+    The entry point every fault model's adapter goes through:
+    ``checkpoint_path`` snapshots :func:`save_sweep` archives that
+    :func:`resume_sweep` restarts from; ``jobs`` and every keyword
+    argument are :func:`run_sharded`'s.
     """
     checkpoint_cb = None
     if checkpoint_path is not None:
@@ -1051,7 +1065,7 @@ def run_sweep(
 
 
 def resume_sweep(model: FaultModel, checkpoint_path: str, **kwargs: Any) -> SweepResult:
-    """Resume an interrupted sweep from an engine-native checkpoint.
+    """Resume an interrupted sweep from a :func:`save_sweep` checkpoint.
 
     No verdict depends on which candidates share a batch, so the
     merged result is byte-identical to a never-killed sweep, for any

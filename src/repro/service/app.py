@@ -39,7 +39,7 @@ Endpoints (all JSON unless noted)::
     GET  /v1/jobs[?state=&tenant=]    list job records
     GET  /v1/jobs/<id>                one job record
     GET  /v1/jobs/<id>/result         verdict bytes (octet-stream)
-    GET  /v1/jobs/<id>/meta           telemetry + summary JSON
+    GET  /v1/jobs/<id>/meta           model key, counts + telemetry JSON
     POST /v1/jobs/<id>/cancel         cancel queued or running
     GET  /v1/jobs/<id>/events         SSE span/heartbeat stream
     GET  /v1/jobs/<id>/report[?format=json|text|html]
@@ -64,7 +64,7 @@ import urllib.parse
 from dataclasses import dataclass
 from typing import Any
 
-from repro.engine.cache import ResultCache, result_cache
+from repro.engine.cache import result_cache
 from repro.engine.transport import parse_hostport
 from repro.errors import ReproError
 from repro.obs import get_observer
@@ -103,8 +103,6 @@ class ServiceConfig:
     listen: str = "127.0.0.1:8321"
     state: str = ".repro-service"
     job_workers: int = 2
-    #: result-cache directory; None inherits REPRO_RESULT_CACHE, "off" disables
-    cache: str | None = None
     max_running_per_tenant: int = 4
     max_queued_per_tenant: int | None = None
     announce: str | None = None
@@ -137,16 +135,6 @@ class CampaignServer:
             "cache_hits": 0,
             "resumed": 0,
         }
-
-    # -- cache ----------------------------------------------------------------
-
-    def _cache(self) -> ResultCache | None:
-        if self.config.cache is not None:
-            raw = self.config.cache.strip()
-            if not raw or raw.lower() == "off":
-                return None
-            return ResultCache(raw)
-        return result_cache()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -242,7 +230,7 @@ class CampaignServer:
             if verdicts is not None and meta is not None:
                 self._finish(job, verdicts, dict(meta, served_from=twin.id), cached=True)
                 return True
-        cache = self._cache()
+        cache = result_cache()
         if cache is not None:
             entry = cache.get(job.result_key)
             if (
@@ -269,33 +257,16 @@ class CampaignServer:
         pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         prior = env.get("PYTHONPATH", "")
         env["PYTHONPATH"] = pkg_parent + (os.pathsep + prior if prior else "")
-        if self.config.cache is not None:
-            env["REPRO_RESULT_CACHE"] = self.config.cache
         return env
 
     def _harvest(self, job: Job) -> tuple[bytes, dict[str, Any]]:
         """Read the finished job's checkpoint into (verdict bytes, meta)."""
-        path = self.store.checkpoint_path(job.id)
-        base = {"kind": job.spec.kind, "spec": job.spec.to_dict()}
-        if job.spec.kind == "campaign":
-            from repro.seu import load_result
-
-            result = load_result(path)
-            meta = dict(
-                base,
-                summary=result.summary(),
-                n_candidates=result.n_candidates,
-                n_simulated=result.n_simulated,
-                sensitivity=result.sensitivity,
-                persistence_ratio=result.persistence_ratio,
-                telemetry=result.telemetry.to_dict() if result.telemetry else None,
-            )
-            return result.verdicts.tobytes(), meta
         from repro.engine import load_sweep
 
-        sweep = load_sweep(path)
+        sweep = load_sweep(self.store.checkpoint_path(job.id))
         meta = dict(
-            base,
+            kind=job.spec.kind,
+            spec=job.spec.to_dict(),
             model_key=sweep.model_key,
             n_candidates=sweep.n_candidates,
             n_simulated=sweep.n_simulated,
@@ -346,7 +317,7 @@ class CampaignServer:
             except (ReproError, OSError, ValueError) as err:
                 self._fail(job, f"harvest failed: {err}")
                 return
-            cache = self._cache()
+            cache = result_cache()
             if cache is not None:
                 cache.put(job.result_key, {"verdicts": verdicts, "meta": meta})
             self._finish(job, verdicts, meta, cached=False)
@@ -429,7 +400,7 @@ class CampaignServer:
         return self._public_job(job)
 
     def stats(self) -> dict[str, Any]:
-        cache = self._cache()
+        cache = result_cache()
         return {
             "api_version": API_VERSION,
             "address": self.address,
@@ -764,7 +735,7 @@ async def _serve_async(config: ServiceConfig) -> int:
     print(
         f"repro serve: listening on http://{server.address} "
         f"(state {config.state}, {config.job_workers} job worker(s), "
-        f"cache {'on' if server._cache() else 'off'})",
+        f"cache {'on' if result_cache() else 'off'})",
         file=sys.stderr,
     )
     await server.wait_stopped()

@@ -20,13 +20,11 @@ from repro.seu.campaign import (
     HalfLatchFaultModel,
     SEUFaultModel,
     batch_active_mask,
-    load_result,
     merge_results,
     resume_campaign,
     run_campaign,
     run_halflatch_campaign,
     run_halflatch_sweep,
-    save_result,
 )
 from repro.seu.multibit import MBUFaultModel, MultiBitResult, run_multibit_campaign
 from repro.seu.correlation import (
@@ -54,8 +52,6 @@ __all__ = [
     "run_halflatch_campaign",
     "run_halflatch_sweep",
     "merge_results",
-    "save_result",
-    "load_result",
     "resume_campaign",
     "MultiBitResult",
     "run_multibit_campaign",

@@ -20,10 +20,11 @@ merging, telemetry — lives in the fault-model-agnostic engine
 :func:`build_context` derives the per-(design, config) artifacts (golden
 trace, warm-state snapshot), :func:`classify_candidate` is the
 structural pre-filter for one bit, and :func:`simulate_batch` runs one
-batch of survivors to verdicts.  Results and checkpoints remain
-:class:`CampaignResult` ``.npz`` archives; the tested bits are stored
-as a packed mask (:func:`save_result`), and archives that list them
-under ``candidate_bits`` also load.
+batch of survivors to verdicts.  Checkpoints are the engine's
+:func:`~repro.engine.sweep.save_sweep` archives, as for every other
+fault model; :func:`resume_campaign` reads the campaign's config back
+from the archive's model key.  A finished sweep becomes a
+:class:`CampaignResult` in one place, :func:`_from_sweep`.
 
 A separate campaign (:func:`run_halflatch_campaign`) sweeps the *hidden*
 half-latch state — the cross-section readback cannot see, which drives
@@ -37,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-import os
 import pickle
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
@@ -61,14 +61,7 @@ from repro.engine.model import (
     CODE_SKIP_CONE,
     FaultModel,
 )
-from repro.engine.sweep import (
-    SweepResult,
-    decode_done,
-    encode_done,
-    resume_sweep,
-    run_sharded,
-    run_sweep,
-)
+from repro.engine.sweep import SweepResult, load_sweep, resume_sweep, run_sweep
 from repro.engine.telemetry import CampaignTelemetry
 from repro.errors import CampaignError
 from repro.fpga.resources import ResourceKind
@@ -97,8 +90,6 @@ __all__ = [
     "run_halflatch_campaign",
     "run_halflatch_sweep",
     "merge_results",
-    "save_result",
-    "load_result",
     "resume_campaign",
 ]
 
@@ -154,6 +145,11 @@ class CampaignConfig:
         fields = dataclasses.asdict(self)
         del fields["batch_size"]
         return json.dumps(fields, sort_keys=True)
+
+    @classmethod
+    def from_key(cls, key: str) -> CampaignConfig:
+        """Inverse of :meth:`key`; ``batch_size`` is the default."""
+        return cls(**json.loads(key))
 
     def unbatched(self) -> CampaignConfig:
         """This config with ``batch_size`` at its default.
@@ -439,19 +435,11 @@ def batch_active_mask(design, patches: list[Patch]) -> np.ndarray:
     return mask
 
 
-#: device name -> {(frame, offset) -> ResourceKind}; bit classification
-#: is a pure function of the device geometry, which the name identifies.
-_BIT_KIND_CACHE: dict[str, dict[tuple[int, int], ResourceKind]] = {}
-
-
 def _by_kind(hw: HardwareDesign, sensitive_bits: np.ndarray) -> dict[ResourceKind, int]:
     """Per-resource-kind breakdown of sensitive bits.
 
-    Runs at every checkpoint, so the frame lookup is vectorised (one
-    ``searchsorted`` over the monotone frame-offset table instead of a
-    binary search per bit) and the per-(frame, offset) classification is
-    memoized per device — re-checkpointing a large sweep only pays for
-    bits it has not classified before.
+    The frame lookup is vectorised: one ``searchsorted`` over the
+    monotone frame-offset table instead of a binary search per bit.
     """
     bits = np.asarray(sensitive_bits, dtype=np.int64)
     out: dict[ResourceKind, int] = {}
@@ -460,76 +448,11 @@ def _by_kind(hw: HardwareDesign, sensitive_bits: np.ndarray) -> dict[ResourceKin
     offsets = np.asarray(hw.bitstream.geometry.frame_offsets)
     frames = np.searchsorted(offsets, bits, side="right") - 1
     offs = bits - offsets[frames]
-    cache = _BIT_KIND_CACHE.setdefault(hw.device.name, {})
     classify = hw.device.classify_bit
     for frame, off in zip(frames.tolist(), offs.tolist()):
-        key = (frame, off)
-        kind = cache.get(key)
-        if kind is None:
-            kind = classify(frame, off).kind
-            cache[key] = kind
+        kind = classify(frame, off).kind
         out[kind] = out.get(kind, 0) + 1
     return out
-
-
-def save_result(result: CampaignResult, path: str) -> None:
-    """Persist a (possibly partial) campaign result to ``path`` (.npz).
-
-    The tested bits are stored as a packed mask over the verdict array
-    (:func:`~repro.engine.sweep.encode_done`).  The write is atomic
-    (tmp file + rename) so a campaign killed while checkpointing never
-    leaves a truncated snapshot behind.
-    """
-    payload = dict(
-        design_name=np.str_(result.design_name),
-        device_name=np.str_(result.device_name),
-        config_json=np.str_(json.dumps(dataclasses.asdict(result.config))),
-        n_candidates=np.int64(result.n_candidates),
-        verdicts=result.verdicts,
-        done_bits=encode_done(result.candidate_bits, result.verdicts.size),
-        by_kind_names=np.array([k.name for k in result.by_kind], dtype=np.str_),
-        by_kind_counts=np.array(list(result.by_kind.values()), dtype=np.int64),
-        host_seconds=np.float64(result.host_seconds),
-        n_simulated=np.int64(result.n_simulated),
-    )
-    if result.telemetry is not None:
-        payload["telemetry_json"] = np.str_(json.dumps(result.telemetry.to_dict()))
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        np.savez_compressed(f, **payload)
-    os.replace(tmp, path)
-
-
-def load_result(path: str) -> CampaignResult:
-    """Load a campaign result / checkpoint written by :func:`save_result`
-    (also the older archives that list the bits under ``candidate_bits``)."""
-    try:
-        data = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as err:
-        raise CampaignError(f"cannot load campaign checkpoint {path!r}: {err}") from None
-    config = CampaignConfig(**json.loads(str(data["config_json"])))
-    by_kind = {
-        ResourceKind[str(name)]: int(count)
-        for name, count in zip(data["by_kind_names"], data["by_kind_counts"])
-    }
-    telemetry = None
-    if "telemetry_json" in data:
-        fields = {f.name for f in dataclasses.fields(CampaignTelemetry)}
-        raw = json.loads(str(data["telemetry_json"]))
-        telemetry = CampaignTelemetry(**{k: v for k, v in raw.items() if k in fields})
-    verdicts = data["verdicts"]
-    return CampaignResult(
-        design_name=str(data["design_name"]),
-        device_name=str(data["device_name"]),
-        config=config,
-        n_candidates=int(data["n_candidates"]),
-        verdicts=verdicts,
-        candidate_bits=decode_done(data, verdicts.size, "candidate_bits", path),
-        by_kind=by_kind,
-        host_seconds=float(data["host_seconds"]),
-        n_simulated=int(data["n_simulated"]),
-        telemetry=telemetry,
-    )
 
 
 # -- the SEU fault model -------------------------------------------------------
@@ -616,24 +539,14 @@ class SEUFaultModel(FaultModel):
         return int(observation)
 
 
-def _to_sweep(model: SEUFaultModel, result: CampaignResult) -> SweepResult:
-    """View a prior :class:`CampaignResult` as an engine partial."""
-    return SweepResult(
-        model_name=model.name,
-        model_key=model.key(),
-        n_space=int(result.verdicts.size),
-        verdicts=result.verdicts,
-        candidate_ids=np.asarray(result.candidate_bits, dtype=np.int64),
-        n_simulated=result.n_simulated,
-        host_seconds=result.host_seconds,
-        telemetry=result.telemetry,
-    )
-
-
 def _from_sweep(
     hw: HardwareDesign, config: CampaignConfig, sweep: SweepResult
 ) -> CampaignResult:
-    """Materialise an engine sweep as the historical result type."""
+    """Materialise an engine sweep as the historical result type.
+
+    The one conversion from the engine's result: it runs once per
+    returned result, never per checkpoint.
+    """
     result = CampaignResult(
         design_name=hw.spec.name,
         device_name=hw.device.name,
@@ -655,20 +568,18 @@ def run_campaign(
     candidate_bits: np.ndarray | None = None,
     checkpoint_path: str | None = None,
     checkpoint_every: int = 50_000,
-    merge_with: CampaignResult | None = None,
     jobs: int | None = 1,
     executor: Executor | None = None,
     shards_per_job: int = 4,
 ) -> CampaignResult:
     """Exhaustive (or strided) single-bit SEU campaign over one design.
 
-    With ``checkpoint_path`` the campaign snapshots a partial
-    :class:`CampaignResult` to disk as it goes (every
-    ``checkpoint_every`` simulated survivors, per shard under a pool,
-    and once more at the end), so a multi-hour sweep killed mid-run
-    resumes with :func:`resume_campaign` instead of starting over.
-    ``merge_with`` folds an earlier partial result into every snapshot
-    (used by resume so re-interrupted runs stay whole).
+    With ``checkpoint_path`` the campaign snapshots the partial sweep to
+    disk as an engine archive (:func:`~repro.engine.sweep.save_sweep`)
+    as it goes (every ``checkpoint_every`` simulated survivors, per
+    shard under a pool, and once more at the end), so a multi-hour sweep
+    killed mid-run resumes with :func:`resume_campaign` instead of
+    starting over.
 
     ``jobs`` shards the sweep over worker processes (``None`` uses every
     CPU) with verdicts byte-identical to ``jobs=1``, because shards cut
@@ -678,41 +589,50 @@ def run_campaign(
     """
     config = config or CampaignConfig()
     prime_design_cache(hw)
-    model = SEUFaultModel(hw.spec, hw.device.name, config)
-    if candidate_bits is None:
-        candidate_bits = _candidate_bits(hw, config)
-    candidate_bits = np.asarray(candidate_bits, dtype=np.int64)
-
-    checkpoint_cb = None
-    if checkpoint_path is not None:
-
-        def checkpoint_cb(sweep: SweepResult) -> None:
-            # Resolve save_result at call time so tests (and tools) that
-            # monkeypatch it see every checkpoint write.
-            save_result(_from_sweep(hw, config, sweep), checkpoint_path)
-
     # No pre-built context: the driver consults the whole-sweep result
     # cache *before* building one (model.build_context reuses the primed
     # implemented design), so a warm repeat sweep never pays for the
     # golden run at all.
-    sweep = run_sharded(
-        model,
+    sweep = run_sweep(
+        SEUFaultModel(hw.spec, hw.device.name, config),
         jobs=jobs,
+        checkpoint_path=checkpoint_path,
         batch_size=config.batch_size,
         candidates=candidate_bits,
-        checkpoint_save=checkpoint_cb,
         checkpoint_every=checkpoint_every,
-        merge_with=_to_sweep(model, merge_with) if merge_with is not None else None,
         executor=executor,
         shards_per_job=shards_per_job,
     )
     return _from_sweep(hw, config, sweep)
 
 
+def _checkpoint_model(hw: HardwareDesign, checkpoint_path: str) -> SEUFaultModel:
+    """The SEU model of ``hw`` a campaign checkpoint was written for.
+
+    The config is read back from the archive's model key
+    (:meth:`SEUFaultModel.key`), so a resume needs no flags;
+    ``batch_size`` is in no key and comes back as the default.
+    """
+    key = load_sweep(checkpoint_path).model_key
+    prefix = f"seu:{hw.spec.name}:{hw.device.name}:"
+    if not key.startswith(prefix):
+        raise CampaignError(
+            f"checkpoint {checkpoint_path!r} is for {key!r}, not an SEU "
+            f"campaign of {hw.spec.name}/{hw.device.name}"
+        )
+    try:
+        config = CampaignConfig.from_key(key[len(prefix) :])
+    except (TypeError, ValueError) as err:
+        raise CampaignError(
+            f"checkpoint {checkpoint_path!r}: unreadable campaign config in "
+            f"model key {key!r}: {err}"
+        ) from None
+    return SEUFaultModel(hw.spec, hw.device.name, config)
+
+
 def resume_campaign(
     hw: HardwareDesign,
     checkpoint_path: str,
-    candidate_bits: np.ndarray | None = None,
     checkpoint_every: int = 50_000,
     jobs: int | None = 1,
     executor: Executor | None = None,
@@ -720,36 +640,25 @@ def resume_campaign(
 ) -> CampaignResult:
     """Resume an interrupted campaign from its checkpoint.
 
-    Loads the snapshot, skips every bit that already has a verdict, runs
-    the remainder (checkpointing to the same file as it goes), and
-    merges.  No verdict depends on which bits share a batch, so the
-    merged result is identical to a never-killed sweep, whatever
-    ``jobs`` either run used.
+    Takes the config from the checkpoint (:func:`_checkpoint_model`),
+    skips every bit that already has a verdict, runs the remainder
+    (checkpointing to the same file as it goes), and merges.  No verdict
+    depends on which bits share a batch, so the merged result is
+    identical to a never-killed sweep, whatever ``jobs`` either run
+    used.
     """
-    part = load_result(checkpoint_path)
-    if part.design_name != hw.spec.name or part.device_name != hw.device.name:
-        raise CampaignError(
-            f"checkpoint {checkpoint_path!r} is for "
-            f"{part.design_name}/{part.device_name}, not "
-            f"{hw.spec.name}/{hw.device.name}"
-        )
-    if candidate_bits is None:
-        candidate_bits = _candidate_bits(hw, part.config)
-    candidate_bits = np.asarray(candidate_bits, dtype=np.int64)
-    remaining = np.setdiff1d(candidate_bits, part.candidate_bits)
-    if remaining.size == 0:
-        return part
-    return run_campaign(
-        hw,
-        part.config,
-        candidate_bits=remaining,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        merge_with=part,
+    prime_design_cache(hw)
+    model = _checkpoint_model(hw, checkpoint_path)
+    sweep = resume_sweep(
+        model,
+        checkpoint_path,
         jobs=jobs,
+        batch_size=model.config.batch_size,
+        checkpoint_every=checkpoint_every,
         executor=executor,
         shards_per_job=shards_per_job,
     )
+    return _from_sweep(hw, model.config, sweep)
 
 
 def merge_results(parts: list[CampaignResult]) -> CampaignResult:

@@ -1,16 +1,17 @@
-"""The done-candidate set of sweep and campaign archives.
+"""The done-candidate set of sweep archives, SEU campaigns' included.
 
-``save_sweep`` and ``save_result`` store which candidates are done as a
-packed bitmask over the verdict space (``encode_done``), not as a list
-of int64 ids.  The tests pin that the mask round-trips to the same
-sorted ids, that it refuses ids it cannot hold instead of folding them,
-that a malformed mask is a named error, and that archives in the older
-id-list layout still load and resume.
+``save_sweep`` stores which candidates are done as a packed bitmask
+over the verdict space (``encode_done``), not as a list of int64 ids.
+The tests pin that the mask round-trips to the same sorted ids, that it
+refuses ids it cannot hold instead of folding them, that a malformed
+mask is a named error, and that archives in an older layout (the id
+list, the campaign-result layout) are named errors too.
 """
 
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,14 +21,10 @@ from repro.engine import load_sweep, run_serial, save_sweep
 from repro.engine.cache import implemented_design, result_cache_scope
 from repro.engine.sweep import SweepResult, decode_done, encode_done
 from repro.errors import CampaignError
-from repro.seu import CampaignConfig, load_result, run_campaign, run_halflatch_sweep, save_result
-from repro.seu.campaign import SEUFaultModel, _from_sweep
-from tests.utils.goldens import assert_golden_verdicts
+from repro.seu import CampaignConfig, run_campaign
+from repro.seu.campaign import SEUFaultModel
 
 CFG = CampaignConfig(detect_cycles=48, persist_cycles=32, stride=7, batch_size=32)
-HL_CFG = CampaignConfig(
-    detect_cycles=48, persist_cycles=0, classify_persistence=False, batch_size=32
-)
 
 
 def _sweep(n_space: int, ids) -> SweepResult:
@@ -53,13 +50,13 @@ class TestEncodeDone:
         ids = rng.permutation(n_space)[: max(1, n_space // 3)]
         packed = encode_done(ids, n_space)
         assert packed.dtype == np.uint8 and packed.size == -(-n_space // 8)
-        back = decode_done({"done_bits": packed}, n_space, "candidate_ids", "x.npz")
+        back = decode_done({"done_bits": packed}, n_space, "x.npz")
         assert back.dtype == np.int64
         assert np.array_equal(back, np.sort(ids))
 
     def test_empty_set(self):
         packed = encode_done(np.empty(0, dtype=np.int64), 20)
-        back = decode_done({"done_bits": packed}, 20, "candidate_ids", "x.npz")
+        back = decode_done({"done_bits": packed}, 20, "x.npz")
         assert back.size == 0 and back.dtype == np.int64
 
     @pytest.mark.parametrize("bad", [-1, 100, 1000])
@@ -100,49 +97,38 @@ class TestLoadChecks:
     def test_campaign_archive_wrong_length_mask(self, mult_hw, tmp_path):
         path = str(tmp_path / "c.npz")
         with result_cache_scope(None):
-            result = run_campaign(mult_hw, CFG, candidate_bits=np.arange(0, 700, 7))
-        save_result(result, path)
-        back = load_result(path)
-        assert np.array_equal(back.candidate_bits, result.candidate_bits)
+            result = run_campaign(
+                mult_hw, CFG, candidate_bits=np.arange(0, 700, 7), checkpoint_path=path
+            )
+        back = load_sweep(path)
+        assert np.array_equal(back.candidate_ids, result.candidate_bits)
         assert np.array_equal(back.verdicts, result.verdicts)
         _rewrite(path, done_bits=np.zeros(3, np.uint8))
         with pytest.raises(CampaignError, match="done_bits must be"):
-            load_result(path)
+            load_sweep(path)
 
+    def test_campaign_result_layout_names_the_missing_fields(self):
+        """A checkpoint in the campaign-result layout campaigns wrote
+        before they checkpointed through ``save_sweep`` is not read."""
+        fixture = Path(__file__).resolve().parents[1] / "data" / "seu_prefix_cut_checkpoint.npz"
+        with pytest.raises(
+            CampaignError,
+            match=r"seu_prefix_cut_checkpoint\.npz.*has no model_name, model_key, n_space, "
+            r"done_bits$",
+        ):
+            load_sweep(str(fixture))
 
-class TestLegacyEngineArchive:
-    """An engine archive listing its ids under ``candidate_ids`` (the
-    layout before the packed mask) loads and resumes to the golden."""
-
-    def test_loads_and_resumes_to_golden(self, mult_hw, tmp_path):
-        with result_cache_scope(None):
-            full = run_halflatch_sweep(mult_hw, HL_CFG)
-        done = full.candidate_ids[: full.candidate_ids.size // 2]
-        verdicts = np.zeros_like(full.verdicts)
-        verdicts[done] = full.verdicts[done]
+    def test_id_list_layout_names_the_missing_field(self, tmp_path):
+        """An archive listing its done ids under ``candidate_ids`` (the
+        layout before the packed mask) is not read."""
         path = str(tmp_path / "legacy.npz")
-        with open(path, "wb") as f:
-            np.savez_compressed(
-                f,
-                model_name=np.str_(full.model_name),
-                model_key=np.str_(full.model_key),
-                n_space=np.int64(full.n_space),
-                verdicts=verdicts,
-                candidate_ids=done,
-                n_simulated=np.int64(0),
-                host_seconds=np.float64(0.0),
-            )
-        part = load_sweep(path)
-        assert np.array_equal(part.candidate_ids, done)
-        assert np.array_equal(part.verdicts, verdicts)
-        with result_cache_scope(None):
-            resumed = run_halflatch_sweep(mult_hw, HL_CFG, checkpoint_path=path, resume=True)
-        assert np.array_equal(resumed.candidate_ids, full.candidate_ids)
-        assert_golden_verdicts("halflatch_verdicts", resumed.verdicts)
-        # The resumed run rewrote the archive in the packed layout.
+        save_sweep(_sweep(100, [0, 3, 99]), path)
         with np.load(path, allow_pickle=False) as data:
-            assert "done_bits" in data.files and "candidate_ids" not in data.files
-        assert np.array_equal(load_sweep(path).candidate_ids, full.candidate_ids)
+            arrays = {k: data[k] for k in data.files if k != "done_bits"}
+        with open(path, "wb") as f:
+            np.savez_compressed(f, candidate_ids=np.array([0, 3, 99]), **arrays)
+        with pytest.raises(CampaignError, match=r"legacy\.npz.*has no done_bits$"):
+            load_sweep(path)
 
 
 class TestArchiveSize:
@@ -157,11 +143,7 @@ class TestArchiveSize:
         assert sweep.n_candidates == 100_464
         sweep_path = str(tmp_path / "sweep.npz")
         save_sweep(sweep, sweep_path)
-        result_path = str(tmp_path / "result.npz")
-        save_result(_from_sweep(hw, config, sweep), result_path)
-        for path in (sweep_path, result_path):
-            assert os.path.getsize(path) < 16 * 1024, path
+        assert os.path.getsize(sweep_path) < 16 * 1024
         back = load_sweep(sweep_path)
         assert np.array_equal(back.candidate_ids, sweep.candidate_ids)
         assert np.array_equal(back.verdicts, sweep.verdicts)
-        assert np.array_equal(load_result(result_path).candidate_bits, sweep.candidate_ids)

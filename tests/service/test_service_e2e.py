@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.seu.campaign import load_result
+from repro.engine import load_sweep
 from tests.utils.goldens import golden
 
 pytestmark = pytest.mark.timeout(600)
@@ -125,10 +125,14 @@ class ServerHandle:
             self.proc.wait(timeout=10.0)
 
 
-def _start_server(tmp_path: Path, *extra: str, state: str = "state") -> ServerHandle:
+def _start_server(
+    tmp_path: Path, *extra: str, state: str = "state", cache_env: str | None = None
+) -> ServerHandle:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     env.pop("REPRO_RESULT_CACHE", None)  # tests opt in explicitly
+    if cache_env is not None:
+        env["REPRO_RESULT_CACHE"] = cache_env
     port_file = tmp_path / f"port-{time.monotonic_ns()}.txt"
     log = tmp_path / "server.log"
     proc = subprocess.Popen(
@@ -227,6 +231,44 @@ class TestGoldenBytesOverHTTP:
         assert headers["X-Job-Cached"] == "1"
         _, stats = server.client.json("GET", "/v1/stats")
         assert stats["jobs"]["cache_hits"] >= 1
+
+
+class TestResultCacheChannel:
+    """``repro serve`` takes its result cache from the one ambient
+    channel every command uses: ``--result-cache`` overrides an
+    inherited ``REPRO_RESULT_CACHE``, for the server and its jobs."""
+
+    SPEC = {"kind": "bist-coverage", "device": "S8",
+            "flags": {"faults": 16, "seed": 5, "cycles": 64}}
+
+    def _run_fresh(self, tmp_path, state: str, *extra: str) -> tuple[dict, dict]:
+        """Submit SPEC to a new server over an empty state directory, so
+        no completed twin can serve it; return the submit body and the
+        final stats."""
+        server = _start_server(
+            tmp_path, "--job-workers", "1", *extra, state=state,
+            cache_env=str(tmp_path / "store"),
+        )
+        try:
+            body = server.client.submit(self.SPEC)
+            rec = server.client.wait(body["job"]["id"])
+            assert rec["state"] == "done", rec
+            _, stats = server.client.json("GET", "/v1/stats")
+        finally:
+            server.stop()
+        return body, stats
+
+    def test_result_cache_off_beats_the_env(self, tmp_path):
+        body, _ = self._run_fresh(tmp_path, "cold")
+        assert body["cached"] is False
+        body, stats = self._run_fresh(tmp_path, "off", "--result-cache", "off")
+        assert body["cached"] is False
+        assert stats["jobs"]["cache_hits"] == 0
+        assert stats["cache_dir"] is None
+        # The store did hold the answer: a server that keeps the env serves it.
+        body, stats = self._run_fresh(tmp_path, "warm")
+        assert body["cached"] is True
+        assert stats["jobs"]["cache_hits"] == 1
 
 
 class TestLifecycle:
@@ -396,7 +438,7 @@ class TestRestartResume:
         finally:
             server.kill_hard()
         # The kill came after a real intermediate checkpoint.
-        part = load_result(str(checkpoint))
+        part = load_sweep(str(checkpoint))
         assert 0 < part.n_candidates < SEU_CANDIDATES
         # The engine subprocess survived as an orphan; a fresh server
         # over the same state dir must reap it and resume the job.

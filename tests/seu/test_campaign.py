@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,23 @@ def lfsr_result(lfsr_hw, cfg):
 @pytest.fixture(scope="module")
 def mult_result(mult_hw, cfg):
     return run_campaign(mult_hw, cfg)
+
+
+class TestConfigKey:
+    """``CampaignConfig.from_key`` inverts ``key`` (a resume reads the
+    config back from a checkpoint's model key)."""
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CampaignConfig)])
+    def test_round_trip_changes_each_field(self, name):
+        base = CampaignConfig()
+        value = getattr(base, name)
+        changed = dataclasses.replace(
+            base, **{name: (not value) if isinstance(value, bool) else value + 3}
+        )
+        back = CampaignConfig.from_key(changed.key())
+        assert back == changed.unbatched()
+        # batch_size is in no key; every other field moves the key.
+        assert (back == base) == (name == "batch_size")
 
 
 class TestCampaignBasics:

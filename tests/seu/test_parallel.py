@@ -13,11 +13,10 @@ from concurrent.futures import Executor, Future
 import numpy as np
 import pytest
 
-import repro.seu.campaign as campmod
-from repro.engine import shard_survivors
+import repro.engine.sweep as sweepmod
+from repro.engine import load_sweep, shard_survivors
 from repro.seu import (
     CampaignConfig,
-    load_result,
     merge_results,
     run_campaign,
     resume_campaign,
@@ -50,8 +49,14 @@ class Killed(Exception):
 
 
 @pytest.fixture(scope="module")
-def full_result(mult_hw):
-    return run_campaign(mult_hw, CFG)
+def full_checkpoint(tmp_path_factory):
+    """Path of the complete checkpoint ``full_result`` leaves behind."""
+    return str(tmp_path_factory.mktemp("full") / "mult.npz")
+
+
+@pytest.fixture(scope="module")
+def full_result(mult_hw, full_checkpoint):
+    return run_campaign(mult_hw, CFG, checkpoint_path=full_checkpoint)
 
 
 def assert_identical(a, b):
@@ -136,16 +141,16 @@ class TestParallelResume:
     def _killed_run(self, mult_hw, path, monkeypatch, die_after):
         """Run a checkpointed parallel sweep whose parent dies after
         ``die_after`` checkpoint writes."""
-        real_save = campmod.save_result
+        real_save = sweepmod.save_sweep
         calls = {"n": 0}
 
-        def dying_save(result, p):
+        def dying_save(sweep, p):
             calls["n"] += 1
             if calls["n"] > die_after:
                 raise Killed()
-            real_save(result, p)
+            real_save(sweep, p)
 
-        monkeypatch.setattr(campmod, "save_result", dying_save)
+        monkeypatch.setattr(sweepmod, "save_sweep", dying_save)
         with pytest.raises(Killed):
             run_campaign(
                 mult_hw,
@@ -155,7 +160,7 @@ class TestParallelResume:
                 executor=InlineExecutor(),
                 shards_per_job=2,
             )
-        monkeypatch.setattr(campmod, "save_result", real_save)
+        monkeypatch.setattr(sweepmod, "save_sweep", real_save)
 
     @pytest.mark.parametrize("die_after", [1, 3])
     def test_kill_and_resume_identical(
@@ -163,7 +168,7 @@ class TestParallelResume:
     ):
         path = str(tmp_path / f"par{die_after}.npz")
         self._killed_run(mult_hw, path, monkeypatch, die_after)
-        part = load_result(path)
+        part = load_sweep(path)
         assert 0 < part.n_candidates < full_result.n_candidates
 
         resumed = resume_campaign(
@@ -193,7 +198,7 @@ class TestParallelResume:
             run_campaign(mult_hw, CFG, checkpoint_path=path, checkpoint_every=1)
         monkeypatch.setattr(simmod.BatchSimulator, "run_verdicts", orig)
 
-        part = load_result(path)
+        part = load_sweep(path)
         assert 0 < part.n_candidates < full_result.n_candidates
         resumed = resume_campaign(
             mult_hw, path, jobs=2, executor=InlineExecutor()
@@ -211,11 +216,8 @@ class TestParallelResume:
         assert_identical(resumed, full_result)
         assert resumed.n_simulated == full_result.n_simulated  # nothing re-run
 
-    def test_wrong_design_rejected(self, lfsr_hw, mult_hw, full_result, tmp_path):
+    def test_wrong_design_rejected(self, lfsr_hw, full_result, full_checkpoint):
         from repro.errors import CampaignError
-        from repro.seu import save_result
 
-        path = str(tmp_path / "mult.npz")
-        save_result(full_result, path)
         with pytest.raises(CampaignError, match="is for"):
-            resume_campaign(lfsr_hw, path)
+            resume_campaign(lfsr_hw, full_checkpoint)

@@ -23,15 +23,11 @@ import signal
 import numpy as np
 import pytest
 
-from repro.engine import ChaosPolicy, ExecutorPolicy, executor_policy
+from repro.engine import ChaosPolicy, ExecutorPolicy, executor_policy, load_sweep
 from repro.errors import CampaignError
 from repro.obs import observe
 from repro.obs.report import load_trace
-from repro.seu import (
-    CampaignConfig,
-    load_result,
-    run_campaign,
-)
+from repro.seu import CampaignConfig, run_campaign
 from tests.utils.goldens import assert_golden_verdicts
 from tests.utils.reference_models import resume_seu_campaign, seu_campaign
 
@@ -194,7 +190,7 @@ class TestPoisonQuarantine:
                 seu_campaign(
                     mult_hw, CFG, jobs=JOBS, checkpoint_path=path, collapse=collapse
                 )
-        part = load_result(path)
+        part = load_sweep(path)
         assert part.n_candidates > 0  # progress survived the poison
 
         resumed = resume_seu_campaign(mult_hw, path, jobs=2, collapse=collapse)

@@ -1,6 +1,12 @@
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+#: an SEU checkpoint in the campaign-result layout (no sweep archive)
+OLD_CHECKPOINT = Path(__file__).resolve().parent / "data" / "seu_prefix_cut_checkpoint.npz"
 
 
 class TestParser:
@@ -168,6 +174,19 @@ class TestErrorHandling:
         )
         assert rc == 2
         assert "repro: error:" in capsys.readouterr().err
+
+    def test_resume_of_a_non_sweep_archive_errors(self, capsys, tmp_path):
+        """An archive without the sweep fields (here an old SEU
+        checkpoint handed to ``multibit``) names the file and the missing
+        fields instead of escaping as a KeyError."""
+        path = str(tmp_path / "old.npz")
+        shutil.copyfile(OLD_CHECKPOINT, path)
+        rc = main(["multibit", "MULT3", "--device", "S8", "--trials", "8",
+                   "--single-sensitivity", "0.05", "--checkpoint", path, "--resume"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:")
+        assert "old.npz" in err and "n_space" in err
 
 
 class TestEngineSubcommands:

@@ -17,7 +17,8 @@ checkpoints carry over between the two; its classes live at module
 level, so pools and remote workers unpickle them.
 :func:`seu_campaign` / :func:`resume_seu_campaign` are
 :func:`~repro.seu.run_campaign` / :func:`~repro.seu.resume_campaign`
-over such a reference.
+over such a reference: the engine's ``run_sweep`` / ``resume_sweep``
+plus the campaign's one conversion, ``_from_sweep``.
 """
 
 from __future__ import annotations
@@ -25,25 +26,20 @@ from __future__ import annotations
 from dataclasses import fields
 from typing import ClassVar
 
-import numpy as np
-
 from repro.bist.coverage import BistCoverageModel
-from repro.engine import prime_design_cache, run_sharded
+from repro.engine import prime_design_cache, resume_sweep, run_sweep
 from repro.engine.detect import detect_failures
 from repro.engine.model import FaultModel
 from repro.netlist.simulator import BatchSimulator
-from repro.seu import CampaignConfig, resume_campaign, run_campaign
+from repro.seu import CampaignConfig
 from repro.seu.campaign import (
     CampaignResult,
     HalfLatchFaultModel,
     SEUFaultModel,
-    _candidate_bits,
+    _checkpoint_model,
     _from_sweep,
-    _to_sweep,
     batch_active_mask,
     build_context,
-    load_result,
-    save_result,
     simulate_batch,
 )
 from repro.seu.multibit import MBUFaultModel
@@ -148,41 +144,21 @@ def seu_campaign(
     collapse: bool = True,
     retire: bool = True,
     fast_forward: bool = True,
-    candidate_bits: np.ndarray | None = None,
     checkpoint_path: str | None = None,
-    merge_with: CampaignResult | None = None,
     jobs: int = 1,
 ) -> CampaignResult:
-    """:func:`run_campaign` over the reference model of one combination.
-
-    With every shrinker on this *is* ``run_campaign``.  Otherwise the
-    same sweep runs :func:`reference_model`'s model, over the cold
-    context when ``fast_forward`` is off (in this process only).
-    """
-    if collapse and retire and fast_forward:
-        return run_campaign(
-            hw, config, candidate_bits=candidate_bits,
-            checkpoint_path=checkpoint_path, merge_with=merge_with, jobs=jobs,
-        )
+    """:func:`run_campaign` over the reference model of one combination,
+    over the cold context when ``fast_forward`` is off (in this process
+    only)."""
     prime_design_cache(hw)
     model = reference_model(
         SEUFaultModel(hw.spec, hw.device.name, config), collapse=collapse, retire=retire
     )
-    if candidate_bits is None:
-        candidate_bits = _candidate_bits(hw, config)
-    checkpoint_save = None
-    if checkpoint_path is not None:
-
-        def checkpoint_save(sweep) -> None:
-            save_result(_from_sweep(hw, config, sweep), checkpoint_path)
-
-    sweep = run_sharded(
+    sweep = run_sweep(
         model,
         jobs=jobs,
+        checkpoint_path=checkpoint_path,
         batch_size=config.batch_size,
-        candidates=np.asarray(candidate_bits, dtype=np.int64),
-        checkpoint_save=checkpoint_save,
-        merge_with=None if merge_with is None else _to_sweep(model, merge_with),
         context=None if fast_forward else (hw, build_context(hw, config, fast_forward=False)),
     )
     return _from_sweep(hw, config, sweep)
@@ -192,11 +168,9 @@ def resume_seu_campaign(
     hw, checkpoint_path: str, *, collapse: bool = True, retire: bool = True, jobs: int = 1
 ) -> CampaignResult:
     """:func:`resume_campaign` over the reference model of one combination."""
-    if collapse and retire:
-        return resume_campaign(hw, checkpoint_path, jobs=jobs)
-    part = load_result(checkpoint_path)
-    remaining = np.setdiff1d(_candidate_bits(hw, part.config), part.candidate_bits)
-    return seu_campaign(
-        hw, part.config, collapse=collapse, retire=retire, candidate_bits=remaining,
-        checkpoint_path=checkpoint_path, merge_with=part, jobs=jobs,
+    prime_design_cache(hw)
+    model = reference_model(
+        _checkpoint_model(hw, checkpoint_path), collapse=collapse, retire=retire
     )
+    sweep = resume_sweep(model, checkpoint_path, jobs=jobs, batch_size=model.config.batch_size)
+    return _from_sweep(hw, model.config, sweep)
