@@ -34,6 +34,7 @@ from repro.engine.telemetry import CampaignTelemetry
 from repro.errors import CampaignError
 from repro.fpga.device import VirtexDevice
 from repro.netlist.compiled import Patch
+from repro.netlist.cone import restrict
 from repro.netlist.simulator import BatchSimulator, settle_key
 
 __all__ = ["CoverageReport", "BistCoverageModel", "run_coverage"]
@@ -137,7 +138,7 @@ class BistCoverageModel(FaultModel):
     def observe_batch(self, ctx, pending) -> list[tuple[bool, bool]]:
         hits = []
         for v, (hw, stim, golden) in enumerate(ctx):
-            sim = BatchSimulator(hw.decoded.design, [pair[v] for _, pair in pending])
+            sim = restrict(hw.decoded.design, [pair[v] for _, pair in pending]).simulator()
             hits.append(
                 detect_failures(sim, stim, golden.outputs, self.cycles, retire=True)
             )

@@ -30,6 +30,7 @@ they cannot change a verdict, so every sweep runs them.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -696,10 +697,18 @@ def main(argv: list[str] | None = None) -> int:
             label=args.command,
             resumed=bool(getattr(args, "resume", False)),
         ), executor_policy(**overrides):
-            return _COMMANDS[args.command](args)
+            rc = _COMMANDS[args.command](args)
+            sys.stdout.flush()
+            return rc
     except ReproError as err:
         print(f"repro: error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader left early (``repro ... | head -1``).  Point stdout at
+        # devnull so the interpreter's exit flush of what is still
+        # buffered does not raise again, and fail without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

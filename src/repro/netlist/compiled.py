@@ -191,6 +191,26 @@ class CompiledDesign:
         return cached
 
     @property
+    def fanin(self) -> tuple[np.ndarray, np.ndarray]:
+        """Golden fan-in of every node in CSR form (cached).
+
+        Returns ``(ptr, src)``: ``src[ptr[n]:ptr[n + 1]]`` are the nodes
+        node ``n`` reads — a LUT's four operands, an FF's D, CE and SR.
+        """
+        cached = getattr(self, "_fanin", None)
+        if cached is None:
+            dst = np.concatenate([np.repeat(self.lut_nodes, 4), np.repeat(self.ff_nodes, 3)])
+            src = np.concatenate([
+                self.lut_inputs.reshape(-1),
+                np.stack([self.ff_d, self.ff_ce, self.ff_sr], axis=1).reshape(-1),
+            ]).astype(np.intp)
+            ptr = np.zeros(self.n_nodes + 1, dtype=np.intp)
+            np.cumsum(np.bincount(dst, minlength=self.n_nodes), out=ptr[1:])
+            cached = (ptr, src[np.argsort(dst, kind="stable")])
+            object.__setattr__(self, "_fanin", cached)
+        return cached
+
+    @property
     def row_of_lut_node(self) -> dict[int, int]:
         """Map node index -> LUT row (cached)."""
         cached = getattr(self, "_row_of_lut_node", None)
@@ -198,6 +218,11 @@ class CompiledDesign:
             cached = {int(n): r for r, n in enumerate(self.lut_nodes)}
             object.__setattr__(self, "_row_of_lut_node", cached)
         return cached
+
+    def __getstate__(self) -> dict:
+        # The derived caches above stay out of pickles, so a design's
+        # pickle (a content key) does not depend on which were computed.
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
 
     def validate(self) -> None:
         """Check structural invariants; raises :class:`NetlistError`."""

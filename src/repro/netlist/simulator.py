@@ -5,7 +5,10 @@ This is the performance core of the reproduction.  The paper gets its
 silicon; we get ours by simulating B corrupted variants of one design
 simultaneously with numpy:
 
-* node values live in a ``(B, n_nodes)`` uint8 matrix;
+* node values live in a ``(B, n_nodes)`` uint8 matrix, where
+  ``n_nodes`` is the design's: fault models simulate each batch on the
+  sub-design its outputs can observe (:func:`repro.netlist.cone.restrict`),
+  so a batch costs what the design costs, not what the device costs;
 * each LUT level evaluates for all machines at once in five array
   calls: an operand gather, one uint32 multiply that composes every
   LUT's 4-bit address (see :data:`ADDR_IDIOMS`), a table-index
@@ -171,6 +174,8 @@ def _check_patch(d: CompiledDesign, patch: Patch) -> None:
     for node, value in patch.consts:
         _check_range("consts node", node, d.n_nodes)
         _check_range("consts value", value, 2)
+        if d.node_kind[node] not in (NodeKind.CONST, NodeKind.HALF_LATCH):
+            raise NetlistError(f"const patch targets non-constant node {node}")
     for pos, node in patch.outputs:
         _check_range("outputs position", pos, d.n_outputs)
         _check_range("outputs node", node, d.n_nodes)
@@ -264,7 +269,6 @@ class BatchSimulator:
         patches: list[Patch] | None = None,
         settle_passes: int | None = None,
         initial_values: np.ndarray | None = None,
-        active_nodes: np.ndarray | None = None,
         companion: bool = False,
     ):
         """``initial_values`` (a ``(n_nodes,)`` snapshot from a golden run)
@@ -272,12 +276,9 @@ class BatchSimulator:
         power-on state — faults are injected into *running* designs, as
         on the SLAAC-1V (paper Figure 8).
 
-        ``active_nodes`` (bool per node) prunes evaluation to a node
-        subset.  The caller must guarantee closure: every node an active
-        LUT/FF reads — under golden wiring *or* any machine's patch — is
-        itself active.  Campaigns compute this as the backward cone of
-        the outputs plus all patch edges; it cuts the per-cycle work by
-        the device's idle-fabric fraction.
+        Every node, LUT and FF of ``design`` is simulated; fault models
+        pass the sub-design of :func:`repro.netlist.cone.restrict` to
+        simulate only what the batch's outputs can observe.
 
         ``settle_passes=None`` (default) auto-detects: patches that
         reroute a LUT operand onto a node computed at the same or a
@@ -328,7 +329,6 @@ class BatchSimulator:
         self.const_values = np.broadcast_to(d.const_values, (B, d.n_nodes)).copy()
         self.output_nodes = np.broadcast_to(d.output_nodes, (B, d.n_outputs)).copy()
 
-        self._broken = np.zeros(B, dtype=bool)  # patched (faulty) machines
         for m, patch in enumerate(self.patches):
             self._apply_patch(m, patch)
         # Auto-detect runs on range-checked patches (see _apply_patch).
@@ -343,18 +343,6 @@ class BatchSimulator:
         if settle_passes < 1:
             raise NetlistError("settle_passes must be >= 1")
         self.settle_passes = settle_passes
-
-        if active_nodes is None:
-            self._levels = d.levels
-            self._ff_rows = np.arange(d.n_ffs, dtype=np.int64)
-        else:
-            active_nodes = np.asarray(active_nodes, dtype=bool)
-            if active_nodes.shape != (d.n_nodes,):
-                raise NetlistError("active_nodes must be a (n_nodes,) mask")
-            lut_active = active_nodes[d.lut_nodes]
-            self._levels = [lv[lut_active[lv]] for lv in d.levels]
-            self._levels = [lv for lv in self._levels if lv.size]
-            self._ff_rows = np.flatnonzero(active_nodes[d.ff_nodes])
 
         self._const_mask = np.isin(
             d.node_kind, (int(NodeKind.CONST), int(NodeKind.HALF_LATCH))
@@ -389,7 +377,7 @@ class BatchSimulator:
         # holds each level's LUT count).  One machine's operand refresh
         # is a single scatter to ``_lvl_pos0 + m * _lvl_pos_step`` of its
         # ``_lvl_src`` operands.
-        counts = [int(rows.size) for rows in self._levels]
+        counts = [int(rows.size) for rows in d.levels]
         n_slots = B * sum(counts)
         self._lvl_gather_flat = np.empty(4 * n_slots, dtype=np.intp)
         self._lvl_tab_flat = np.empty(n_slots, dtype=np.intp)
@@ -400,7 +388,7 @@ class BatchSimulator:
         self._lvl_plan: list[tuple[np.ndarray, ...]] = []
         tab_moff = (np.arange(B, dtype=np.intp) * (d.n_luts * 16))[:, None]
         lo = 0
-        for rows, n in zip(self._levels, counts):
+        for rows, n in zip(d.levels, counts):
             hi = lo + B * n
             gather = self._lvl_gather_flat[4 * lo : 4 * hi].reshape(B, 4 * n)
             pos0.append(np.arange(4 * lo, 4 * (lo + n), dtype=np.intp))
@@ -432,9 +420,8 @@ class BatchSimulator:
         # One (B, 4R) gather fetches [D | CE | SR | current] per FF; the
         # current-value quarter reads the FF nodes themselves, so it is
         # fixed and only the first three quarters follow the wiring.
-        rows = self._ff_rows
-        R = int(rows.size)
-        self._ff_scatter = self._moff + d.ff_nodes[rows].astype(np.intp)[None, :]
+        R = d.n_ffs
+        self._ff_scatter = self._moff + d.ff_nodes.astype(np.intp)[None, :]
         self._ff_gather = np.empty((B, 4 * R), dtype=np.intp)
         self._ff_gather[:, 3 * R :] = self._ff_scatter
         self._ff_buf = np.empty((B, 4 * R), dtype=np.uint8)
@@ -478,7 +465,7 @@ class BatchSimulator:
             n_out=d.n_outputs,
             out_idx=self._out_idx,
             out=self._out_buf,
-            R=self._ff_rows.size,
+            R=d.n_ffs,
             ff_gather=self._ff_gather,
             ff_unclocked=self._ff_unclocked,
             ff_scatter=self._ff_scatter,
@@ -495,17 +482,16 @@ class BatchSimulator:
         d = self.design
         if m is None:
             sel, off = slice(None), self._moff
-            for (gather, *_), rows in zip(self._lvl_plan, self._levels):
+            for (gather, *_), rows in zip(self._lvl_plan, d.levels):
                 np.add(self.lut_inputs[:, rows, :].reshape(gather.shape), off, out=gather)
         else:
             sel, off = m, np.intp(m * d.n_nodes)
             pos = self._lvl_pos0 + m * self._lvl_pos_step
             self._lvl_gather_flat[pos] = self.lut_inputs[m].reshape(-1).take(self._lvl_src) + off
-        rows = self._ff_rows
-        R = int(rows.size)
+        R = d.n_ffs
         for j, src in enumerate((self.ff_d, self.ff_ce, self.ff_sr)):
-            np.add(src[sel, rows], off, out=self._ff_gather[sel, j * R : (j + 1) * R])
-        np.not_equal(self.ff_clocked[sel, rows], 1, out=self._ff_unclocked[sel])
+            np.add(src[sel], off, out=self._ff_gather[sel, j * R : (j + 1) * R])
+        np.not_equal(self.ff_clocked[sel], 1, out=self._ff_unclocked[sel])
         np.add(self.output_nodes[sel], off, out=self._out_idx[sel])
 
     @staticmethod
@@ -533,7 +519,6 @@ class BatchSimulator:
         d = self.design
         self._at_reset = False
         _check_patch(d, patch)
-        self._broken[m] = True
         for row, table in patch.lut_tables:
             self.lut_tables[m, row] = table
         for row, pin, node in patch.lut_inputs:
@@ -552,9 +537,6 @@ class BatchSimulator:
             else:  # pragma: no cover - exhaustive enum
                 raise NetlistError(f"unknown FF field {fieldname}")
         for node, value in patch.consts:
-            kind = NodeKind(int(d.node_kind[node]))
-            if kind not in (NodeKind.CONST, NodeKind.HALF_LATCH):
-                raise NetlistError(f"const patch targets non-constant node {node}")
             self.const_values[m, node] = value
         for pos, node in patch.outputs:
             self.output_nodes[m, pos] = node
@@ -592,7 +574,6 @@ class BatchSimulator:
         self.output_nodes[m] = d.output_nodes
         const_only = d.node_kind == int(NodeKind.CONST)
         self.const_values[np.ix_(np.atleast_1d(m), const_only)] = d.const_values[const_only]
-        self._broken[m] = False
         return const_only
 
     # -- execution ---------------------------------------------------------
@@ -652,7 +633,7 @@ class BatchSimulator:
         if self._native is not None:
             self._native(native.CLOCK)
             return
-        if self._ff_rows.size == 0:
+        if self.design.n_ffs == 0:
             return
         vf = self._values_flat
         vf.take(self._ff_gather, out=self._ff_buf)
@@ -1085,17 +1066,14 @@ class BatchSimulator:
             persistent=np.empty(n, dtype=np.uint8),
         )
         if not detect_only:
-            rows = self._ff_rows
             const_nodes = np.flatnonzero(d.node_kind == int(NodeKind.CONST))
             fields.update(
                 gold_gather=np.concatenate(
-                    [no_i, *(d.lut_inputs[lv].reshape(-1) for lv in self._levels)]
+                    [no_i, *(d.lut_inputs[lv].reshape(-1) for lv in d.levels)]
                 ).astype(np.intp),
                 gold_tables=np.ascontiguousarray(d.lut_tables, dtype=np.uint8).reshape(-1),
-                gold_ff=np.concatenate(
-                    [d.ff_d[rows], d.ff_ce[rows], d.ff_sr[rows]]
-                ).astype(np.intp),
-                gold_unclocked=np.not_equal(d.ff_clocked[rows], 1),
+                gold_ff=np.concatenate([d.ff_d, d.ff_ce, d.ff_sr]).astype(np.intp),
+                gold_unclocked=np.not_equal(d.ff_clocked, 1),
                 gold_out=d.output_nodes.astype(np.intp),
                 n_const=const_nodes.size,
                 const_nodes=const_nodes,

@@ -74,6 +74,7 @@ from repro.netlist.compiled import (
     NodeKind,
     Patch,
 )
+from repro.netlist.cone import output_cone
 from repro.netlist.levelize import levelize
 from repro.place.configgen import IOBinding
 
@@ -298,7 +299,7 @@ class DecodedDesign:
         self._decode_all()
         self.design = self._finalize()
         # Output cone membership, for the structural pre-filter.
-        self._cone = self._compute_cone()
+        self._cone = output_cone(self.design)
 
     # ------------------------------------------------------------------
     # raw bit access
@@ -654,26 +655,6 @@ class DecodedDesign:
     # ------------------------------------------------------------------
     # output cone (structural pre-filter)
     # ------------------------------------------------------------------
-
-    def _compute_cone(self) -> np.ndarray:
-        d = self.design
-        in_cone = np.zeros(d.n_nodes, dtype=bool)
-        row_of_lut_node = {int(n): r for r, n in enumerate(d.lut_nodes)}
-        row_of_ff_node = {int(n): r for r, n in enumerate(d.ff_nodes)}
-        stack = [int(n) for n in d.output_nodes]
-        while stack:
-            n = stack.pop()
-            if in_cone[n]:
-                continue
-            in_cone[n] = True
-            if n in row_of_lut_node:
-                stack.extend(int(s) for s in d.lut_inputs[row_of_lut_node[n]])
-            elif n in row_of_ff_node:
-                r = row_of_ff_node[n]
-                stack.extend(
-                    (int(d.ff_d[r]), int(d.ff_ce[r]), int(d.ff_sr[r]))
-                )
-        return in_cone
 
     def node_in_cone(self, node: int) -> bool:
         return bool(self._cone[node])

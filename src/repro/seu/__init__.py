@@ -19,7 +19,6 @@ from repro.seu.campaign import (
     CampaignTelemetry,
     HalfLatchFaultModel,
     SEUFaultModel,
-    batch_active_mask,
     merge_results,
     resume_campaign,
     run_campaign,
@@ -47,7 +46,6 @@ __all__ = [
     "HalfLatchFaultModel",
     "MBUFaultModel",
     "CorrelationFaultModel",
-    "batch_active_mask",
     "run_campaign",
     "run_halflatch_campaign",
     "run_halflatch_sweep",

@@ -65,11 +65,13 @@ from repro.engine.sweep import SweepResult, load_sweep, resume_sweep, run_sweep
 from repro.engine.telemetry import CampaignTelemetry
 from repro.errors import CampaignError
 from repro.fpga.resources import ResourceKind
-from repro.netlist.compiled import CompiledDesign, FFField, Patch
+from repro.netlist.compiled import CompiledDesign, Patch
+from repro.netlist.cone import restrict
 from repro.netlist.simulator import (
     KERNEL_COUNTERS,
     BatchSimulator,
     GoldenTrace,
+    MachineVerdict,
     settle_key,
 )
 from repro.place.flow import HardwareDesign
@@ -82,7 +84,6 @@ __all__ = [
     "CampaignTelemetry",
     "SEUFaultModel",
     "HalfLatchFaultModel",
-    "batch_active_mask",
     "build_context",
     "classify_candidate",
     "simulate_batch",
@@ -340,19 +341,15 @@ def simulate_batch(
     ``pending`` is the ordered ``(bit, patch)`` list of one batch; the
     returned verdict codes align with it.  The engine batches only bits
     with equal :func:`~repro.netlist.simulator.settle_key`, so the
-    auto-detected settle count is each bit's own.  ``retire`` is the
+    auto-detected settle count is each bit's own.  The batch runs on
+    the sub-design its outputs can observe
+    (:func:`~repro.netlist.cone.restrict`).  ``retire`` is the
     kernel's mid-run fault dropping (adds a golden companion machine to
     the batch); sweeps always run it, and ``retire=False`` is the
     verdict-identical reference path.
     """
-    patches = [p for _, p in pending]
-    sim = BatchSimulator(
-        ctx.design,
-        patches,
-        initial_values=ctx.snapshot,
-        active_nodes=batch_active_mask(ctx.design, patches),
-        companion=retire,
-    )
+    sub = restrict(ctx.design, [p for _, p in pending])
+    sim = sub.simulator(ctx.snapshot, companion=retire)
     machine_verdicts = sim.run_verdicts(
         ctx.post_stim,
         ctx.post_golden,
@@ -360,8 +357,13 @@ def simulate_batch(
         config.persist_cycles if config.classify_persistence else 0,
         config.converge_run,
         retire=retire,
-        addr_suffix=ctx.addr_suffix if retire else None,
+        addr_suffix=ctx.addr_suffix[:, sub.lut_rows] if retire else None,
     )
+    return _verdict_codes(config, machine_verdicts)
+
+
+def _verdict_codes(config: CampaignConfig, machine_verdicts: list[MachineVerdict]) -> list[int]:
+    """Per-bit :class:`BitVerdict` codes of one batch's machine verdicts."""
     codes: list[int] = []
     for mv in machine_verdicts:
         if not mv.failed:
@@ -391,48 +393,6 @@ def _lut_content_skip(patch: Patch, hw: HardwareDesign, addr_seen: np.ndarray) -
         if addr_seen[row] & mask:
             return False
     return True
-
-
-def batch_active_mask(design, patches: list[Patch]) -> np.ndarray:
-    """Node mask closing the output cone over golden + patch edges.
-
-    Sound superset of what any machine in the batch can need: the
-    backward closure from the outputs where each LUT/FF contributes its
-    golden operands *plus* every operand any patch retargets it to.
-    """
-    extra: dict[int, list[int]] = {}
-    seeds: list[int] = [int(x) for x in design.output_nodes]
-    for p in patches:
-        for row, pin, node in p.lut_inputs:
-            extra.setdefault(int(design.lut_nodes[row]), []).append(int(node))
-        for row, fieldname, value in p.ff_fields:
-            if fieldname in (FFField.D, FFField.CE, FFField.SR):
-                extra.setdefault(int(design.ff_nodes[row]), []).append(int(value))
-        for _, node in p.outputs:
-            seeds.append(int(node))
-
-    lut_row_of = {int(n): r for r, n in enumerate(design.lut_nodes)}
-    ff_row_of = {int(n): r for r, n in enumerate(design.ff_nodes)}
-    mask = np.zeros(design.n_nodes, dtype=bool)
-    stack = seeds
-    while stack:
-        n = stack.pop()
-        if mask[n]:
-            continue
-        mask[n] = True
-        r = lut_row_of.get(n)
-        if r is not None:
-            stack.extend(int(s) for s in design.lut_inputs[r])
-        else:
-            r = ff_row_of.get(n)
-            if r is not None:
-                stack.extend(
-                    (int(design.ff_d[r]), int(design.ff_ce[r]), int(design.ff_sr[r]))
-                )
-        for s in extra.get(n, ()):  # patch edges
-            if not mask[s]:
-                stack.append(s)
-    return mask
 
 
 def _by_kind(hw: HardwareDesign, sensitive_bits: np.ndarray) -> dict[ResourceKind, int]:
@@ -774,9 +734,7 @@ class HalfLatchFaultModel(FaultModel):
 
     def observe_batch(self, ctx, pending: list[tuple[int, Patch]]) -> list[bool]:
         _, cctx = ctx
-        sim = BatchSimulator(
-            cctx.design, [p for _, p in pending], initial_values=cctx.snapshot
-        )
+        sim = restrict(cctx.design, [p for _, p in pending]).simulator(cctx.snapshot)
         failed = detect_failures(
             sim,
             cctx.post_stim,

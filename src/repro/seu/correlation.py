@@ -32,13 +32,13 @@ from repro.engine.sweep import resume_sweep, run_sweep
 from repro.engine.telemetry import CampaignTelemetry
 from repro.errors import CampaignError
 from repro.netlist.compiled import Patch
-from repro.netlist.simulator import BatchSimulator, settle_key
+from repro.netlist.cone import restrict
+from repro.netlist.simulator import settle_key
 from repro.place.flow import HardwareDesign
 from repro.seu.campaign import (
     CampaignConfig,
     CampaignContext,
     CampaignResult,
-    batch_active_mask,
     build_context,
 )
 
@@ -141,13 +141,7 @@ class CorrelationFaultModel(FaultModel):
 
     def observe_batch(self, ctx, pending: list[tuple[int, Patch]]) -> list[np.ndarray]:
         _, cctx = ctx
-        patches = [p for _, p in pending]
-        sim = BatchSimulator(
-            cctx.design,
-            patches,
-            initial_values=cctx.snapshot,
-            active_nodes=batch_active_mask(cctx.design, patches),
-        )
+        sim = restrict(cctx.design, [p for _, p in pending]).simulator(cctx.snapshot)
         disturbed = detect_disturbed_outputs(
             sim, cctx.post_stim, cctx.post_golden.outputs, self.config.detect_cycles
         )

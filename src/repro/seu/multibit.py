@@ -33,12 +33,12 @@ from repro.engine.sweep import SweepResult, resume_sweep, run_sweep
 from repro.engine.telemetry import CampaignTelemetry
 from repro.errors import CampaignError
 from repro.netlist.compiled import Patch
-from repro.netlist.simulator import BatchSimulator, settle_key
+from repro.netlist.cone import restrict
+from repro.netlist.simulator import settle_key
 from repro.place.flow import HardwareDesign
 from repro.seu.campaign import (
     CampaignConfig,
     CampaignContext,
-    batch_active_mask,
     build_context,
 )
 from repro.utils.rng import derive_rng
@@ -152,13 +152,7 @@ class MBUFaultModel(FaultModel):
 
     def observe_batch(self, ctx, pending: list[tuple[int, Patch]]) -> list[bool]:
         _, cctx, _ = ctx
-        patches = [p for _, p in pending]
-        sim = BatchSimulator(
-            cctx.design,
-            patches,
-            initial_values=cctx.snapshot,
-            active_nodes=batch_active_mask(cctx.design, patches),
-        )
+        sim = restrict(cctx.design, [p for _, p in pending]).simulator(cctx.snapshot)
         failed = detect_failures(
             sim,
             cctx.post_stim,

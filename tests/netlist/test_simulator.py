@@ -199,7 +199,6 @@ class TestPatchRangeChecks:
         sim = BatchSimulator(d, [Patch(), Patch()])
         with pytest.raises(NetlistError, match="outputs node"):
             sim._apply_patch(0, Patch(outputs=[(0, d.n_nodes)]))
-        assert not sim._broken[0]
         np.testing.assert_array_equal(sim.output_nodes[0], d.output_nodes)
 
 
@@ -279,22 +278,6 @@ class TestInitialValues:
         d = _lfsr4()
         with pytest.raises(NetlistError):
             BatchSimulator(d, initial_values=np.zeros(3, dtype=np.uint8))
-
-
-class TestActiveNodes:
-    def test_pruned_run_matches_full_run(self):
-        d = _lfsr4()
-        stim = np.zeros((20, 0), dtype=np.uint8)
-        g = BatchSimulator.golden_trace(d, stim)
-        mask = np.ones(d.n_nodes, dtype=bool)  # full mask: must be identical
-        sim = BatchSimulator(d, active_nodes=mask)
-        outs = sim.run(stim)
-        assert np.array_equal(outs[:, 0, :], g.outputs)
-
-    def test_bad_mask_shape_rejected(self):
-        d = _lfsr4()
-        with pytest.raises(NetlistError):
-            BatchSimulator(d, active_nodes=np.ones(2, dtype=bool))
 
 
 #: row ``p`` holds the operands (op0, op1, op2, op3) of LUT address ``p``

@@ -290,3 +290,33 @@ class TestOneImplementPerJob:
         assert rc == 0
         assert len(implement_calls) == 2
         assert len(set(implement_calls)) == 2  # variant 0 and variant 1
+
+
+class TestClosedStdout:
+    def test_reader_gone_exits_nonzero_without_traceback(self):
+        """``repro ... | head -1``: the reader may close the pipe before
+        the command prints; the CLI must fail quietly, not with a
+        ``BrokenPipeError`` traceback."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child can print anything
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "devices"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        # Exit 1 with nothing on stderr: no traceback, and no
+        # "Exception ignored ... BrokenPipeError" from the exit flush.
+        assert (proc.returncode, proc.stderr.decode()) == (1, "")

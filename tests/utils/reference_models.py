@@ -10,6 +10,11 @@ the kernel keep for that purpose:
 - ``build_context(..., fast_forward=False)``: the golden run and the
   warmup replay start from cycle 0.
 
+Every reference observes on the full design: the product models run
+each batch on its closure (:func:`repro.netlist.cone.restrict`), so the
+matrices built on these references check that code against code that
+does not use it.
+
 :func:`reference_model` turns a product model into its reference for
 one ``(collapse, retire)`` combination.  A reference has the product
 model's fields and :meth:`~repro.engine.model.FaultModel.key`, so
@@ -38,9 +43,8 @@ from repro.seu.campaign import (
     SEUFaultModel,
     _checkpoint_model,
     _from_sweep,
-    batch_active_mask,
+    _verdict_codes,
     build_context,
-    simulate_batch,
 )
 from repro.seu.multibit import MBUFaultModel
 
@@ -52,7 +56,18 @@ class UncollapsedSEUModel(SEUFaultModel):
 class UnretiredSEUModel(SEUFaultModel):
     def observe_batch(self, ctx, pending):
         _, cctx = ctx
-        return simulate_batch(self.config, cctx, pending, retire=False)
+        config = self.config
+        sim = BatchSimulator(
+            cctx.design, [p for _, p in pending], initial_values=cctx.snapshot
+        )
+        verdicts = sim.run_verdicts(
+            cctx.post_stim,
+            cctx.post_golden,
+            config.detect_cycles,
+            config.persist_cycles if config.classify_persistence else 0,
+            config.converge_run,
+        )
+        return _verdict_codes(config, verdicts)
 
 
 class NaiveSEUModel(UnretiredSEUModel):
@@ -84,12 +99,8 @@ class NaiveMBUModel(MBUFaultModel):
 
     def observe_batch(self, ctx, pending):
         _, cctx, _ = ctx
-        patches = [p for _, p in pending]
         sim = BatchSimulator(
-            cctx.design,
-            patches,
-            initial_values=cctx.snapshot,
-            active_nodes=batch_active_mask(cctx.design, patches),
+            cctx.design, [p for _, p in pending], initial_values=cctx.snapshot
         )
         failed = detect_failures(
             sim,
