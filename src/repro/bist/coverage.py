@@ -29,9 +29,8 @@ from repro.bist.patterns import clb_test_design
 from repro.engine.cache import implemented_design
 from repro.engine.detect import detect_failures
 from repro.engine.model import CODE_NOT_TESTED, CODE_SKIP_STRUCTURAL, FaultModel
-from repro.engine.sweep import SweepResult, resume_sweep, run_sweep
+from repro.engine.sweep import SweepResult, run_sweep
 from repro.engine.telemetry import CampaignTelemetry
-from repro.errors import CampaignError
 from repro.fpga.device import VirtexDevice
 from repro.netlist.compiled import Patch
 from repro.netlist.cone import restrict
@@ -200,15 +199,5 @@ def run_coverage(
     restarts from (``resume=True``).
     """
     model = BistCoverageModel(device.name, tuple(faults), n_register_pairs, cycles)
-    if resume:
-        if checkpoint_path is None:
-            raise CampaignError("resume requires a checkpoint path")
-        sweep = resume_sweep(model, checkpoint_path, jobs=jobs, batch_size=batch_size)
-    else:
-        sweep = run_sweep(
-            model,
-            jobs=jobs,
-            batch_size=batch_size,
-            checkpoint_path=checkpoint_path,
-        )
+    sweep = run_sweep(model, jobs, checkpoint_path, resume=resume, batch_size=batch_size)
     return _report_from_sweep(model, sweep)

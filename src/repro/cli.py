@@ -82,13 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
             "'off' disables an inherited REPRO_RESULT_CACHE",
         )
 
-    def add_batch_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--batch-size", type=int, default=None, metavar="N",
-            help="survivors simulated per batch (default 128; a pure "
-            "performance setting — verdicts never depend on it)",
-        )
-
     def add_transport_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--executor", choices=("local", "tcp"), default=None, dest="transport",
@@ -112,6 +105,31 @@ def build_parser() -> argparse.ArgumentParser:
             "workers can `--connect @PATH` without knowing the port",
         )
 
+    def add_sweep_flags(p: argparse.ArgumentParser, jobs_default: int | None) -> None:
+        p.add_argument(
+            "--jobs", type=int, default=jobs_default, metavar="N",
+            help=f"worker processes for the sharded sweep (default: "
+            f"{jobs_default or 'all CPUs'}; 1 = serial; verdicts are "
+            "byte-identical for any N)",
+        )
+        p.add_argument(
+            "--checkpoint", metavar="PATH",
+            help="snapshot partial verdicts to PATH (.npz) so a killed sweep "
+            "can resume",
+        )
+        p.add_argument(
+            "--resume", action="store_true",
+            help="resume from --checkpoint instead of starting over",
+        )
+        p.add_argument(
+            "--batch-size", type=int, default=None, metavar="N",
+            help="survivors simulated per batch (default 128; a pure "
+            "performance setting — verdicts never depend on it)",
+        )
+        add_obs_flags(p)
+        add_resilience_flags(p)
+        add_transport_flags(p)
+
     sub.add_parser("devices", help="list the device catalog")
 
     p = sub.add_parser("implement", help="place/route/bitgen one design")
@@ -124,28 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detect-cycles", type=int, default=96)
     p.add_argument("--persist-cycles", type=int, default=64)
     p.add_argument("--stride", type=int, default=1, help="test every k-th bit")
-    p.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for the sharded sweep (default: all CPUs; "
-        "1 = serial; verdicts are byte-identical for any N)",
-    )
     p.add_argument("--save-map", metavar="PATH", help="save the sensitivity map (.npz)")
-    p.add_argument(
-        "--checkpoint", metavar="PATH",
-        help="snapshot partial results to PATH (.npz) so a killed sweep can resume",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="resume from --checkpoint instead of starting over",
-    )
     p.add_argument(
         "--checkpoint-every", type=int, default=50_000,
         help="simulated survivors between snapshots (at least one per shard)",
     )
-    add_batch_flag(p)
-    add_obs_flags(p)
-    add_resilience_flags(p)
-    add_transport_flags(p)
+    add_sweep_flags(p, jobs_default=None)
 
     p = sub.add_parser(
         "multibit", help="k-bit simultaneous-upset (MBU) campaign on one design"
@@ -165,22 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stride", type=int, default=13,
         help="stride of the sensitivity-measuring campaign",
     )
-    p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (results are identical for any N)",
-    )
-    p.add_argument(
-        "--checkpoint", metavar="PATH",
-        help="snapshot partial trial verdicts to PATH (.npz)",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="resume from --checkpoint instead of starting over",
-    )
-    add_batch_flag(p)
-    add_obs_flags(p)
-    add_resilience_flags(p)
-    add_transport_flags(p)
+    add_sweep_flags(p, jobs_default=1)
 
     p = sub.add_parser(
         "bist-coverage", help="hard-fault coverage of the CLB BIST configurations"
@@ -191,22 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cycles", type=int, default=128)
     p.add_argument("--register-pairs", type=int, default=4)
-    p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (the report is identical for any N)",
-    )
-    p.add_argument(
-        "--checkpoint", metavar="PATH",
-        help="snapshot partial fault verdicts to PATH (.npz)",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="resume from --checkpoint instead of starting over",
-    )
-    add_batch_flag(p)
-    add_obs_flags(p)
-    add_resilience_flags(p)
-    add_transport_flags(p)
+    add_sweep_flags(p, jobs_default=1)
 
     p = sub.add_parser("table1", help="reproduce Table I on scaled designs")
     p.add_argument("--device", default="S12")
@@ -376,24 +348,21 @@ def _cmd_implement(args: argparse.Namespace) -> int:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro import CampaignConfig, get_design, run_campaign
     from repro.engine import implemented_design
-    from repro.errors import CampaignError
     from repro.seu import SensitivityMap, format_table1, resume_campaign, table1_row
 
     run_opts = dict(jobs=args.jobs, checkpoint_every=args.checkpoint_every)
+    batch = {} if args.batch_size is None else {"batch_size": args.batch_size}
     # Through the engine's design cache, so the sweep's context build
     # reuses this implementation instead of redoing it.
     hw = implemented_design(get_design(args.design), args.device)
     if args.resume:
-        if not args.checkpoint:
-            raise CampaignError("--resume requires --checkpoint PATH")
-        result = resume_campaign(hw, args.checkpoint, **run_opts)
+        result = resume_campaign(hw, args.checkpoint, **batch, **run_opts)
     else:
-        cfg_extra = {} if args.batch_size is None else {"batch_size": args.batch_size}
         config = CampaignConfig(
             detect_cycles=args.detect_cycles,
             persist_cycles=args.persist_cycles,
             stride=args.stride,
-            **cfg_extra,
+            **batch,
         )
         result = run_campaign(hw, config, checkpoint_path=args.checkpoint, **run_opts)
     print(result.summary())
@@ -653,34 +622,41 @@ _COMMANDS = {
 }
 
 
+#: command-line dest -> :class:`~repro.engine.executor.ExecutorPolicy`
+#: field, for the flags a command was given (set and not false)
+_POLICY_ARGS = {
+    "chaos": "chaos",
+    "allow_partial": "allow_partial",
+    "shard_attempts": "max_attempts",
+    "transport": "transport",
+    "listen": "listen",
+    "announce": "announce",
+    "workers": "min_workers",
+}
+
+
 def main(argv: list[str] | None = None) -> int:
+    from contextlib import nullcontext
+
+    from repro.engine.cache import result_cache_scope
     from repro.engine.chaos import ChaosPolicy
     from repro.engine.executor import executor_policy
     from repro.errors import ReproError
     from repro.obs import observe
 
     args = build_parser().parse_args(argv)
-    overrides: dict = {}
-    if getattr(args, "chaos", None):
+    overrides = {
+        field: value
+        for dest, field in _POLICY_ARGS.items()
+        if (value := getattr(args, dest, None)) is not None and value is not False
+    }
+    if "chaos" in overrides:
         try:
-            overrides["chaos"] = ChaosPolicy.parse(args.chaos)
+            overrides["chaos"] = ChaosPolicy.parse(overrides["chaos"])
         except ReproError as err:
             print(f"repro: error: {err}", file=sys.stderr)
             return 2
-    if getattr(args, "allow_partial", False):
-        overrides["allow_partial"] = True
-    if getattr(args, "shard_attempts", None) is not None:
-        overrides["max_attempts"] = args.shard_attempts
-    if getattr(args, "transport", None):
-        overrides["transport"] = args.transport
-    if getattr(args, "listen", None):
-        overrides["listen"] = args.listen
-    if getattr(args, "announce", None):
-        overrides["announce"] = args.announce
-    if getattr(args, "workers", None):
-        overrides["min_workers"] = args.workers
-    if getattr(args, "result_cache", None) is not None:
-        overrides["result_cache"] = args.result_cache
+    cache_dir = getattr(args, "result_cache", None)
     if getattr(args, "transport", None) == "tcp" and getattr(args, "jobs", 0) in (None, 1):
         # A TCP campaign must take the sharded path (jobs picks the shard
         # count, not a local pool size); never let the serial default
@@ -690,13 +666,16 @@ def main(argv: list[str] | None = None) -> int:
         # Commands without --trace/--progress fall through as a no-op
         # observe() scope (null tracer, null progress); likewise the
         # executor_policy scope is the ambient default without
-        # --chaos/--allow-partial/--shard-attempts.
+        # --chaos/--allow-partial/--shard-attempts, and without
+        # --result-cache the inherited REPRO_RESULT_CACHE stands.
         with observe(
             getattr(args, "trace", None),
             getattr(args, "progress", False),
             label=args.command,
             resumed=bool(getattr(args, "resume", False)),
-        ), executor_policy(**overrides):
+        ), executor_policy(**overrides), (
+            nullcontext() if cache_dir is None else result_cache_scope(cache_dir)
+        ):
             rc = _COMMANDS[args.command](args)
             sys.stdout.flush()
             return rc

@@ -77,7 +77,6 @@ from repro.engine.sweep import (
     default_jobs,
     load_sweep,
     merge_sweeps,
-    resume_sweep,
     run_serial,
     run_sharded,
     run_sweep,
@@ -105,7 +104,6 @@ __all__ = [
     "run_serial",
     "run_sharded",
     "run_sweep",
-    "resume_sweep",
     "merge_sweeps",
     "save_sweep",
     "load_sweep",

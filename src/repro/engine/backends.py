@@ -405,18 +405,10 @@ class LocalPoolBackend:
 
 
 def make_backend(
-    spec: "ExecutorBackend | str | None",
-    policy: "ExecutorPolicy",
-    jobs: int,
-    pool: Executor | None = None,
+    policy: "ExecutorPolicy", jobs: int, pool: Executor | None = None
 ) -> "ExecutorBackend":
-    """Resolve a backend choice: an instance is used as-is, a name is
-    constructed from ``policy``, ``None`` falls back to
-    ``policy.transport`` (default ``"local"``)."""
-    if spec is None:
-        spec = policy.transport
-    if not isinstance(spec, str):
-        return spec
+    """The backend ``policy.transport`` names, configured from ``policy``."""
+    spec = policy.transport
     if spec == "local":
         return LocalPoolBackend(jobs, pool=pool)
     if spec == "tcp":
@@ -425,7 +417,6 @@ def make_backend(
         return TcpBackend(
             policy.listen or "127.0.0.1:0",
             min_workers=policy.min_workers or 1,
-            worker_timeout_s=policy.worker_timeout_s,
             join_timeout_s=policy.join_timeout_s,
             announce=policy.announce,
         )

@@ -65,21 +65,17 @@ import itertools
 import random
 import time
 from concurrent.futures import Executor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.engine.cache import result_cache, result_cache_scope
+from repro.engine.cache import result_cache
 from repro.engine.backends import (
-    ExecutorBackend,
     TaskDone,
     TaskFailed,
     WorkerJoined,
     WorkerLeft,
     WorkersLost,
-    _hard_shutdown,  # noqa: F401 - re-exported for compatibility
-    _run_task,  # noqa: F401 - re-exported for compatibility (pickled by tests)
-    _worker_pids,  # noqa: F401 - re-exported for compatibility
     make_backend,
 )
 from repro.engine.chaos import ChaosPolicy
@@ -123,17 +119,14 @@ class ExecutorPolicy:
     ``announce`` a file the bound address is written to (workers
     connect with ``@FILE``); ``min_workers`` how many workers must have
     joined before the first shard is dispatched (late joiners beyond
-    that steal work whenever they arrive); ``worker_timeout_s`` the
-    heartbeat silence after which a worker is declared lost and its
-    in-flight shards requeued; ``join_timeout_s`` how long to wait for
-    ``min_workers``.
+    that steal work whenever they arrive); ``join_timeout_s`` how long
+    to wait for ``min_workers``.
 
-    ``result_cache`` ``None`` inherits ``REPRO_RESULT_CACHE``, a
-    directory enables the content-addressed result store there, and the
-    string ``"off"`` disables an inherited one.  :func:`executor_policy`
-    exports it as an environment variable so every worker the scope
-    spawns — fork or spawn pools and ``repro worker`` children alike —
-    sees the same store.
+    The result store is no policy field: it is the
+    ``REPRO_RESULT_CACHE`` environment variable
+    (:func:`~repro.engine.cache.result_cache_scope`), which fork and
+    spawn pools, ``repro worker`` children and service job processes
+    all inherit.
     """
 
     max_attempts: int = 3
@@ -142,8 +135,6 @@ class ExecutorPolicy:
     backoff_seed: int | None = None
     speculate: bool = True
     speculate_after_s: float | None = None  # absolute stall ceiling (None: tracker only)
-    straggler_factor: float = 4.0
-    min_samples: int = 3
     heartbeat_interval_s: float = 2.0
     hang_timeout_s: float | None = None  # quarantine ceiling for hung tasks (None: never)
     allow_partial: bool = False
@@ -153,9 +144,7 @@ class ExecutorPolicy:
     listen: str | None = None
     announce: str | None = None
     min_workers: int = 0
-    worker_timeout_s: float = 30.0
     join_timeout_s: float = 60.0
-    result_cache: str | None = None
 
 
 DEFAULT_POLICY = ExecutorPolicy()
@@ -170,11 +159,7 @@ def get_executor_policy() -> ExecutorPolicy:
 
 @contextmanager
 def executor_policy(policy: ExecutorPolicy | None = None, **overrides: Any):
-    """Install ``policy`` (or the default with ``overrides``) for a scope.
-
-    ``result_cache`` is exported as an environment variable for the
-    scope when set, so worker processes launched inside it inherit it.
-    """
+    """Install ``policy`` (or the default with ``overrides``) for a scope."""
     global _policy
     new = policy if policy is not None else DEFAULT_POLICY
     if overrides:
@@ -182,10 +167,7 @@ def executor_policy(policy: ExecutorPolicy | None = None, **overrides: Any):
     previous = _policy
     _policy = new
     try:
-        with (
-            nullcontext() if new.result_cache is None else result_cache_scope(new.result_cache)
-        ):
-            yield new
+        yield new
     finally:
         _policy = previous
 
@@ -250,10 +232,8 @@ class ShardExecutor:
     With an external ``pool`` the executor never rebuilds or shuts it
     down (a synchronous test executor or a caller-shared pool keeps its
     historical semantics): a ``BrokenProcessPool`` there is re-raised
-    as a :class:`CampaignError`.  ``backend`` overrides the transport
-    entirely — an :class:`~repro.engine.backends.ExecutorBackend`
-    instance is used (and closed) as-is, a name is resolved against the
-    policy's transport block.
+    as a :class:`CampaignError`.  ``policy.transport`` picks the
+    backend (:func:`~repro.engine.backends.make_backend`).
     """
 
     def __init__(
@@ -261,11 +241,10 @@ class ShardExecutor:
         jobs: int,
         policy: ExecutorPolicy | None = None,
         pool: Executor | None = None,
-        backend: ExecutorBackend | str | None = None,
     ):
         self.jobs = int(jobs)
         self.policy = policy if policy is not None else get_executor_policy()
-        self.backend = make_backend(backend, self.policy, self.jobs, pool)
+        self.backend = make_backend(self.policy, self.jobs, pool)
         self._rng = random.Random(self.policy.backoff_seed)
         self._seq = itertools.count()
         self._sids: dict[int, tuple[_Task, bool]] = {}  # sid -> (task, speculative)
@@ -350,8 +329,6 @@ class ShardExecutor:
             progress,
             kind=phase,
             interval=policy.heartbeat_interval_s,
-            straggler_factor=policy.straggler_factor,
-            min_samples=policy.min_samples,
         )
         self._known_census = frozenset()  # re-announce workers per phase
         self._phase = phase

@@ -100,7 +100,6 @@ __all__ = [
     "run_serial",
     "run_sharded",
     "run_sweep",
-    "resume_sweep",
     "merge_sweeps",
     "save_sweep",
     "load_sweep",
@@ -669,22 +668,18 @@ def run_sharded(
     executor=None,
     shards_per_job: int = 4,
     policy: ExecutorPolicy | None = None,
-    backend=None,
     context: Any | None = None,
 ) -> SweepResult:
     """Exhaustive sweep of one fault model, byte-identical for any ``jobs``.
 
     ``jobs=None`` uses every CPU (:func:`default_jobs`).  ``jobs=1``
-    without an external executor, a backend or a non-local transport
-    runs every task in this process, in order — no executor, pickling
-    or retry — reusing the pre-filter's survivor patches; otherwise
-    tasks go through a :class:`ShardExecutor`.  An external
-    ``executor`` (e.g. a shared pool) is used as-is and not shut down.
-    ``backend`` overrides the transport: an
-    :class:`~repro.engine.backends.ExecutorBackend` instance is used
-    directly, a name (``"local"``/``"tcp"``) is resolved against the
-    policy's transport block (also the default, so ``--executor tcp``
-    reaches here ambiently).  ``context`` is a prebuilt
+    without an external executor or a non-local transport runs every
+    task in this process, in order — no executor, pickling or retry —
+    reusing the pre-filter's survivor patches; otherwise tasks go
+    through a :class:`ShardExecutor`.  An external ``executor`` (e.g. a
+    shared pool) is used as-is and not shut down.  ``policy.transport``
+    picks the transport (``--executor tcp`` reaches here ambiently).
+    ``context`` is a prebuilt
     :meth:`FaultModel.build_context` result for this process.
 
     With ``checkpoint_save`` the driver hands partial
@@ -723,9 +718,7 @@ def run_sharded(
     if candidates is None:
         candidates = model.enumerate_candidates()
     candidates = np.asarray(candidates, dtype=np.int64)
-    pooled = not (
-        jobs == 1 and executor is None and backend is None and policy.transport == "local"
-    )
+    pooled = not (jobs == 1 and executor is None and policy.transport == "local")
 
     # Whole-sweep result cache: consulted *before* the context build so
     # a warm repeat skips even the golden simulation.  Resume merges
@@ -764,7 +757,7 @@ def run_sharded(
         telem.machine_cycles_saved += kd[1]
         telem.ff_cycles_skipped += kd[2]
 
-    shard_exec = ShardExecutor(jobs, policy, pool=executor, backend=backend) if pooled else None
+    shard_exec = ShardExecutor(jobs, policy, pool=executor) if pooled else None
     if shard_exec is not None:
         # Register the pickled model with the transport once; every task
         # carries only the returned ref (a content address for backends
@@ -1046,14 +1039,22 @@ def run_sweep(
     model: FaultModel,
     jobs: int | None = 1,
     checkpoint_path: str | None = None,
+    *,
+    resume: bool = False,
     **kwargs: Any,
 ) -> SweepResult:
     """Run a sweep with the engine's checkpoint format.
 
     The entry point every fault model's adapter goes through:
-    ``checkpoint_path`` snapshots :func:`save_sweep` archives that
-    :func:`resume_sweep` restarts from; ``jobs`` and every keyword
-    argument are :func:`run_sharded`'s.
+    ``checkpoint_path`` snapshots :func:`save_sweep` archives; ``jobs``
+    and every other keyword argument are :func:`run_sharded`'s.
+
+    ``resume=True`` restarts an interrupted sweep from the archive at
+    ``checkpoint_path`` (required): the archive must be this model's,
+    and only its remaining candidates are swept, checkpointing to the
+    same file.  No verdict depends on which candidates share a batch,
+    so the merged result is byte-identical to a never-killed sweep, for
+    any worker count or batch size on either side.
     """
     checkpoint_cb = None
     if checkpoint_path is not None:
@@ -1061,32 +1062,23 @@ def run_sweep(
         def checkpoint_cb(sweep: SweepResult) -> None:
             save_sweep(sweep, checkpoint_path)
 
+    if resume:
+        part = _load_checkpoint(checkpoint_path)
+        if part.model_key != model.key():
+            raise CampaignError(
+                f"checkpoint {checkpoint_path!r} is for {part.model_key!r}, "
+                f"not {model.key()!r}"
+            )
+        candidates = np.asarray(model.enumerate_candidates(), dtype=np.int64)
+        remaining = np.setdiff1d(candidates, part.candidate_ids)
+        if remaining.size == 0:
+            return part
+        kwargs.update(candidates=remaining, merge_with=part)
     return run_sharded(model, jobs=jobs, checkpoint_save=checkpoint_cb, **kwargs)
 
 
-def resume_sweep(model: FaultModel, checkpoint_path: str, **kwargs: Any) -> SweepResult:
-    """Resume an interrupted sweep from a :func:`save_sweep` checkpoint.
-
-    No verdict depends on which candidates share a batch, so the
-    merged result is byte-identical to a never-killed sweep, for any
-    worker count on either side — also from checkpoints whose cuts
-    follow an older batching plan.  Keyword arguments are
-    :func:`run_sweep`'s.
-    """
-    part = load_sweep(checkpoint_path)
-    if part.model_key != model.key():
-        raise CampaignError(
-            f"checkpoint {checkpoint_path!r} is for {part.model_key!r}, "
-            f"not {model.key()!r}"
-        )
-    candidates = np.asarray(model.enumerate_candidates(), dtype=np.int64)
-    remaining = np.setdiff1d(candidates, part.candidate_ids)
-    if remaining.size == 0:
-        return part
-    return run_sweep(
-        model,
-        candidates=remaining,
-        checkpoint_path=checkpoint_path,
-        merge_with=part,
-        **kwargs,
-    )
+def _load_checkpoint(checkpoint_path: str | None) -> SweepResult:
+    """The archive a resume continues from; a resume needs its path."""
+    if checkpoint_path is None:
+        raise CampaignError("resume requires a checkpoint path")
+    return load_sweep(checkpoint_path)

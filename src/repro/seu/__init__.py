@@ -19,7 +19,6 @@ from repro.seu.campaign import (
     CampaignTelemetry,
     HalfLatchFaultModel,
     SEUFaultModel,
-    merge_results,
     resume_campaign,
     run_campaign,
     run_halflatch_campaign,
@@ -49,7 +48,6 @@ __all__ = [
     "run_campaign",
     "run_halflatch_campaign",
     "run_halflatch_sweep",
-    "merge_results",
     "resume_campaign",
     "MultiBitResult",
     "run_multibit_campaign",

@@ -61,7 +61,7 @@ from repro.engine.model import (
     CODE_SKIP_CONE,
     FaultModel,
 )
-from repro.engine.sweep import SweepResult, load_sweep, resume_sweep, run_sweep
+from repro.engine.sweep import SweepResult, _load_checkpoint, run_sweep
 from repro.engine.telemetry import CampaignTelemetry
 from repro.errors import CampaignError
 from repro.fpga.resources import ResourceKind
@@ -90,7 +90,6 @@ __all__ = [
     "run_campaign",
     "run_halflatch_campaign",
     "run_halflatch_sweep",
-    "merge_results",
     "resume_campaign",
 ]
 
@@ -573,7 +572,7 @@ def _checkpoint_model(hw: HardwareDesign, checkpoint_path: str) -> SEUFaultModel
     (:meth:`SEUFaultModel.key`), so a resume needs no flags;
     ``batch_size`` is in no key and comes back as the default.
     """
-    key = load_sweep(checkpoint_path).model_key
+    key = _load_checkpoint(checkpoint_path).model_key
     prefix = f"seu:{hw.spec.name}:{hw.device.name}:"
     if not key.startswith(prefix):
         raise CampaignError(
@@ -591,82 +590,24 @@ def _checkpoint_model(hw: HardwareDesign, checkpoint_path: str) -> SEUFaultModel
 
 
 def resume_campaign(
-    hw: HardwareDesign,
-    checkpoint_path: str,
-    checkpoint_every: int = 50_000,
-    jobs: int | None = 1,
-    executor: Executor | None = None,
-    shards_per_job: int = 4,
+    hw: HardwareDesign, checkpoint_path: str, **run_settings: Any
 ) -> CampaignResult:
     """Resume an interrupted campaign from its checkpoint.
 
-    Takes the config from the checkpoint (:func:`_checkpoint_model`),
-    skips every bit that already has a verdict, runs the remainder
-    (checkpointing to the same file as it goes), and merges.  No verdict
-    depends on which bits share a batch, so the merged result is
-    identical to a never-killed sweep, whatever ``jobs`` either run
-    used.
+    Takes the config from the checkpoint (:func:`_checkpoint_model`)
+    and resumes it with :func:`~repro.engine.sweep.run_sweep`, whose
+    keywords ``run_settings`` are (``jobs``, ``batch_size``,
+    ``checkpoint_every``, ``executor``, ``shards_per_job``): every bit
+    that already has a verdict is skipped, the remainder runs
+    (checkpointing to the same file as it goes), and the two merge.  No
+    verdict depends on which bits share a batch, so the merged result
+    is identical to a never-killed sweep, whatever run settings either
+    run used.
     """
     prime_design_cache(hw)
     model = _checkpoint_model(hw, checkpoint_path)
-    sweep = resume_sweep(
-        model,
-        checkpoint_path,
-        jobs=jobs,
-        batch_size=model.config.batch_size,
-        checkpoint_every=checkpoint_every,
-        executor=executor,
-        shards_per_job=shards_per_job,
-    )
+    sweep = run_sweep(model, checkpoint_path=checkpoint_path, resume=True, **run_settings)
     return _from_sweep(hw, model.config, sweep)
-
-
-def merge_results(parts: list[CampaignResult]) -> CampaignResult:
-    """Combine campaigns over disjoint candidate sets into one result.
-
-    Supports chunked or parallel execution: split the bit space, run
-    each chunk (possibly in separate processes), merge.  Configurations
-    must match; candidate sets must not overlap.
-    """
-    if not parts:
-        raise CampaignError("nothing to merge")
-    first = parts[0]
-    verdicts = first.verdicts.copy()
-    candidates = [first.candidate_bits]
-    seen = set(int(b) for b in first.candidate_bits)
-    n_sim = first.n_simulated
-    host = first.host_seconds
-    by_kind: dict[ResourceKind, int] = dict(first.by_kind)
-    for part in parts[1:]:
-        if part.design_name != first.design_name or part.device_name != first.device_name:
-            raise CampaignError("cannot merge campaigns of different designs")
-        if part.config != first.config:
-            raise CampaignError("cannot merge campaigns with different configs")
-        overlap = seen.intersection(int(b) for b in part.candidate_bits)
-        if overlap:
-            raise CampaignError(
-                f"candidate sets overlap ({len(overlap)} bits, e.g. {min(overlap)})"
-            )
-        seen.update(int(b) for b in part.candidate_bits)
-        mask = part.verdicts != BitVerdict.NOT_TESTED
-        verdicts[mask] = part.verdicts[mask]
-        candidates.append(part.candidate_bits)
-        n_sim += part.n_simulated
-        host += part.host_seconds
-        for kind, n in part.by_kind.items():
-            by_kind[kind] = by_kind.get(kind, 0) + n
-    merged_bits = np.sort(np.concatenate(candidates))
-    return CampaignResult(
-        design_name=first.design_name,
-        device_name=first.device_name,
-        config=first.config,
-        n_candidates=int(merged_bits.size),
-        verdicts=verdicts,
-        candidate_bits=merged_bits,
-        by_kind=by_kind,
-        host_seconds=host,
-        n_simulated=n_sim,
-    )
 
 
 # -- the half-latch fault model ------------------------------------------------
@@ -771,20 +712,8 @@ def run_halflatch_sweep(
         config,
         None if nodes is None else tuple(int(n) for n in np.asarray(nodes).ravel()),
     )
-    if resume:
-        if checkpoint_path is None:
-            raise CampaignError("resume requires a checkpoint path")
-        return resume_sweep(
-            model,
-            checkpoint_path,
-            jobs=jobs,
-            batch_size=config.batch_size,
-        )
     return run_sweep(
-        model,
-        jobs=jobs,
-        batch_size=config.batch_size,
-        checkpoint_path=checkpoint_path,
+        model, jobs, checkpoint_path, resume=resume, batch_size=config.batch_size
     )
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from repro.engine.cache import implemented_design, prime_design_cache
 from repro.engine.detect import detect_disturbed_outputs
 from repro.engine.model import CODE_FAIL, CODE_NO_EFFECT, FaultModel
-from repro.engine.sweep import resume_sweep, run_sweep
+from repro.engine.sweep import run_sweep
 from repro.engine.telemetry import CampaignTelemetry
 from repro.errors import CampaignError
 from repro.netlist.compiled import Patch
@@ -182,19 +182,9 @@ def build_correlation_table(
         bits = bits[:max_bits]
     prime_design_cache(hw)
     model = CorrelationFaultModel(hw.spec, hw.device.name, config, tuple(bits))
-    if resume:
-        if checkpoint_path is None:
-            raise CampaignError("resume requires a checkpoint path")
-        sweep = resume_sweep(
-            model, checkpoint_path, jobs=jobs, batch_size=config.batch_size
-        )
-    else:
-        sweep = run_sweep(
-            model,
-            jobs=jobs,
-            batch_size=config.batch_size,
-            checkpoint_path=checkpoint_path,
-        )
+    sweep = run_sweep(
+        model, jobs, checkpoint_path, resume=resume, batch_size=config.batch_size
+    )
     table = OutputCorrelation(
         n_outputs=hw.decoded.design.n_outputs, telemetry=sweep.telemetry
     )

@@ -29,7 +29,7 @@ import numpy as np
 from repro.engine.cache import implemented_design, prime_design_cache
 from repro.engine.detect import detect_failures
 from repro.engine.model import CODE_FAIL, CODE_NO_EFFECT, FaultModel
-from repro.engine.sweep import SweepResult, resume_sweep, run_sweep
+from repro.engine.sweep import run_sweep
 from repro.engine.telemetry import CampaignTelemetry
 from repro.errors import CampaignError
 from repro.netlist.compiled import Patch
@@ -195,22 +195,9 @@ def run_multibit_campaign(
     config = config or CampaignConfig()
     prime_design_cache(hw)
     model = MBUFaultModel(hw.spec, hw.device.name, config, k, n_trials, seed)
-    if resume:
-        if checkpoint_path is None:
-            raise CampaignError("resume requires a checkpoint path")
-        sweep: SweepResult = resume_sweep(
-            model,
-            checkpoint_path,
-            jobs=jobs,
-            batch_size=config.batch_size,
-        )
-    else:
-        sweep = run_sweep(
-            model,
-            jobs=jobs,
-            batch_size=config.batch_size,
-            checkpoint_path=checkpoint_path,
-        )
+    sweep = run_sweep(
+        model, jobs, checkpoint_path, resume=resume, batch_size=config.batch_size
+    )
     return MultiBitResult(
         k,
         n_trials,

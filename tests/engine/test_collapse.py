@@ -24,7 +24,6 @@ from repro.engine import (
     CODE_SKIP_STRUCTURAL,
     FaultModel,
     load_sweep,
-    resume_sweep,
     run_serial,
     run_sharded,
     run_sweep,
@@ -269,7 +268,9 @@ class TestResumeUnderCollapse:
         )
         part = load_sweep(path)
         assert 0 < part.n_candidates < serial.n_candidates
-        resumed = resume_sweep(CollapsingToyModel(keyed=True), path, batch_size=16)
+        resumed = run_sweep(
+            CollapsingToyModel(keyed=True), checkpoint_path=path, resume=True, batch_size=16
+        )
         assert_identical(resumed, serial)
 
     @pytest.mark.parametrize("resume_cls", [CollapsingToyModel, NaiveToyModel])
@@ -283,7 +284,8 @@ class TestResumeUnderCollapse:
         )
         part = load_sweep(path)
         assert 0 < part.n_candidates < serial.n_candidates
-        resumed = resume_sweep(
-            resume_cls(keyed=True), path, jobs=2, batch_size=16, executor=InlineExecutor()
+        resumed = run_sweep(
+            resume_cls(keyed=True), checkpoint_path=path, resume=True,
+            jobs=2, batch_size=16, executor=InlineExecutor(),
         )
         assert_identical(resumed, serial)

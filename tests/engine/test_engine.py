@@ -30,7 +30,6 @@ from repro.engine import (
     run_serial,
     run_sharded,
     run_sweep,
-    resume_sweep,
     save_sweep,
     shard_survivors,
 )
@@ -289,7 +288,7 @@ class TestResume:
         self._killed_run(monkeypatch, path, die_after=2, checkpoint_every=32)
         part = load_sweep(path)
         assert 0 < part.n_candidates < serial_result.n_candidates
-        resumed = resume_sweep(ToyModel(), path, batch_size=16)
+        resumed = run_sweep(ToyModel(), checkpoint_path=path, resume=True, batch_size=16)
         assert_identical(resumed, serial_result)
 
     @pytest.mark.parametrize("resume_jobs", [1, 2])
@@ -304,8 +303,8 @@ class TestResume:
         )
         part = load_sweep(path)
         assert 0 < part.n_candidates < serial_result.n_candidates
-        resumed = resume_sweep(
-            ToyModel(), path, jobs=resume_jobs, batch_size=16,
+        resumed = run_sweep(
+            ToyModel(), checkpoint_path=path, resume=True, jobs=resume_jobs, batch_size=16,
             executor=InlineExecutor() if resume_jobs > 1 else None,
         )
         assert_identical(resumed, serial_result)
@@ -313,11 +312,17 @@ class TestResume:
     def test_resume_of_complete_run(self, serial_result, tmp_path):
         path = str(tmp_path / "done.npz")
         run_sweep(ToyModel(), batch_size=16, checkpoint_path=path)
-        resumed = resume_sweep(ToyModel(), path, batch_size=16)
+        resumed = run_sweep(ToyModel(), checkpoint_path=path, resume=True, batch_size=16)
         assert_identical(resumed, serial_result)
 
     def test_wrong_model_rejected(self, tmp_path):
         path = str(tmp_path / "toy.npz")
         run_sweep(ToyModel(), batch_size=16, checkpoint_path=path)
         with pytest.raises(CampaignError, match="is for"):
-            resume_sweep(ToyModel(n=300), path)
+            run_sweep(ToyModel(n=300), checkpoint_path=path, resume=True)
+
+    def test_resume_needs_an_existing_checkpoint(self, tmp_path):
+        with pytest.raises(CampaignError, match="^resume requires a checkpoint path$"):
+            run_sweep(ToyModel(), resume=True)
+        with pytest.raises(CampaignError, match="cannot load"):
+            run_sweep(ToyModel(), checkpoint_path=str(tmp_path / "absent.npz"), resume=True)

@@ -192,12 +192,9 @@ class TestTcpCache:
         self, mult_hw, tmp_path, kill_leftovers
     ):
         announce = str(tmp_path / "addr")
-        policy = _tcp_policy(
-            min_workers=2,
-            announce=announce,
-            result_cache=str(tmp_path / "cache"),
-        )
-        with executor_policy(policy):
+        policy = _tcp_policy(min_workers=2, announce=announce)
+        cache = str(tmp_path / "cache")
+        with executor_policy(policy), result_cache_scope(cache):
             # Spawned inside the scope so workers inherit the exported
             # REPRO_RESULT_CACHE and serve stolen shards locally.
             workers = [_spawn_worker(f"@{announce}", f"w{i}") for i in range(2)]
@@ -205,7 +202,7 @@ class TestTcpCache:
             cold = run_campaign(mult_hw, GOLDEN_CFG, jobs=2)
         assert_golden_verdicts("seu_verdicts", cold.verdicts)
 
-        with executor_policy(policy):
+        with executor_policy(policy), result_cache_scope(cache):
             workers = [_spawn_worker(f"@{announce}", f"w{i}") for i in range(2)]
             kill_leftovers.extend(workers)
             warm = run_campaign(mult_hw, GOLDEN_CFG, jobs=2)

@@ -20,7 +20,6 @@ import repro.engine.sweep as sweepmod
 from repro.engine import (
     CODE_NOT_TESTED,
     load_sweep,
-    resume_sweep,
     run_serial,
     run_sweep,
 )
@@ -197,8 +196,9 @@ class TestSnapshots:
         monkeypatch.setattr(sweepmod, "save_sweep", real_save)
         part = load_sweep(path)
         assert 0 < part.n_candidates < serial_result.n_candidates
-        resumed = resume_sweep(
-            ToyModel(), path, jobs=resume_jobs, batch_size=16, checkpoint_every=16,
+        resumed = run_sweep(
+            ToyModel(), checkpoint_path=path, resume=True,
+            jobs=resume_jobs, batch_size=16, checkpoint_every=16,
             executor=InlineExecutor() if resume_jobs > 1 else None,
         )
         assert_identical(resumed, serial_result)

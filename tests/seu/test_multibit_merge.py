@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from repro.engine import merge_sweeps, run_sweep
 from repro.errors import CampaignError
 from repro.seu import (
     CampaignConfig,
-    merge_results,
     run_campaign,
     run_multibit_campaign,
 )
+from repro.seu.campaign import SEUFaultModel, _from_sweep
 
 
 @pytest.fixture(scope="module")
@@ -56,13 +57,20 @@ class TestMultiBit:
         assert "independence" in res.summary()
 
 
+def seu_sweep(hw, cfg, bits):
+    """The engine sweep of an SEU campaign over ``bits``."""
+    return run_sweep(SEUFaultModel(hw.spec, hw.device.name, cfg), candidates=bits)
+
+
 class TestMerge:
+    """Split SEU sweeps merge (:func:`merge_sweeps`) to the whole campaign."""
+
     def test_split_merge_equals_whole(self, mult_hw, cfg, single):
         n = mult_hw.device.block0_bits
         bits = np.arange(0, n, dtype=np.int64)
-        a = run_campaign(mult_hw, cfg, candidate_bits=bits[: n // 2])
-        b = run_campaign(mult_hw, cfg, candidate_bits=bits[n // 2 :])
-        merged = merge_results([a, b])
+        a = seu_sweep(mult_hw, cfg, bits[: n // 2])
+        b = seu_sweep(mult_hw, cfg, bits[n // 2 :])
+        merged = _from_sweep(mult_hw, cfg, merge_sweeps([a, b]))
         assert merged.n_candidates == single.n_candidates
         assert np.array_equal(merged.verdicts, single.verdicts)
         assert merged.sensitivity == single.sensitivity
@@ -70,10 +78,10 @@ class TestMerge:
 
     def test_overlap_rejected(self, mult_hw, cfg):
         bits = np.arange(0, 1000, dtype=np.int64)
-        a = run_campaign(mult_hw, cfg, candidate_bits=bits)
-        with pytest.raises(CampaignError):
-            merge_results([a, a])
+        a = seu_sweep(mult_hw, cfg, bits)
+        with pytest.raises(CampaignError, match="overlap"):
+            merge_sweeps([a, a])
 
     def test_empty_rejected(self):
-        with pytest.raises(CampaignError):
-            merge_results([])
+        with pytest.raises(CampaignError, match="nothing to merge"):
+            merge_sweeps([])

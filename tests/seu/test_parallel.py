@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 import repro.engine.sweep as sweepmod
-from repro.engine import load_sweep, shard_survivors
+from repro.engine import load_sweep, merge_sweeps, run_sweep, shard_survivors
 from repro.seu import (
     CampaignConfig,
-    merge_results,
     run_campaign,
     resume_campaign,
 )
+from repro.seu.campaign import SEUFaultModel, _from_sweep
 
 # Small batches so the ~500 simulated bits of MULT4/S8 span many
 # simulator batches and several shards per worker.
@@ -127,14 +127,14 @@ class TestMergeOrderIndependence:
     def test_merge_any_order(self, mult_hw, full_result):
         bits = full_result.candidate_bits
         cuts = [0, bits.size // 3, 2 * bits.size // 3, bits.size]
+        model = SEUFaultModel(mult_hw.spec, mult_hw.device.name, CFG)
         parts = [
-            run_campaign(mult_hw, CFG, candidate_bits=bits[a:b])
-            for a, b in zip(cuts[:-1], cuts[1:])
+            run_sweep(model, candidates=bits[a:b]) for a, b in zip(cuts[:-1], cuts[1:])
         ]
-        ab = merge_results(parts)
-        ba = merge_results(parts[::-1])
+        ab = _from_sweep(mult_hw, CFG, merge_sweeps(parts))
+        ba = _from_sweep(mult_hw, CFG, merge_sweeps(parts[::-1]))
         assert_identical(ab, ba)
-        assert np.array_equal(ab.candidate_bits, bits)
+        assert_identical(ab, full_result)
 
 
 class TestParallelResume:

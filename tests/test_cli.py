@@ -145,6 +145,40 @@ class TestCommands:
         resumed = capsys.readouterr().out
         assert first.splitlines()[0] == resumed.splitlines()[0]
 
+    def test_campaign_resume_runs_at_the_given_batch_size(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """``--batch-size`` reaches the sweep on resume too, not only on a
+        cold run; the resumed result still equals the uninterrupted one."""
+        from repro import CampaignConfig, get_design, run_campaign
+        from repro.engine import implemented_design
+        from repro.engine import sweep as sweep_mod
+        from repro.seu.campaign import SEUFaultModel
+
+        base = ["campaign", "LFSR1", "--device", "S8", "--stride", "17",
+                "--detect-cycles", "48", "--persist-cycles", "32", "--jobs", "1"]
+        assert main(base) == 0
+        whole = capsys.readouterr().out
+        config = CampaignConfig(detect_cycles=48, persist_cycles=32, stride=17)
+        hw = implemented_design(get_design("LFSR1"), "S8")
+        bits = SEUFaultModel(hw.spec, hw.device.name, config).enumerate_candidates()
+        path = str(tmp_path / "half.npz")
+        run_campaign(hw, config, candidate_bits=bits[::2], checkpoint_path=path)
+
+        seen = []
+        run_sharded = sweep_mod.run_sharded
+
+        def spy(model, *args, **kwargs):
+            seen.append(kwargs.get("batch_size"))
+            return run_sharded(model, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "run_sharded", spy)
+        rc = main(["campaign", "LFSR1", "--device", "S8", "--checkpoint", path,
+                   "--resume", "--batch-size", "16", "--jobs", "1"])
+        assert rc == 0
+        assert seen == [16]
+        assert capsys.readouterr().out.splitlines()[0] == whole.splitlines()[0]
+
 
 class TestErrorHandling:
     def test_unknown_design_exits_cleanly(self, capsys):
@@ -155,10 +189,20 @@ class TestErrorHandling:
         assert err.startswith("repro: error:")
         assert "BOGUS" in err
 
-    def test_resume_without_checkpoint_errors(self, capsys):
-        rc = main(["campaign", "LFSR1", "--device", "S8", "--resume"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "LFSR1", "--device", "S8"],
+            ["multibit", "MULT3", "--device", "S8", "--trials", "8",
+             "--single-sensitivity", "0.05"],
+            ["bist-coverage", "--device", "S8", "--faults", "4", "--cycles", "16"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_resume_without_checkpoint_errors(self, capsys, argv):
+        rc = main(argv + ["--resume"])
         assert rc == 2
-        assert "--checkpoint" in capsys.readouterr().err
+        assert capsys.readouterr().err == "repro: error: resume requires a checkpoint path\n"
 
     def test_resume_with_missing_checkpoint_errors(self, capsys, tmp_path):
         rc = main(
@@ -239,12 +283,6 @@ class TestEngineSubcommands:
         assert rc == 0
         resumed = capsys.readouterr().out
         assert out.splitlines()[0] == resumed.splitlines()[0]
-
-    def test_resume_without_checkpoint_errors(self, capsys):
-        rc = main(["multibit", "MULT3", "--device", "S8", "--resume",
-                   "--single-sensitivity", "0.05", "--trials", "8"])
-        assert rc == 2
-        assert "checkpoint" in capsys.readouterr().err
 
 
 class TestOneImplementPerJob:

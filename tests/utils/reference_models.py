@@ -22,7 +22,7 @@ checkpoints carry over between the two; its classes live at module
 level, so pools and remote workers unpickle them.
 :func:`seu_campaign` / :func:`resume_seu_campaign` are
 :func:`~repro.seu.run_campaign` / :func:`~repro.seu.resume_campaign`
-over such a reference: the engine's ``run_sweep`` / ``resume_sweep``
+over such a reference: the engine's ``run_sweep``
 plus the campaign's one conversion, ``_from_sweep``.
 """
 
@@ -32,7 +32,7 @@ from dataclasses import fields
 from typing import ClassVar
 
 from repro.bist.coverage import BistCoverageModel
-from repro.engine import prime_design_cache, resume_sweep, run_sweep
+from repro.engine import prime_design_cache, run_sweep
 from repro.engine.detect import detect_failures
 from repro.engine.model import FaultModel
 from repro.netlist.simulator import BatchSimulator
@@ -183,5 +183,7 @@ def resume_seu_campaign(
     model = reference_model(
         _checkpoint_model(hw, checkpoint_path), collapse=collapse, retire=retire
     )
-    sweep = resume_sweep(model, checkpoint_path, jobs=jobs, batch_size=model.config.batch_size)
+    sweep = run_sweep(
+        model, jobs, checkpoint_path, resume=True, batch_size=model.config.batch_size
+    )
     return _from_sweep(hw, model.config, sweep)
