@@ -380,8 +380,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 def _cmd_multibit(args: argparse.Namespace) -> int:
     from repro import CampaignConfig, get_design, run_campaign
     from repro.engine import implemented_design
+    from repro.engine.sweep import _resume_path
     from repro.seu import run_multibit_campaign
 
+    if args.resume:
+        _resume_path(args.checkpoint)  # fail before the probe campaign
     hw = implemented_design(get_design(args.design), args.device)
     cfg_extra = {} if args.batch_size is None else {"batch_size": args.batch_size}
     config = CampaignConfig(detect_cycles=args.detect_cycles, persist_cycles=0,

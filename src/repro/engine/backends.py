@@ -30,7 +30,7 @@ import signal
 import time
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Protocol, runtime_checkable
 
 from repro.engine.cache import install_blob, install_blobs
@@ -146,12 +146,6 @@ class ExecutorBackend(Protocol):
 # -- local process pool --------------------------------------------------------
 
 
-def _run_task(chaos: "ChaosPolicy", key: str, launch: int, fn, args):
-    """Worker entry wrapper: apply the chaos schedule, then do the work."""
-    chaos.apply(key, launch)
-    return fn(*args)
-
-
 #: this worker's ``(pid, sid + 1)`` pair in its pool's shared slot array
 _slots = None
 _slot = -1
@@ -239,11 +233,6 @@ def _hard_shutdown(pool: Executor) -> None:
             proc.join(5)
         except (OSError, ValueError, AssertionError):
             pass
-
-
-@dataclass
-class _PendingRebuild:
-    events: list = field(default_factory=list)
 
 
 class LocalPoolBackend:

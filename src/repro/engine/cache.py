@@ -25,18 +25,19 @@ Four caches live here:
   ship-the-blob semantics.
 
 * The **content-addressed result cache** (:class:`ResultCache`): a
-  disk-backed store of finished sweep verdicts and per-shard worker
-  results, keyed by SHA-256 over everything that determines the bytes
-  (model blob digest, candidate ids, engine flags — see
-  :func:`content_key`).  A corrupted or truncated entry is
-  indistinguishable from a miss — the reader unpickles inside a
+  disk-backed store of finished results — whole sweeps, shard results,
+  golden packs, service jobs — each under one key, ``content_key(kind,
+  ...)``, which hashes :data:`VERDICT_SEMANTICS`, the plain kind and
+  everything that determines the bytes.  Sweep and shard entries are
+  read and written in one place, the sweep driver of the parent
+  process, for every ``jobs`` and transport.  A corrupted or truncated
+  entry is indistinguishable from a miss — the reader unpickles inside a
   blanket except and recomputes — so the cache can accelerate but
   never change a verdict.  A write that fails (a full disk) removes its
   temp file, leaves the entry a miss and notes it once per process on
   stderr.  The ambient directory is env-scoped
-  (``REPRO_RESULT_CACHE``) so forked *and* spawned workers, and
-  distributed ``repro worker`` processes with their own local
-  directory, all consult a store before simulating.
+  (``REPRO_RESULT_CACHE``) so service job processes, and workers that
+  build a context (golden packs), see the same store.
 
 * The **golden-pack store**: fast-forward keeps each design's golden
   trace (outputs, address rows, and stride state snapshots) in a
@@ -74,6 +75,7 @@ __all__ = [
     "CacheStats",
     "CACHE_STATS",
     "ResultCache",
+    "VERDICT_SEMANTICS",
     "content_key",
     "result_cache",
     "result_cache_scope",
@@ -207,15 +209,23 @@ class CacheStats:
 CACHE_STATS = CacheStats()
 
 
-def content_key(*parts: Any) -> str:
-    """SHA-256 over a canonical encoding of heterogeneous key parts.
+#: version of what a verdict means, hashed into every result-store key:
+#: bump it with any change that can move a verdict byte, so no store
+#: written before the change can serve a result after it
+VERDICT_SEMANTICS = 1
+
+
+def content_key(kind: str, *parts: Any) -> str:
+    """The result-store key of one ``kind`` of result: SHA-256 over a
+    canonical encoding of :data:`VERDICT_SEMANTICS`, ``kind`` and the
+    heterogeneous ``parts`` that determine its bytes.
 
     Accepts ``bytes``, ``str``, ``int``, ``bool``, ``None`` and objects
     with ``tobytes()`` (numpy arrays); every part is length-prefixed so
     adjacent parts cannot alias.
     """
     h = hashlib.sha256()
-    for part in parts:
+    for part in (VERDICT_SEMANTICS, kind, *parts):
         if part is None:
             enc = b"\x00"
         elif isinstance(part, bytes):
@@ -338,14 +348,16 @@ _PACK_MEMO: dict[str, Any] = {}
 
 
 def cached_golden_pack(key: str) -> Any | None:
-    """A previously stored golden pack: in-process memo, then disk."""
+    """A previously stored golden pack: in-process memo, then disk.
+
+    ``key`` is the pack's ``content_key("golden-pack", ...)``."""
     pack = _PACK_MEMO.get(key)
     if pack is not None:
         return pack
     store = result_cache()
     if store is None:
         return None
-    pack = store.get("golden-" + key)
+    pack = store.get(key)
     if pack is not None:
         if len(_PACK_MEMO) >= _MAX_PACKS:
             _PACK_MEMO.clear()
@@ -360,4 +372,4 @@ def store_golden_pack(key: str, pack: Any) -> None:
     _PACK_MEMO[key] = pack
     store = result_cache()
     if store is not None:
-        store.put("golden-" + key, pack)
+        store.put(key, pack)

@@ -567,8 +567,9 @@ def run_worker(
     connected within that window it raises :class:`CampaignError`
     naming the address (or the announce file still being polled) so a
     typo'd ``@PATH`` fails loudly instead of timing out in silence.
-    Without it, first-join expiry returns exit code 1, also with a
-    diagnostic on stderr.
+    Without it, ``connect_timeout_s`` bounds the first join the same
+    way: expiry raises that :class:`CampaignError` too (the CLI prints
+    it as ``repro: error: ...`` and exits 2).
     """
     loop = _WorkerLoop(
         name or f"{socket.gethostname()}-{os.getpid()}", hb_interval_s

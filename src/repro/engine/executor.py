@@ -69,7 +69,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.engine.cache import result_cache
 from repro.engine.backends import (
     TaskDone,
     TaskFailed,
@@ -124,9 +123,9 @@ class ExecutorPolicy:
 
     The result store is no policy field: it is the
     ``REPRO_RESULT_CACHE`` environment variable
-    (:func:`~repro.engine.cache.result_cache_scope`), which fork and
-    spawn pools, ``repro worker`` children and service job processes
-    all inherit.
+    (:func:`~repro.engine.cache.result_cache_scope`), and only the sweep
+    driver consults it for shard results; the executor carries
+    transport and failure handling only.
     """
 
     max_attempts: int = 3
@@ -179,18 +178,14 @@ class TaskSpec:
     ``key`` is the stable identity retries, speculation, chaos and
     quarantine reporting all hash on (e.g. ``"observe:3"``); ``fields``
     are extra span-open fields when the executor traces per-task spans.
-    ``cache_key`` is the optional content address of the task's result:
-    when the parent has an ambient result store the executor serves a
-    hit instead of launching, and stores the result on completion (the
-    same key usually also rides in ``args`` so workers can consult
-    *their* local store — see :func:`repro.engine.sweep._shard_cache`).
+    Stored results are the sweep driver's business: a task reaches the
+    executor only when it has to run.
     """
 
     key: str
     fn: Callable[..., Any]
     args: tuple
     fields: dict[str, Any] = field(default_factory=dict)
-    cache_key: str | None = None
 
 
 class _Task:
@@ -334,7 +329,6 @@ class ShardExecutor:
         self._phase = phase
         self._telemetry = telemetry
         remote = self.backend.name != "local"
-        store = result_cache()
         states = {spec.key: _Task(spec) for spec in tasks}
         retries: list[tuple[float, int, str]] = []  # (ready time, seq, key)
         open_keys = {k for k in states if k not in self.quarantined}
@@ -491,8 +485,6 @@ class ShardExecutor:
                 open_keys.discard(task.spec.key)
                 tracker.completed(task.spec.key)
                 self.backend.abandon(task.sids)  # losing duplicates, if any
-                if store is not None and task.spec.cache_key is not None:
-                    store.put(task.spec.cache_key, ev.result)
                 if speculative and telemetry is not None:
                     telemetry.speculative_wins += 1
                 if task.span >= 0:
@@ -570,25 +562,9 @@ class ShardExecutor:
                 ):
                     quarantine(task, f"hung for {elapsed:.1f}s (timeout)")
 
-        # Initial dispatch.  A task whose result is already in the
-        # parent's store resolves here without ever launching — the
-        # warm-cache path of a repeated (or killed-and-resumed) sweep.
         for task in states.values():
-            if task.spec.key not in open_keys:
-                continue
-            if store is not None and task.spec.cache_key is not None:
-                hit = store.get(task.spec.cache_key)
-                if hit is not None:
-                    task.resolved = True
-                    open_keys.discard(task.spec.key)
-                    if observer.enabled:
-                        tracer.point(
-                            "cache_hit", scope="shard",
-                            key=task.spec.key, phase=phase,
-                        )
-                    yield task.spec.key, hit
-                    continue
-            launch(task)
+            if task.spec.key in open_keys:
+                launch(task)
 
         while open_keys:
             now = time.perf_counter()

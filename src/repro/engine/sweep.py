@@ -82,7 +82,6 @@ from repro.engine.model import (
     FaultModel,
 )
 from repro.engine.executor import (
-    ExecutorPolicy,
     ShardExecutor,
     TaskSpec,
     get_executor_policy,
@@ -288,6 +287,23 @@ _SWEEP_FIELDS = (
 )
 
 
+def _sweep_archive(path: str) -> Any:
+    """Open the ``.npz`` at ``path``, checked to hold every field
+    :func:`save_sweep` writes; its arrays decode only when read."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (OSError, ValueError) as err:
+        raise CampaignError(f"cannot load sweep checkpoint {path!r}: {err}") from None
+    missing = [name for name in _SWEEP_FIELDS if name not in data.files]
+    if missing:
+        data.close()
+        raise CampaignError(
+            f"checkpoint {path!r} is not a sweep archive: it has no "
+            f"{', '.join(missing)}"
+        )
+    return data
+
+
 def load_sweep(path: str) -> SweepResult:
     """Load a sweep / checkpoint written by :func:`save_sweep`.
 
@@ -295,17 +311,7 @@ def load_sweep(path: str) -> SweepResult:
     :func:`save_sweep` writes — raises :class:`CampaignError` naming the
     path and the missing fields.
     """
-    try:
-        data = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as err:
-        raise CampaignError(f"cannot load sweep checkpoint {path!r}: {err}") from None
-    with data:
-        missing = [name for name in _SWEEP_FIELDS if name not in data.files]
-        if missing:
-            raise CampaignError(
-                f"checkpoint {path!r} is not a sweep archive: it has no "
-                f"{', '.join(missing)}"
-            )
+    with _sweep_archive(path) as data:
         telemetry = None
         if "telemetry_json" in data.files:
             fields = {f.name for f in dataclasses.fields(CampaignTelemetry)}
@@ -330,22 +336,6 @@ def load_sweep(path: str) -> SweepResult:
 
 
 # -- whole-sweep result cache --------------------------------------------------
-
-
-def _sweep_cache_key(
-    model: FaultModel,
-    model_blob: bytes,
-    candidates: np.ndarray,
-) -> str:
-    """Content address of one whole sweep's verdicts.
-
-    Keyed on the fault model's own key *and* its pickled blob (the key
-    is human-oriented and may under-describe) and the exact candidate
-    range.  Batch size cannot change a byte (see the determinism
-    contract).  The schema tag versions the
-    :class:`SweepResult` layout itself.
-    """
-    return content_key("sweep-v2", model.key(), model_blob, candidates)
 
 
 def _serve_cached_sweep(
@@ -412,18 +402,6 @@ def _model_state(model_ref: Hashable) -> tuple[FaultModel, Any, dict[int, Any] |
     return state
 
 
-def _shard_cache(cache_key: str | None):
-    """The worker's local result store for one task, or ``None``.
-
-    Consulted before simulating — a TCP worker with a warm local cache
-    serves even *stolen* shards without touching the simulator.  The
-    cached value is the full worker return tuple; its timing and kernel
-    fields describe the producing run (verdict-invariant, they only
-    perturb telemetry).
-    """
-    return result_cache() if cache_key else None
-
-
 def _check_prefilter_chunk(
     model: FaultModel, cands: np.ndarray, codes: Any, survivors: Any
 ) -> None:
@@ -452,7 +430,7 @@ def _check_prefilter_chunk(
 
 
 def _worker_prefilter(
-    model_ref, cands: np.ndarray, cache_key: str | None = None
+    model_ref, cands: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[Any, Any]], float]:
     """Classify one contiguous candidate chunk with the model's
     :meth:`~repro.engine.model.FaultModel.prefilter_chunk`.
@@ -465,11 +443,6 @@ def _worker_prefilter(
     Survivor patches are parked for the observe phase when this process
     keeps them.
     """
-    store = _shard_cache(cache_key)
-    if store is not None:
-        hit = store.get(cache_key)
-        if hit is not None:
-            return hit
     t0 = time.perf_counter()
     model, ctx, patches = _model_state(model_ref)
     codes, survivors = model.prefilter_chunk(cands, ctx)
@@ -487,14 +460,11 @@ def _worker_prefilter(
         )
         if patches is not None:
             patches[cand] = patch
-    result = codes, info, time.perf_counter() - t0
-    if store is not None:
-        store.put(cache_key, result)
-    return result
+    return codes, info, time.perf_counter() - t0
 
 
 def _worker_observe(
-    model_ref, cands: np.ndarray, cuts: np.ndarray, cache_key: str | None = None
+    model_ref, cands: np.ndarray, cuts: np.ndarray
 ) -> tuple[
     np.ndarray, dict[int, np.ndarray], list[float], float, tuple[int, int, int]
 ]:
@@ -506,11 +476,6 @@ def _worker_observe(
     retained payloads, the per-batch durations, the worker seconds
     spent, and the kernel fault-dropping counter delta.
     """
-    store = _shard_cache(cache_key)
-    if store is not None:
-        hit = store.get(cache_key)
-        if hit is not None:
-            return hit
     t0 = time.perf_counter()
     kern0 = KERNEL_COUNTERS.snapshot()
     model, ctx, patches = _model_state(model_ref)
@@ -533,13 +498,10 @@ def _worker_observe(
                 payloads[cand] = rich
         start += len(pending)
         batch_seconds.append(time.perf_counter() - t_batch)
-    result = (
+    return (
         codes, payloads, batch_seconds, time.perf_counter() - t0,
         KERNEL_COUNTERS.delta(kern0),
     )
-    if store is not None:
-        store.put(cache_key, result)
-    return result
 
 
 # -- the driver ----------------------------------------------------------------
@@ -667,7 +629,6 @@ def run_sharded(
     merge_with: SweepResult | None = None,
     executor=None,
     shards_per_job: int = 4,
-    policy: ExecutorPolicy | None = None,
     context: Any | None = None,
 ) -> SweepResult:
     """Exhaustive sweep of one fault model, byte-identical for any ``jobs``.
@@ -677,9 +638,10 @@ def run_sharded(
     task in this process, in order — no executor, pickling or retry —
     reusing the pre-filter's survivor patches; otherwise tasks go
     through a :class:`ShardExecutor`.  An external ``executor`` (e.g. a
-    shared pool) is used as-is and not shut down.  ``policy.transport``
-    picks the transport (``--executor tcp`` reaches here ambiently).
-    ``context`` is a prebuilt
+    shared pool) is used as-is and not shut down.  The ambient
+    :func:`get_executor_policy` governs failure handling, and its
+    ``transport`` picks the transport (``--executor tcp`` reaches here
+    that way).  ``context`` is a prebuilt
     :meth:`FaultModel.build_context` result for this process.
 
     With ``checkpoint_save`` the driver hands partial
@@ -696,9 +658,17 @@ def run_sharded(
     dispatches only representatives, and fans each verdict out to the
     representative's followers.
 
+    **Result store.** With an ambient
+    :func:`~repro.engine.cache.result_cache`, the driver looks the whole
+    sweep up before building a context, and every shard before it runs;
+    what it computes it stores.  Keys are ``content_key(kind, model
+    digest, candidates)`` for the kinds ``"sweep"``, ``"prefilter"`` and
+    ``"observe"``; no key holds ``jobs``, ``batch_size`` or the
+    transport, which cannot change a byte.
+
     **Fault tolerance.** With a pool both phases drain through a
-    :class:`~repro.engine.executor.ShardExecutor` governed by ``policy``
-    (default: the ambient :func:`get_executor_policy`): worker
+    :class:`~repro.engine.executor.ShardExecutor` governed by the
+    ambient policy: worker
     exceptions retry with backoff, a broken pool is rebuilt and its
     in-flight shards relaunched, stalled shards are speculatively
     re-executed (first result wins; shards are deterministic so the
@@ -713,8 +683,7 @@ def run_sharded(
     jobs = default_jobs() if jobs is None else int(jobs)
     if jobs < 1:
         raise CampaignError(f"jobs must be >= 1, got {jobs}")
-    if policy is None:
-        policy = get_executor_policy()
+    policy = get_executor_policy()
     if candidates is None:
         candidates = model.enumerate_candidates()
     candidates = np.asarray(candidates, dtype=np.int64)
@@ -728,9 +697,11 @@ def run_sharded(
     cache0 = CACHE_STATS.snapshot()
     store = result_cache()
     model_blob = pickle.dumps(model) if pooled or store is not None else None
+    # The pickled model holds every field its key() is built from.
+    model_digest = blob_digest(model_blob) if store is not None else None
     sweep_key: str | None = None
     if store is not None and merge_with is None:
-        sweep_key = _sweep_cache_key(model, model_blob, candidates)
+        sweep_key = content_key("sweep", model_digest, candidates)
         cached = store.get(sweep_key)
         if cached is not None:
             return _serve_cached_sweep(cached, cache0, jobs, checkpoint_save)
@@ -765,16 +736,6 @@ def run_sharded(
         model_ref: Hashable = shard_exec.prime_blob(model_blob)
     else:
         model_ref = ("in-process", id(model))
-    # Per-shard content addresses: computed unconditionally under a pool
-    # (one SHA-256 per shard) so remote workers with their own local
-    # cache can serve shards — stolen ones included — even when the
-    # parent has no store.
-    model_digest = blob_digest(model_blob) if model_blob is not None else None
-
-    def shard_key(kind: str, *parts: Any) -> str | None:
-        if model_digest is None:
-            return None
-        return content_key("shard-v3", model_digest, kind, *parts)
 
     # Pre-populate the worker cache under the same ref the tasks carry:
     # under fork the children inherit the model context copy-on-write;
@@ -792,16 +753,7 @@ def run_sharded(
         _MODEL_STATE.clear()
     _MODEL_STATE[model_ref] = (model, context, None if pooled else {})
 
-    def drain(tasks: list[TaskSpec], phase: str, span_parent: int | None = None):
-        if shard_exec is not None:
-            yield from shard_exec.run(
-                tasks,
-                phase=phase,
-                telemetry=telem,
-                span_name=None if span_parent is None else "shard",
-                span_parent=span_parent,
-            )
-            return
+    def in_process(tasks: list[TaskSpec], span_parent: int | None):
         for spec in tasks:
             span = -1
             if observing and span_parent is not None:
@@ -809,6 +761,41 @@ def run_sharded(
             result = spec.fn(*spec.args)
             tracer.close_span(span, attempts=1)
             yield spec.key, result
+
+    def drain(tasks: list[TaskSpec], phase: str, span_parent: int | None = None):
+        """Yield ``(task key, result)`` as one phase's tasks resolve.
+
+        The one place shard results meet the result store: a stored
+        task resolves without running, and every computed result is
+        stored, in this process, whatever ``jobs`` and transport.
+        """
+        todo, keys = tasks, {}
+        if store is not None:
+            todo = []
+            for spec in tasks:
+                # args[1] is the task's candidates, in either phase
+                keys[spec.key] = content_key(phase, model_digest, spec.args[1])
+                hit = store.get(keys[spec.key])
+                if hit is None:
+                    todo.append(spec)
+                    continue
+                if observing:
+                    tracer.point("cache_hit", scope="shard", key=spec.key, phase=phase)
+                yield spec.key, hit
+        if shard_exec is None:
+            results = in_process(todo, span_parent)
+        else:
+            results = shard_exec.run(
+                todo,
+                phase=phase,
+                telemetry=telem,
+                span_name=None if span_parent is None else "shard",
+                span_parent=span_parent,
+            )
+        for key, result in results:
+            if store is not None:
+                store.put(keys[key], result)
+            yield key, result
 
     def checkpoint() -> None:
         if checkpoint_save is None:
@@ -832,12 +819,10 @@ def run_sharded(
         chunks = [c for c in np.array_split(candidates, n_chunks) if c.size]
         prefilter_span = tracer.open_span("phase.prefilter", chunks=len(chunks))
         progress.start(f"{model.name} prefilter", total=len(chunks))
-        prefilter_tasks = []
-        for i, c in enumerate(chunks):
-            ck = shard_key("prefilter", c)
-            prefilter_tasks.append(
-                TaskSpec(f"prefilter:{i}", _worker_prefilter, (model_ref, c, ck), cache_key=ck)
-            )
+        prefilter_tasks = [
+            TaskSpec(f"prefilter:{i}", _worker_prefilter, (model_ref, c))
+            for i, c in enumerate(chunks)
+        ]
 
         def prefilter() -> tuple[np.ndarray, list[tuple[Any, Any]]]:
             """Fold the settled candidates; return survivors and their
@@ -939,18 +924,15 @@ def run_sharded(
         for shard in shard_survivors(survivors[order], n_shards):
             shard_specs.append((shard, _batch_cuts(keys[pos : pos + shard.size], batch_size)))
             pos += int(shard.size)
-        observe_tasks = []
-        for i, (shard, cuts) in enumerate(shard_specs):
-            ck = shard_key("observe", shard)
-            observe_tasks.append(
-                TaskSpec(
-                    f"observe:{i}",
-                    _worker_observe,
-                    (model_ref, shard, cuts, ck),
-                    {"index": i, "bits": int(shard.size)},
-                    cache_key=ck,
-                )
+        observe_tasks = [
+            TaskSpec(
+                f"observe:{i}",
+                _worker_observe,
+                (model_ref, shard, cuts),
+                {"index": i, "bits": int(shard.size)},
             )
+            for i, (shard, cuts) in enumerate(shard_specs)
+        ]
 
         def with_followers(reps: np.ndarray) -> np.ndarray:
             """``reps`` then every follower, in representative order."""
@@ -1063,7 +1045,7 @@ def run_sweep(
             save_sweep(sweep, checkpoint_path)
 
     if resume:
-        part = _load_checkpoint(checkpoint_path)
+        part = load_sweep(_resume_path(checkpoint_path))
         if part.model_key != model.key():
             raise CampaignError(
                 f"checkpoint {checkpoint_path!r} is for {part.model_key!r}, "
@@ -1077,8 +1059,15 @@ def run_sweep(
     return run_sharded(model, jobs=jobs, checkpoint_save=checkpoint_cb, **kwargs)
 
 
-def _load_checkpoint(checkpoint_path: str | None) -> SweepResult:
-    """The archive a resume continues from; a resume needs its path."""
+def _resume_path(checkpoint_path: str | None) -> str:
+    """The archive path a resume continues from; a resume needs one."""
     if checkpoint_path is None:
         raise CampaignError("resume requires a checkpoint path")
-    return load_sweep(checkpoint_path)
+    return checkpoint_path
+
+
+def _checkpoint_model_key(checkpoint_path: str | None) -> str:
+    """The model key of the archive a resume continues from, read
+    without decoding its verdicts or done bits."""
+    with _sweep_archive(_resume_path(checkpoint_path)) as data:
+        return str(data["model_key"])

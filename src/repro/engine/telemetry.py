@@ -64,9 +64,9 @@ class CampaignTelemetry:
     ff_cycles_skipped: int = 0
     # Content-addressed result cache (repro.engine.cache.ResultCache):
     # entries served / recomputed during this run, and the pickled bytes
-    # the hits avoided recomputing.  Parent-process counters — hits
-    # inside remote TCP workers accelerate the run but are counted in
-    # the worker's own process.
+    # the hits avoided recomputing.  Every sweep and shard lookup is the
+    # sweep driver's, in the parent process, so the counts are the same
+    # for every ``jobs`` and transport.
     cache_hits: int = 0
     cache_misses: int = 0
     cache_bytes: int = 0
@@ -124,16 +124,6 @@ class CampaignTelemetry:
     def record_shard_seconds(self, seconds: float) -> None:
         """Fold one completed-shard duration into the shard histogram."""
         self._record(self.shard_seconds_hist, float(seconds))
-
-    @staticmethod
-    def merge_hist(into: list[int], other: list[int]) -> None:
-        """Accumulate ``other`` into ``into`` (sizing ``into`` lazily)."""
-        if not other:
-            return
-        if not into:
-            into.extend([0] * len(other))
-        for i, n in enumerate(other):
-            into[i] += int(n)
 
     @property
     def n_skipped(self) -> int:

@@ -15,8 +15,9 @@ executes exactly that argv in a subprocess, so the byte-identity
 contracts pinned on the CLI (golden SHAs, jobs-invariance) transfer to
 HTTP jobs for free.
 
-The **result key** (:meth:`JobSpec.result_key`) hashes only the fields
-that determine verdict bytes: design, device, and the model parameters.
+The **result key** (:meth:`JobSpec.result_key`, the store's
+``content_key("service-job", ...)``) hashes only the fields that
+determine verdict bytes: design, device, and the model parameters.
 ``jobs``, ``batch_size`` and ``checkpoint_every`` are excluded — the
 engine pins byte-identity across all of them — so a duplicate sweep
 hits the cache even when asked to run with different execution knobs.
@@ -33,10 +34,6 @@ from repro.errors import ReproError
 from repro.service.queue import PRIORITY_CLASSES
 
 __all__ = ["SpecError", "JobSpec", "validate_spec", "spec_from_json"]
-
-#: schema version folded into every result key
-RESULT_KEY_VERSION = "service-job-v1"
-
 
 class SpecError(ReproError):
     """A submitted job spec failed validation (HTTP 400)."""
@@ -139,7 +136,7 @@ class JobSpec:
             (key, value) for key, value in self.flags if table[key].keyed
         ]
         return content_key(
-            RESULT_KEY_VERSION,
+            "service-job",
             self.kind,
             self.design,
             self.device,

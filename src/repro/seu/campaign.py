@@ -61,7 +61,7 @@ from repro.engine.model import (
     CODE_SKIP_CONE,
     FaultModel,
 )
-from repro.engine.sweep import SweepResult, _load_checkpoint, run_sweep
+from repro.engine.sweep import SweepResult, _checkpoint_model_key, run_sweep
 from repro.engine.telemetry import CampaignTelemetry
 from repro.errors import CampaignError
 from repro.fpga.resources import ResourceKind
@@ -243,8 +243,8 @@ class CampaignContext:
 
 def _golden_pack_key(design, stim: np.ndarray) -> str:
     """Content address of one (design, stimulus) golden run; the stride
-    stays in the hash so packs stored before it became a constant hit."""
-    return content_key("golden-pack-v1", pickle.dumps(design), stim, SNAPSHOT_STRIDE)
+    its snapshots are spaced by is in the hash too."""
+    return content_key("golden-pack", pickle.dumps(design), stim, SNAPSHOT_STRIDE)
 
 
 def build_context(
@@ -572,7 +572,7 @@ def _checkpoint_model(hw: HardwareDesign, checkpoint_path: str) -> SEUFaultModel
     (:meth:`SEUFaultModel.key`), so a resume needs no flags;
     ``batch_size`` is in no key and comes back as the default.
     """
-    key = _load_checkpoint(checkpoint_path).model_key
+    key = _checkpoint_model_key(checkpoint_path)
     prefix = f"seu:{hw.spec.name}:{hw.device.name}:"
     if not key.startswith(prefix):
         raise CampaignError(

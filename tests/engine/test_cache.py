@@ -376,6 +376,25 @@ def _live_bits(hw, n: int = 24) -> tuple[int, ...]:
     return tuple(bits)
 
 
+def _sweep_key(model, candidates: np.ndarray, tmp_path, monkeypatch) -> str:
+    """The whole-sweep key the driver looks up first; the sweep stops
+    at that lookup."""
+
+    class _Looked(Exception):
+        pass
+
+    def get(self, key):
+        raise _Looked(key)
+
+    from repro.engine import run_sharded
+
+    with monkeypatch.context() as m:
+        m.setattr(ResultCache, "get", get)
+        with result_cache_scope(str(tmp_path / "keys")), pytest.raises(_Looked) as exc:
+            run_sharded(model, jobs=1, candidates=candidates)
+    return exc.value.args[0]
+
+
 class TestSweepCacheAcrossBatchSizes:
     """Batch size cannot change a verdict byte, so the whole-sweep cache
     serves a repeat at another batch size; every other ``CampaignConfig``
@@ -420,17 +439,21 @@ class TestSweepCacheAcrossBatchSizes:
         assert np.array_equal(warm.candidate_ids, cold.candidate_ids)
 
     @pytest.mark.parametrize("kind", ["seu", "mbu", "halflatch", "correlation"])
-    def test_every_other_field_keys_the_sweep(self, mult_hw, kind):
+    def test_every_other_field_keys_the_sweep(self, mult_hw, kind, tmp_path, monkeypatch):
         import dataclasses
 
-        from repro.engine.sweep import _sweep_cache_key
         from repro.seu import CampaignConfig
 
         def key(**cfg):
             model = self._model(kind, mult_hw, **cfg)
-            return _sweep_cache_key(model, pickle.dumps(model), np.arange(8))
+            return _sweep_key(model, np.arange(8), tmp_path, monkeypatch)
 
         base = dict(self.CFG[kind], batch_size=32)
+        model = self._model(kind, mult_hw, **base)
+        # The one derivation: the model's digest and the candidates.
+        assert key(**base) == content_key(
+            "sweep", blob_digest(pickle.dumps(model)), np.arange(8)
+        )
         assert key(**dict(base, batch_size=7)) == key(**base)
         for f in dataclasses.fields(CampaignConfig):
             if f.name == "batch_size":
@@ -438,3 +461,97 @@ class TestSweepCacheAcrossBatchSizes:
             value = base.get(f.name, f.default)
             other = (not value) if isinstance(value, bool) else value + 1
             assert key(**dict(base, **{f.name: other})) != key(**base), f.name
+
+
+SPY_CFG = dict(detect_cycles=48, persist_cycles=32, stride=7)
+
+
+def _spy_store(monkeypatch, log) -> None:
+    """Append every store read and write, with the pid that made it, to
+    ``log`` (a file, so forked workers' calls land there too)."""
+    real_get, real_put = ResultCache.get, ResultCache.put
+
+    def record(op: str, key: str) -> None:
+        with open(log, "a") as f:
+            f.write(f"{op} {key} {os.getpid()}\n")
+
+    def get(self, key):
+        record("get", key)
+        return real_get(self, key)
+
+    def put(self, key, value):
+        record("put", key)
+        real_put(self, key, value)
+
+    monkeypatch.setattr(ResultCache, "get", get)
+    monkeypatch.setattr(ResultCache, "put", put)
+
+
+class TestOneLookup:
+    """The sweep driver of the parent process is the one place shard
+    results are read and written: a cold sweep reads and writes each key
+    once, for every ``jobs``, and workers never touch the store."""
+
+    # keys of a cold MULT4/S8 stride-7 sweep: the whole sweep, its golden
+    # pack, and one prefilter chunk and one observe shard per task
+    # (``jobs * shards_per_job`` of each under a pool, one in-process)
+    @pytest.mark.parametrize("jobs,n_keys", [(1, 4), (2, 18)])
+    def test_cold_sweep_reads_and_writes_each_key_once(
+        self, mult_hw, tmp_path, monkeypatch, jobs, n_keys
+    ):
+        from collections import Counter
+
+        from repro.seu import CampaignConfig, run_campaign
+
+        log = tmp_path / "store.log"
+        _spy_store(monkeypatch, log)
+        monkeypatch.setattr(cache, "_PACK_MEMO", {})  # the pack is looked up too
+        with result_cache_scope(str(tmp_path / "store")):
+            run_campaign(mult_hw, CampaignConfig(**SPY_CFG), jobs=jobs)
+        ops = [line.split() for line in log.read_text().splitlines()]
+        assert {pid for _, _, pid in ops} == {str(os.getpid())}
+        reads = Counter(key for op, key, _ in ops if op == "get")
+        writes = Counter(key for op, key, _ in ops if op == "put")
+        assert len(reads) == n_keys
+        assert reads == writes == Counter(dict.fromkeys(reads, 1))
+
+
+class TestVerdictSemantics:
+    """Every result-store key hashes :data:`cache.VERDICT_SEMANTICS`: a
+    store written under one semantics serves nothing under another."""
+
+    def test_another_semantics_moves_every_kind_of_key(self, mult_hw, tmp_path, monkeypatch):
+        from repro.seu import CampaignConfig, run_campaign
+        from repro.seu.campaign import _golden_pack_key
+        from repro.service.schemas import JobSpec
+
+        job = JobSpec("campaign", "MULT4", "S8", flags=(("stride", 7),))
+        design = mult_hw.decoded.design
+        stim = mult_hw.spec.stimulus(96)
+        puts: list[str] = []
+        real_put = ResultCache.put
+
+        def put(self, key, value):
+            puts.append(key)
+            real_put(self, key, value)
+
+        monkeypatch.setattr(ResultCache, "put", put)
+        monkeypatch.setattr(cache, "_PACK_MEMO", {})
+        runs = []
+        for semantics in (cache.VERDICT_SEMANTICS, cache.VERDICT_SEMANTICS + 1):
+            monkeypatch.setattr(cache, "VERDICT_SEMANTICS", semantics)
+            puts.clear()
+            with result_cache_scope(str(tmp_path / "store")):
+                result = run_campaign(mult_hw, CampaignConfig(**SPY_CFG))
+            runs.append(
+                (set(puts), result.telemetry.cache_hits,
+                 _golden_pack_key(design, stim), job.result_key())
+            )
+        (old_puts, _, old_pack, old_job), (new_puts, new_hits, new_pack, new_job) = runs
+        # sweep, golden pack, prefilter chunk and observe shard: all four
+        # engine kinds are recomputed and stored under new keys
+        assert new_hits == 0
+        assert len(old_puts) == len(new_puts) == 4
+        assert not old_puts & new_puts
+        assert old_pack != new_pack
+        assert old_job != new_job

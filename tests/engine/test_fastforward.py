@@ -86,11 +86,12 @@ class TestSnapshotRestore:
 
 class TestGoldenPackKey:
     def test_key_hashes_the_stride_64_bytes(self, mult_hw):
-        """Packs stored while the stride was a setting (default 64) still hit."""
+        """The pack key is the store's one derivation over the design,
+        the stimulus and the stride (64) its snapshots are spaced by."""
         design = mult_hw.decoded.design
         stim = mult_hw.spec.stimulus(96)
         assert SNAPSHOT_STRIDE == 64
-        want = content_key("golden-pack-v1", pickle.dumps(design), stim, 64)
+        want = content_key("golden-pack", pickle.dumps(design), stim, 64)
         assert _golden_pack_key(design, stim) == want
 
 
@@ -122,7 +123,7 @@ class TestFastForwardDifferential:
         monkeypatch.setenv("REPRO_SNAPSHOT_STRIDE", "128")
         design = mult_hw.decoded.design
         stim = mult_hw.spec.stimulus(self.CFG.warmup_cycles)
-        want = content_key("golden-pack-v1", pickle.dumps(design), stim, 64)
+        want = content_key("golden-pack", pickle.dumps(design), stim, 64)
         assert _golden_pack_key(design, stim) == want
         with result_cache_scope(None):
             ff = run_campaign(mult_hw, self.CFG)
@@ -195,8 +196,8 @@ class TestTcpCache:
         policy = _tcp_policy(min_workers=2, announce=announce)
         cache = str(tmp_path / "cache")
         with executor_policy(policy), result_cache_scope(cache):
-            # Spawned inside the scope so workers inherit the exported
-            # REPRO_RESULT_CACHE and serve stolen shards locally.
+            # The coordinator's store serves and stores every shard;
+            # the workers only simulate.
             workers = [_spawn_worker(f"@{announce}", f"w{i}") for i in range(2)]
             kill_leftovers.extend(workers)
             cold = run_campaign(mult_hw, GOLDEN_CFG, jobs=2)

@@ -166,6 +166,28 @@ class TestResumeValidation:
         assert resumed.config == CFG.unbatched()
         assert np.array_equal(resumed.verdicts, full_result.verdicts)
 
+    def test_resume_loads_the_archive_once(
+        self, lfsr_hw, full_result, tmp_path, monkeypatch
+    ):
+        """The config is read from the archive's model key alone; only
+        the resume itself decodes the verdicts and done bits."""
+        import repro.engine.sweep as sweepmod
+
+        path = str(tmp_path / "half.npz")
+        bits = SEUFaultModel(lfsr_hw.spec, lfsr_hw.device.name, CFG).enumerate_candidates()
+        run_campaign(lfsr_hw, CFG, candidate_bits=bits[::2], checkpoint_path=path)
+        calls = []
+        real = sweepmod.load_sweep
+
+        def spy(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(sweepmod, "load_sweep", spy)
+        resumed = resume_campaign(lfsr_hw, path)
+        assert calls == [path]
+        assert np.array_equal(resumed.verdicts, full_result.verdicts)
+
 
 class TestPrefixCutCheckpoint:
     """A checkpoint from the earlier prefix-cut collapse driver resumes.

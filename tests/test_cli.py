@@ -195,14 +195,18 @@ class TestErrorHandling:
             ["campaign", "LFSR1", "--device", "S8"],
             ["multibit", "MULT3", "--device", "S8", "--trials", "8",
              "--single-sensitivity", "0.05"],
+            # no --single-sensitivity: the resume fails before the probe
+            ["multibit", "MULT3", "--device", "S8", "--trials", "8"],
             ["bist-coverage", "--device", "S8", "--faults", "4", "--cycles", "16"],
         ],
-        ids=lambda argv: argv[0],
+        ids=["campaign", "multibit", "multibit-probe", "bist-coverage"],
     )
     def test_resume_without_checkpoint_errors(self, capsys, argv):
         rc = main(argv + ["--resume"])
         assert rc == 2
-        assert capsys.readouterr().err == "repro: error: resume requires a checkpoint path\n"
+        err = capsys.readouterr().err
+        assert "single-bit sensitivity" not in err
+        assert err == "repro: error: resume requires a checkpoint path\n"
 
     def test_resume_with_missing_checkpoint_errors(self, capsys, tmp_path):
         rc = main(
