@@ -4,8 +4,10 @@ A fault model answers four questions — *what* could break
 (:meth:`FaultModel.enumerate_candidates`), *which* candidates provably
 cannot matter (:meth:`FaultModel.prefilter`, applied chunk by chunk
 through :meth:`FaultModel.prefilter_chunk`), *how* a candidate perturbs
-the hardware (:meth:`FaultModel.patch_for`), and *what* an observation
-means (:meth:`FaultModel.classify`).  Everything else — batching,
+the hardware (:meth:`FaultModel.patch_for`, asked once per pre-filter
+survivor that came without its patch; the patch then travels with the
+survivor to its observe shard), and *what* an observation means
+(:meth:`FaultModel.classify`).  Everything else — batching,
 process sharding, checkpoint/resume, merging, telemetry — is the
 engine's job and identical across fault classes.
 
@@ -22,11 +24,11 @@ codes >= 4                simulated outcomes, model-defined
                           detect-only pair)
 ========================  ====================================================
 
-Models must be **picklable** (they are shipped to worker processes) and
-cheap to pickle: heavy per-process state — an implemented design, a
-golden trace, a warm-state snapshot — is derived in
-:meth:`FaultModel.build_context`, which the engine calls once per
-process and caches (see :mod:`repro.engine.cache` for the shared
+Models and their patches must be **picklable** (both are shipped to
+worker processes) and models cheap to pickle: heavy per-process state —
+an implemented design, a golden trace, a warm-state snapshot — is
+derived in :meth:`FaultModel.build_context`, which the engine calls
+once per process and caches (see :mod:`repro.engine.cache` for the shared
 implemented-design cache).
 """
 
@@ -140,11 +142,9 @@ class FaultModel(abc.ABC):
         Returns ``(skip_code, None)`` with ``skip_code`` in
         ``CODE_SKIP_*`` when the candidate provably cannot produce an
         observable error, or ``(CODE_NOT_TESTED, payload)`` when it
-        must be simulated.  A non-``None`` payload is the candidate's
-        patch: when the observe phase runs in the same process
-        (``jobs=1``) the engine reuses it instead of calling
-        :meth:`patch_for`; pool and remote workers re-derive it with
-        :meth:`patch_for` — payloads never cross processes.
+        must be simulated.  A non-``None`` payload is the survivor's
+        patch on every path; for a ``None`` payload the engine calls
+        :meth:`patch_for` once.
         """
         return CODE_NOT_TESTED, None
 

@@ -794,16 +794,12 @@ class BatchSimulator:
         eligible = np.zeros(n_machines, dtype=bool)
         flips = np.zeros((n_machines, d.n_luts), dtype=np.uint16)
         for m in range(n_machines):
-            p = self.patches[m]
-            if p.lut_inputs or p.ff_fields or p.consts or p.outputs:
+            table_flips = self.patches[m].table_flips(d.lut_tables)
+            if table_flips is None:
                 continue
             eligible[m] = True
-            for row, table in p.lut_tables:
-                changed = np.flatnonzero(np.asarray(table, dtype=np.uint8) ^ d.lut_tables[row])
-                if changed.size:
-                    flips[m, row] |= np.bitwise_or.reduce(
-                        np.left_shift(np.uint16(1), changed.astype(np.uint16))
-                    )
+            for row, mask in table_flips.items():
+                flips[m, row] = mask
         return eligible, flips
 
     def run_verdicts(

@@ -56,18 +56,19 @@ _COMMON_FLAGS: dict[str, _Flag] = {
     # all of these, so they are accepted but excluded from the key.
     "jobs": _Flag(int, keyed=False),
     "batch_size": _Flag(int, keyed=False),
-    "detect_cycles": _Flag(int, keyed=True),
 }
 
 _KIND_FLAGS: dict[str, dict[str, _Flag]] = {
     "campaign": {
         **_COMMON_FLAGS,
+        "detect_cycles": _Flag(int, keyed=True),
         "persist_cycles": _Flag(int, keyed=True),
         "stride": _Flag(int, keyed=True),
         "checkpoint_every": _Flag(int, keyed=False),
     },
     "multibit": {
         **_COMMON_FLAGS,
+        "detect_cycles": _Flag(int, keyed=True),
         "k": _Flag(int, keyed=True),
         "trials": _Flag(int, keyed=True),
         "seed": _Flag(int, keyed=True),

@@ -381,17 +381,10 @@ def _lut_content_skip(patch: Patch, hw: HardwareDesign, addr_seen: np.ndarray) -
     truth-table entries stays cycle-identical by induction: equal state
     produces equal addresses, which never reach a differing entry.
     """
-    if patch.lut_inputs or patch.ff_fields or patch.consts or patch.outputs:
-        return False
-    d = hw.decoded.design
-    for row, table in patch.lut_tables:
-        changed = np.flatnonzero(table ^ d.lut_tables[row])
-        if changed.size == 0:
-            continue
-        mask = np.bitwise_or.reduce(np.left_shift(np.uint16(1), changed.astype(np.uint16)))
-        if addr_seen[row] & mask:
-            return False
-    return True
+    flips = patch.table_flips(hw.decoded.design.lut_tables)
+    return flips is not None and not any(
+        addr_seen[row] & mask for row, mask in flips.items()
+    )
 
 
 def _by_kind(hw: HardwareDesign, sensitive_bits: np.ndarray) -> dict[ResourceKind, int]:

@@ -121,3 +121,31 @@ class TestSkipSoundness:
                 stim[cfg.warmup_cycles :], post, cfg.detect_cycles, cfg.persist_cycles
             )
             assert not v.failed, f"bit {bit}"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the unaddressed skip reads golden.addr_seen, captured after the "
+    "FF clock with stale operands, not the evaluation-fixpoint addresses "
+    "addr_rows holds: MULT4/S8 bit 2157 is skipped but fails alone",
+)
+def test_every_unaddressed_skip_simulates_to_no_effect(mult_hw):
+    """Every live bit the pre-filter settles as ``SKIP_UNADDRESSED`` at
+    the CLI's default config must give ``NO_EFFECT`` when simulated alone."""
+    from repro.seu.campaign import build_context, classify_candidate, simulate_batch
+
+    cfg = CampaignConfig(detect_cycles=96, persist_cycles=64)
+    ctx = build_context(mult_hw, cfg)
+    skipped = [
+        int(bit)
+        for bit in np.flatnonzero(mult_hw.decoded.live_bits)
+        if classify_candidate(mult_hw, ctx, int(bit))[0] == BitVerdict.SKIP_UNADDRESSED
+    ]
+    assert skipped
+    wrong = [
+        bit
+        for bit in skipped
+        if simulate_batch(cfg, ctx, [(bit, mult_hw.decoded.patch_for_bit(bit))])
+        != [BitVerdict.NO_EFFECT]
+    ]
+    assert wrong == []
