@@ -84,3 +84,24 @@ class TestPatch:
         p = Patch(lut_inputs=[(0, 0, NODE_CONST0), (0, 0, NODE_CONST1)])
         sim = BatchSimulator(design, [p])
         assert sim.lut_inputs[0, 0, 0] == NODE_CONST1
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        table = np.arange(16, dtype=np.uint8) % 2
+        p = Patch(
+            lut_tables=[(3, table), (3, 1 - table)],
+            lut_inputs=[(0, 2, 7)],
+            ff_fields=[(1, FFField.D, 9), (1, FFField.CLOCKED, 0)],
+            consts=[(1, 0)],
+            outputs=[(0, 5)],
+        )
+        q = pickle.loads(pickle.dumps(p))
+        assert q.signature() == p.signature()
+        assert [row for row, _ in q.lut_tables] == [3, 3]
+        for (_, a), (_, b) in zip(q.lut_tables, p.lut_tables):
+            assert a.dtype == np.uint8 and a.flags.writeable and np.array_equal(a, b)
+        assert (q.lut_inputs, q.consts, q.outputs) == (p.lut_inputs, p.consts, p.outputs)
+        assert [f for _, f, _ in q.ff_fields] == [FFField.D, FFField.CLOCKED]
+        assert all(type(f) is FFField for _, f, _ in q.ff_fields)
+        assert pickle.loads(pickle.dumps(Patch())) == Patch()
